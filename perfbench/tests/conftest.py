@@ -1,0 +1,14 @@
+"""Put the library sources and the benchmark modules on the import path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+for path in (BENCH, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
