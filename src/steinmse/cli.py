@@ -40,7 +40,8 @@ class UsageError(Exception):
 def _read_column(path: str) -> np.ndarray:
     """Single-column CSV, one number per line."""
     try:
-        values = [float(line.split(",")[0]) for line in open(path) if line.strip()]
+        with open(path) as fh:
+            values = [float(line.split(",")[0]) for line in fh if line.strip()]
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -52,7 +53,8 @@ def _read_column(path: str) -> np.ndarray:
 
 def _read_matrix(path: str) -> np.ndarray:
     try:
-        rows = [[float(v) for v in line.split(",")] for line in open(path) if line.strip()]
+        with open(path) as fh:
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -127,16 +129,15 @@ def _cmd_estimate(args) -> int:
     mse_kind = _MSE_KINDS[args.mse]
     matrix_kind = _MATRIX_KINDS[args.matrix]
 
-    needs_sc = mse_kind in (MseEstimatorKind.PSI1, MseEstimatorKind.PSI2,
-                            MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR)
-    needs_mc = matrix_kind not in (MatrixEstimatorKind.UMVUE, MatrixEstimatorKind.XI0_ETA0)
-    variant = None
+    needs_sc = mse_kind.needs_constants
+    needs_mc = matrix_kind.needs_constants
+    cspec = None
     if args.confidence:
         variant = _VARIANTS.get(args.confidence.lower())
         if variant is None:
             raise UsageError(f"unknown confidence variant {args.confidence!r}")
-        if variant not in (ConfidenceVariant.C0, ConfidenceVariant.C3):
-            needs_mc = True
+        cspec = ConfidenceSpec(variant, args.level)
+        needs_mc = needs_mc or cspec.matrix_kind is not None
     stochastic = (needs_sc and fam.kind.value != "james-stein") or needs_mc
     if stochastic and args.seed is None:
         raise UsageError("--seed is required when Monte Carlo constants are needed")
@@ -168,10 +169,10 @@ def _cmd_estimate(args) -> int:
             "eigenvalues": list(map(float, matrix.eigenvalues())),
         },
     }
-    if variant is not None:
-        result = build_confidence_set(ConfidenceSpec(variant, args.level), obs, fam, dims, mc)
+    if cspec is not None:
+        result = build_confidence_set(cspec, obs, fam, dims, mc)
         payload["confidence"] = {
-            "variant": variant.value,
+            "variant": cspec.variant.value,
             "level": args.level,
             "center": list(map(float, result.center)),
             "quadratic_radius": result.quadratic_radius,
@@ -217,9 +218,25 @@ def _make_config(args, dims, kinds=None, matrix_kinds=None) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _write_curve(table, out: str | None, name: str) -> None:
+    """Write a curve table as <name>.csv with metadata.json and the plot
+    script under ``out``, or print its rows to stdout."""
+    csv_table = table.to_csv_table(name)
+    if out:
+        write_tables({name: csv_table}, out, table.metadata)
+        write_plot_script(out)
+        print(f"wrote {os.path.join(out, name + '.csv')}")
+    else:
+        print(",".join(csv_table.header))
+        for row in csv_table.rows:
+            print(",".join(str(v) for v in row))
+
+
 def _cmd_risk_curve(args) -> int:
     dims = _dims_or_usage(args.p, args.n)
     if args.target == "mse":
+        if args.loss == "matrix":
+            raise UsageError("--loss matrix needs --target matrix")
         try:
             kinds = tuple(_MSE_KINDS[k] for k in args.kinds.split(","))
         except KeyError as exc:
@@ -234,19 +251,7 @@ def _cmd_risk_curve(args) -> int:
         cfg = _make_config(args, dims, matrix_kinds=kinds)
         loss = "matrix" if args.loss == "mse" else args.loss
         table = run_matrix_risk_curve(cfg, loss=loss)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"risk_curve_{args.target}.csv")
-        table.write_csv(path)
-        with open(os.path.join(args.out, "metadata.json"), "w") as fh:
-            json.dump(table.metadata, fh, indent=2, sort_keys=True)
-        write_plot_script(args.out)
-        print(f"wrote {path}")
-    else:
-        csv_table = table.to_csv_table()
-        print(",".join(csv_table.header))
-        for row in csv_table.rows:
-            print(",".join(str(v) for v in row))
+    _write_curve(table, args.out, f"risk_curve_{args.target}")
     return 0
 
 
@@ -258,20 +263,7 @@ def _cmd_coverage(args) -> int:
                          for v in args.variants.split(","))
     except KeyError as exc:
         raise UsageError(f"unknown confidence variant {exc.args[0]!r}") from exc
-    table = run_coverage_curve(cfg, variants)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "coverage_curve.csv")
-        table.write_csv(path)
-        with open(os.path.join(args.out, "metadata.json"), "w") as fh:
-            json.dump(table.metadata, fh, indent=2, sort_keys=True)
-        write_plot_script(args.out)
-        print(f"wrote {path}")
-    else:
-        csv_table = table.to_csv_table()
-        print(",".join(csv_table.header))
-        for row in csv_table.rows:
-            print(",".join(str(v) for v in row))
+    _write_curve(run_coverage_curve(cfg, variants), args.out, "coverage_curve")
     return 0
 
 

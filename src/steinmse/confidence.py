@@ -8,6 +8,10 @@ shrinkage estimate; ``C1`` / ``C2`` reshape it with the positive-definite
 MSE-matrix estimates; the starred variants rescale the threshold so their
 volume equals C0's exactly while keeping the estimated shape.
 
+``_set_geometry`` computes the sets for a block of m observations; the
+coverage engine in ``experiments`` calls it per block of draws, and
+``build_confidence_set`` is its m = 1 case.
+
 Volumes include the p^{p/2} factor coming from the "/p" inside the Q
 statistics; it is common to every variant, so volume ratios are
 unaffected by that convention.
@@ -16,13 +20,14 @@ unaffected by that convention.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from .distributions import f_quantile
-from .matrix_improved import MatrixConstants, MatrixEstimatorKind, estimate_mse_matrix
+from .matrix_improved import MatrixConstants, MatrixEstimatorKind, matrix_eigen_parts
 from .shrinkage import Observation, ProblemDims, ShrinkageFamily, apply_estimator
 from .umvue import AxialMatrix
 
@@ -100,6 +105,16 @@ def _require_positive_definite(m: AxialMatrix, context: str):
         raise ValueError(f"{context}: axis eigenvalue {m.axis_eigenvalue:.6g} is not positive")
 
 
+def _inv_quad(dd, t, l_perp, l_axis, s):
+    """d'M^{-1}d for M = s (l_perp I + (l_axis - l_perp) u u'), dd = d'd, t = u'd."""
+    return ((dd - t * t) / l_perp + t * t / l_axis) / s
+
+
+def _log_volume(logdet, c, p):
+    """Log of the volume ``ellipsoid_volume`` describes, from log |M|."""
+    return 0.5 * logdet + 0.5 * p * np.log(c * p * np.pi) - gammaln(0.5 * p + 1.0)
+
+
 def quad_form_inv(m: AxialMatrix, d) -> float:
     """d' M^{-1} d for an AxialMatrix M, computed in O(p).
 
@@ -110,9 +125,7 @@ def quad_form_inv(m: AxialMatrix, d) -> float:
     if d.shape != (m.dim,):
         raise ValueError(f"vector has length {d.shape[0]}, expected {m.dim}")
     _require_positive_definite(m, "inverse quadratic form")
-    t = float(m.axis @ d)
-    dd = float(d @ d)
-    return ((dd - t * t) / m.iso + t * t / (m.iso + m.axial)) / m.scale
+    return _inv_quad(float(d @ d), float(m.axis @ d), m.iso, m.iso + m.axial, m.scale)
 
 
 def ellipsoid_volume(m, c: float, dims: ProblemDims | None = None) -> float:
@@ -136,7 +149,54 @@ def ellipsoid_volume(m, c: float, dims: ProblemDims | None = None) -> float:
         if not s0 > 0:
             raise ValueError("isotropic scale must be positive")
         logdet = p * np.log(s0)
-    return float(np.exp(0.5 * logdet + 0.5 * p * np.log(c * p * np.pi) - gammaln(0.5 * p + 1.0)))
+    return float(np.exp(_log_volume(logdet, c, p)))
+
+
+_SetGeometry = namedtuple("_SetGeometry",
+                          ["center", "l_perp", "l_axis", "radius", "log_volume", "covered"])
+
+
+def _set_geometry(x, s, w, delta, cspec: ConfidenceSpec, fam: ShrinkageFamily,
+                  dims: ProblemDims, consts: MatrixConstants | None = None,
+                  theta=None) -> _SetGeometry:
+    """The sets of ``cspec`` for x (m, p), s and w (m,), and the shrinkage
+    estimates delta (m, p), which center every variant but C0.
+
+    Returns the centers, the shapes' eigenvalue factors, the thresholds,
+    the log-volumes and, given ``theta``, whether each set contains it. The
+    threshold is the F quantile c at the requested level; the starred
+    variants use (S/n) c / |M|^{1/p}, which makes their volume C0's.
+    """
+    p, n = dims.p, dims.n
+    c = f_quantile(cspec.level, p, n)
+    variant = cspec.variant
+    center = x if variant is ConfidenceVariant.C0 else delta
+    if cspec.matrix_kind is None:
+        # M = (S/n) I: the quadratic form and log-determinant in closed form.
+        l_perp = l_axis = np.full_like(s, 1.0 / n)
+        logdet = p * np.log(s / n)
+    else:
+        if not np.all(w > 0):
+            raise ValueError(f"variant {variant.value}: W must be positive")
+        l_perp, l_axis = matrix_eigen_parts(cspec.matrix_kind, w, fam, dims, consts)
+        if np.any(l_perp <= 0) or np.any(l_axis <= 0):
+            raise ValueError(f"variant {variant.value}: matrix estimate lost positive "
+                             "definiteness; check the certificates for these dimensions")
+        logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
+    if variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
+        radius = (s / n) * c * np.exp(-logdet / p)
+    else:
+        radius = np.full_like(s, c)
+    covered = None
+    if theta is not None:
+        d = center - theta
+        dd = np.einsum("ij,ij->i", d, d)
+        if cspec.matrix_kind is None:
+            covered = dd * n / (p * s) <= c
+        else:
+            u = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+            covered = _inv_quad(dd, np.einsum("ij,ij->i", d, u), l_perp, l_axis, s) / p <= radius
+    return _SetGeometry(center, l_perp, l_axis, radius, _log_volume(logdet, radius, p), covered)
 
 
 def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: ShrinkageFamily,
@@ -144,34 +204,20 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
                          theta=None) -> ConfidenceResult:
     """Assemble the requested confidence set for one observation.
 
-    The threshold starts from the F quantile c at the requested level; the
-    starred variants replace it with (S/n) c / |M|^{1/p} so their volume
-    cancels the estimated determinant and matches C0 exactly. ``theta``
-    (when given) fills ``contains_truth``.
+    Center, shape and threshold are the m = 1 case of ``_set_geometry``;
+    volume and ``contains_truth`` (given ``theta``) are those of the
+    returned set, so they agree with ``ConfidenceResult.contains`` on the
+    boundary. At x = 0 the axis is e1; matrix-shaped variants then raise.
     """
-    c = f_quantile(cspec.level, dims.p, dims.n)
-    variant = cspec.variant
-    if variant is ConfidenceVariant.C0:
-        center = np.array(obs.x, dtype=float)
-    else:
-        center = apply_estimator(obs, fam, dims)
+    delta = (None if cspec.variant is ConfidenceVariant.C0
+             else apply_estimator(obs, fam, dims)[None])
+    g = _set_geometry(obs.x[None], np.array([obs.s]), np.array([obs.w]), delta, cspec, fam,
+                      dims, consts)
     norm_x = float(np.linalg.norm(obs.x))
     axis = obs.x / norm_x if norm_x > 0 else np.eye(dims.p)[0]
-    if variant in (ConfidenceVariant.C0, ConfidenceVariant.C3):
-        shape = AxialMatrix(dims.p, obs.s, 1.0 / dims.n, 0.0, axis)
-        radius = c
-    else:
-        if consts is None:
-            raise ValueError("matrix constants are required for matrix-shaped variants")
-        shape = estimate_mse_matrix(cspec.matrix_kind, obs, fam, dims, consts)
-        _require_positive_definite(shape, f"confidence variant {variant.value}")
-        if variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
-            radius = float((obs.s / dims.n) * c * np.exp(-shape.logdet() / dims.p))
-        else:
-            radius = c
-    volume = ellipsoid_volume(shape, radius, dims)
-    contains = None
-    if theta is not None:
-        d = center - np.asarray(theta, dtype=float)
-        contains = bool(quad_form_inv(shape, d) / dims.p <= radius)
-    return ConfidenceResult(center, radius, shape, volume, contains)
+    l_perp, l_axis = float(g.l_perp[0]), float(g.l_axis[0])
+    shape = AxialMatrix(dims.p, obs.s, l_perp, l_axis - l_perp, axis)
+    radius = float(g.radius[0])
+    result = ConfidenceResult(g.center[0].copy(), radius, shape,
+                              ellipsoid_volume(shape, radius), None)
+    return result if theta is None else replace(result, contains_truth=result.contains(theta))

@@ -12,6 +12,7 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -142,12 +143,14 @@ def noncentral_chi2_pdf(x, k, lam):
     return float(total)
 
 
+@lru_cache(maxsize=64)
 def f_quantile(q: float, d1: int, d2: int) -> float:
     """Quantile of the F distribution with (d1, d2) degrees of freedom.
 
     Inverts CDF(x) = betainc(d1/2, d2/2, d1 x / (d1 x + d2)) by bracketed
     bisection, tightened until the CDF at the returned point is within
-    1e-12 of q.
+    1e-12 of q. Cached, since every confidence set at one level and (p, n)
+    uses the same quantile.
     """
     d1 = _check_df(d1, "d1")
     d2 = _check_df(d2, "d2")

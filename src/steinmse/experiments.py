@@ -8,6 +8,9 @@ tables. Competing estimators are always evaluated on the same draws
 (paired design), which makes dominance comparisons sharp at modest
 replication counts.
 
+Coverage curves take every confidence-set quantity from the batch core in
+``confidence``; this module only draws the blocks and sums the results.
+
 Tables serialize to CSV with a header row and 10-significant-digit
 numbers; ``write_tables`` also drops a metadata JSON and a plot script
 that consumes the CSVs.
@@ -22,13 +25,11 @@ import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from .confidence import ConfidenceSpec, ConfidenceVariant
-from .distributions import RngStream, f_quantile
+from .confidence import ConfidenceSpec, ConfidenceVariant, _set_geometry
+from .distributions import RngStream
 from .matrix_improved import (MatrixEstimatorKind, matrix_constants, matrix_eigen_parts)
 from .mse_improved import (MseEstimatorKind, estimate_mse_at, shrinkage_constants,
                            solve_w_pn)
@@ -61,11 +62,6 @@ _DOMAIN_MSE_CURVE = 3
 _DOMAIN_MATRIX_CURVE = 4
 _DOMAIN_COVERAGE = 5
 _DOMAIN_TRUE_MATRIX = 6
-
-_MSE_CONST_KINDS = {MseEstimatorKind.PSI1, MseEstimatorKind.PSI2,
-                    MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR}
-_MATRIX_CONST_KINDS = {MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI2_ETA2,
-                       MatrixEstimatorKind.XI1_TR_ETA1, MatrixEstimatorKind.XI2_TR_ETA2}
 
 _DEFAULT_MSE_KINDS = (MseEstimatorKind.UMVUE, MseEstimatorKind.PSI0,
                       MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR)
@@ -182,9 +178,14 @@ class CoverageTable:
 
 def _stream(seed: int, domain: int, fam_idx: int = 0, dims_idx: int = 0,
             lam_idx: int = 0, block: int = 0) -> RngStream:
-    """Pack the experiment coordinates into one 64-bit stream id."""
-    sid = ((domain & 0xF) << 60) | ((fam_idx & 0xF) << 56) | ((dims_idx & 0xFF) << 48) \
-        | ((lam_idx & 0xFFFF) << 32) | (block & 0xFFFFFFFF)
+    """Pack the experiment coordinates into one 64-bit stream id; an index
+    too wide for its field raises rather than reuse another's stream."""
+    sid = domain << 60
+    for name, idx, bits, shift in (("family", fam_idx, 4, 56), ("dims", dims_idx, 8, 48),
+                                   ("lambda", lam_idx, 16, 32), ("block", block, 32, 0)):
+        if not 0 <= idx < 1 << bits:
+            raise ValueError(f"{name} index {idx} does not fit its {bits}-bit stream field")
+        sid |= idx << shift
     return RngStream(seed, sid)
 
 
@@ -233,11 +234,6 @@ def _mean_and_stderr(total: float, total_sq: float, m: int):
         return mean, float("nan")
     var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
     return mean, math.sqrt(var / m)
-
-
-@lru_cache(maxsize=64)
-def _quantile(level: float, p: int, n: int) -> float:
-    return f_quantile(level, p, n)
 
 
 def _loss_stats(losses: list, base_idx):
@@ -291,7 +287,7 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         for fi, fam_name in enumerate(cfg.families):
             fam = family_from_name(fam_name, dims)
             consts = None
-            if any(k in _MSE_CONST_KINDS for k in kinds):
+            if any(k.needs_constants for k in kinds):
                 consts = shrinkage_constants(fam, dims, cfg.const_reps,
                                              _stream(cfg.seed, _DOMAIN_CONSTANTS, fi, di))
             direction = _direction(cfg, p)
@@ -375,7 +371,7 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
         for fi, fam_name in enumerate(cfg.families):
             fam = family_from_name(fam_name, dims)
             consts = None
-            if any(k in _MATRIX_CONST_KINDS for k in kinds):
+            if any(k.needs_constants for k in kinds):
                 consts = _lookup_matrix_constants(cfg, fam_name, fam, dims, fi, di, consts_map)
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
@@ -439,14 +435,10 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     rows: list = []
     for di, dims in enumerate(cfg.dims_list):
         p, n = dims.p, dims.n
-        half_p = 0.5 * p
-        log_gamma = float(gammaln(half_p + 1.0))
         for fi, fam_name in enumerate(cfg.families):
             fam = family_from_name(fam_name, dims)
-            needs_matrix = any(v.variant not in (ConfidenceVariant.C0, ConfidenceVariant.C3)
-                               for v in variants)
             consts = None
-            if needs_matrix:
+            if any(v.matrix_kind is not None for v in variants):
                 consts = _lookup_matrix_constants(cfg, fam_name, fam, dims, fi, di, consts_map)
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
@@ -456,40 +448,12 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
                 def partial(bi: int) -> np.ndarray:
                     x, s, w = _draw_block(
                         _stream(cfg.seed, _DOMAIN_COVERAGE, fi, di, li, bi), sizes[bi], theta, n)
-                    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-                    u = x / norms[:, None]
                     delta = shrink_factors(fam, w)[:, None] * x
                     out = np.empty((len(variants), 2))
                     for vi, spec in enumerate(variants):
-                        c = _quantile(spec.level, p, n)
-                        variant = spec.variant
-                        if variant in (ConfidenceVariant.C0, ConfidenceVariant.C3):
-                            d = (x if variant is ConfidenceVariant.C0 else delta) - theta
-                            q = np.einsum("ij,ij->i", d, d) * n / (p * s)
-                            covered = q <= c
-                            logdet = p * np.log(s / n)
-                            radius = np.full_like(s, c)
-                        else:
-                            l_perp, l_axis = matrix_eigen_parts(spec.matrix_kind, w, fam,
-                                                                dims, consts)
-                            if np.any(l_perp <= 0) or np.any(l_axis <= 0):
-                                raise ValueError(
-                                    f"variant {variant.value}: matrix estimate lost positive "
-                                    "definiteness; check the certificates for these dimensions")
-                            d = delta - theta
-                            ud = np.einsum("ij,ij->i", d, u)
-                            dd = np.einsum("ij,ij->i", d, d)
-                            qf = ((dd - ud * ud) / l_perp + ud * ud / l_axis) / s
-                            logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
-                            if variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
-                                radius = (s / n) * c * np.exp(-logdet / p)
-                            else:
-                                radius = np.full_like(s, c)
-                            covered = qf / p <= radius
-                        vol = np.exp(0.5 * logdet + half_p * np.log(radius * p * np.pi)
-                                     - log_gamma)
-                        out[vi, 0] = covered.sum()
-                        out[vi, 1] = vol.sum()
+                        geo = _set_geometry(x, s, w, delta, spec, fam, dims, consts, theta)
+                        out[vi, 0] = geo.covered.sum()
+                        out[vi, 1] = np.exp(geo.log_volume).sum()
                     return out
 
                 agg = np.sum(np.stack(_map_blocks(partial, nblocks, cfg.threads)), axis=0)

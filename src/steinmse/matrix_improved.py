@@ -53,13 +53,11 @@ class MatrixEstimatorKind(enum.Enum):
     XI1_TR_ETA1 = "xi1-tr"
     XI2_TR_ETA2 = "xi2-tr"
 
-
-_NEEDS_CONSTANTS = {
-    MatrixEstimatorKind.XI1_ETA1,
-    MatrixEstimatorKind.XI2_ETA2,
-    MatrixEstimatorKind.XI1_TR_ETA1,
-    MatrixEstimatorKind.XI2_TR_ETA2,
-}
+    @property
+    def needs_constants(self) -> bool:
+        """Whether the estimate needs precomputed MatrixConstants."""
+        return self in (MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI2_ETA2,
+                        MatrixEstimatorKind.XI1_TR_ETA1, MatrixEstimatorKind.XI2_TR_ETA2)
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
         # turn into exact clamps of the eigenvalue factors.
         l_perp = np.minimum(np.maximum(1.0 / n - g1, 0.0), upper_cap)
         l_axis = np.maximum(1.0 / n - g1 + g3, 0.0)
-    elif kind in _NEEDS_CONSTANTS:
+    elif kind.needs_constants:
         if consts is None:
             raise ValueError(f"{kind.value} requires precomputed matrix constants")
         beta2 = consts.beta.beta2
@@ -339,8 +337,6 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
             l_axis = np.maximum(1.0 / n - g1 + g3, 1.0 / n - q)
         if kind in (MatrixEstimatorKind.XI1_TR_ETA1, MatrixEstimatorKind.XI2_TR_ETA2):
             l_perp = np.minimum(l_perp, upper_cap)
-    else:
-        raise ValueError(f"unknown matrix estimator kind {kind!r}")
     return l_perp, l_axis
 
 
@@ -367,7 +363,7 @@ def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,
     errors. When the eta scaling is identically one (None root), the axis
     factor is 1/n - g1 + g3, so g3 >= g1 is verified on a grid instead.
     """
-    if kind in (MatrixEstimatorKind.UMVUE, MatrixEstimatorKind.XI0_ETA0):
+    if not kind.needs_constants:
         return False
     n = dims.n
     if grid is None:

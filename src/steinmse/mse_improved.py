@@ -50,13 +50,11 @@ class MseEstimatorKind(enum.Enum):
     PSI1_TR = "psi1-tr"
     PSI2_TR = "psi2-tr"
 
-
-_NEEDS_CONSTANTS = {
-    MseEstimatorKind.PSI1,
-    MseEstimatorKind.PSI2,
-    MseEstimatorKind.PSI1_TR,
-    MseEstimatorKind.PSI2_TR,
-}
+    @property
+    def needs_constants(self) -> bool:
+        """Whether the estimate needs precomputed ShrinkageConstants."""
+        return self in (MseEstimatorKind.PSI1, MseEstimatorKind.PSI2,
+                        MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR)
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,6 @@ def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: Pr
     cap = p * s * (1.0 + w) / (n + p + 2.0)
     if kind is MseEstimatorKind.PSI0:
         return np.minimum(np.maximum(base, 0.0), cap)
-    if kind not in _NEEDS_CONSTANTS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
     if consts is None:
         raise ValueError(f"{kind.value} requires precomputed shrinkage constants")
     if kind in (MseEstimatorKind.PSI1, MseEstimatorKind.PSI1_TR):

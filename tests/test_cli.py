@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import warnings
@@ -167,3 +168,18 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert code == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["threads"] == 2
+
+
+def test_mse_target_rejects_matrix_loss(capsys):
+    code = main(["risk-curve", "--p", "5", "--n", "5", "--target", "mse", "--loss", "matrix",
+                 "--lambdas", "0", "--reps", "10", "--seed", "1"])
+    assert code == 2
+    assert "--target matrix" in capsys.readouterr().err
+
+
+def test_estimate_closes_input_files(x_csv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0"]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -148,6 +148,29 @@ class TestBuildConfidenceSet:
         with pytest.raises(ValueError):
             sm.build_confidence_set(sm.ConfidenceSpec(CV.C1), obs, PP, DIMS, None)
 
+    def test_zero_observation(self, consts):
+        # W = 0: C0 and C3 pin the center at the origin with axis e1, and
+        # only the James-Stein C3 warns; matrix shapes need W > 0.
+        obs = sm.Observation(np.zeros(5), 1.0)
+        js = sm.ShrinkageFamily.james_stein(DIMS)
+        for fam in (js, PP):
+            for variant in (CV.C0, CV.C3):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    res = sm.build_confidence_set(sm.ConfidenceSpec(variant), obs, fam, DIMS,
+                                                  theta=np.zeros(5))
+                assert np.array_equal(res.center, np.zeros(5))
+                assert np.array_equal(res.shape.axis, np.eye(5)[0])
+                assert res.contains_truth and np.isfinite(res.volume)
+                shrunk = [w for w in caught if issubclass(w.category, sm.ShrunkToOriginWarning)]
+                assert len(shrunk) == (variant is CV.C3 and fam is js)
+            for variant in (CV.C1, CV.C2, CV.C1_STAR, CV.C2_STAR):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", sm.ShrunkToOriginWarning)
+                    with pytest.raises(ValueError):
+                        sm.build_confidence_set(sm.ConfidenceSpec(variant), obs, fam, DIMS,
+                                                consts)
+
     def test_variant_binding_enforced(self):
         with pytest.raises(ValueError):
             sm.ConfidenceSpec(CV.C1, matrix_kind=sm.MatrixEstimatorKind.XI2_TR_ETA2)

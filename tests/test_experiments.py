@@ -241,3 +241,20 @@ def test_reproduce_tables_structure_and_analytic_rows(tmp_path):
     assert len(paths) == 7
     script = sm.write_plot_script(str(tmp_path))
     assert os.path.exists(script)
+
+
+@pytest.mark.parametrize("field, first_out", [("fam_idx", 16), ("dims_idx", 256),
+                                              ("lam_idx", 65536), ("block", 2**32)])
+def test_stream_index_overflow_raises(field, first_out):
+    from steinmse.experiments import _stream
+    _stream(1, 5, **{field: first_out - 1})
+    with pytest.raises(ValueError, match="stream field"):
+        _stream(1, 5, **{field: first_out})
+
+
+def test_stream_ids_distinct_at_largest_indices():
+    from steinmse.experiments import _stream
+    largest = {"fam_idx": 15, "dims_idx": 255, "lam_idx": 65535, "block": 2**32 - 1}
+    ids = {_stream(1, 5).stream_id, _stream(1, 5, **largest).stream_id}
+    ids |= {_stream(1, 5, **{k: v}).stream_id for k, v in largest.items()}
+    assert len(ids) == 6
