@@ -1,9 +1,7 @@
 """Regenerate the constants tables for the standard dimension grid.
 
-The analytic entries (constant shrinkage rule) come out exact; the
-positive-part entries are Monte Carlo with stderr columns. Replication
-count is dialed down here so the demo finishes in seconds; raise --reps
-toward 1e6 to reproduce the published four-digit values.
+Both built-in rules have exact constants, so every stderr column is 0 and
+--reps and --seed change no number; they are kept for the metadata.
 """
 
 import argparse

@@ -28,18 +28,18 @@ def main():
     print(f"unbiased:            {sm.umvue_mse(obs, fam, dims):+.4f}   <- negative!")
     print(f"nonneg. truncated:   {sm.estimate_mse(sm.MseEstimatorKind.PSI0, obs, fam, dims):+.4f}")
 
-    consts = sm.shrinkage_constants(fam, dims, reps=200_000, rng=sm.RngStream(1))
+    consts = sm.shrinkage_constants(fam, dims)  # exact: no seed, no replications
     for kind in (sm.MseEstimatorKind.PSI1_TR, sm.MseEstimatorKind.PSI2_TR):
         value = sm.estimate_mse(kind, obs, fam, dims, consts)
         print(f"positive ({kind.value}):  {value:+.4f}")
-    print(f"(alpha = {consts.alpha:.4f} +/- {consts.alpha_stderr:.4f}, "
+    print(f"(alpha = {consts.alpha:.4f} ({consts.provenance}), "
           f"gamma = {consts.gamma:.4f}; positivity certified: "
           f"{sm.psi1_positive_certified(consts, dims)})")
 
     print("\n-- MSE matrix estimates (eigenvalues) --")
     m0 = sm.umvue_mse_matrix(obs, fam, dims)
     print("unbiased:      ", np.round(m0.eigenvalues(), 4), "<- indefinite")
-    mc = sm.matrix_constants(fam, dims, j_max=20, reps=200_000, rng=sm.RngStream(2))
+    mc = sm.matrix_constants(fam, dims, j_max=20)
     for kind in (sm.MatrixEstimatorKind.XI0_ETA0, sm.MatrixEstimatorKind.XI1_TR_ETA1,
                  sm.MatrixEstimatorKind.XI2_TR_ETA2):
         m = sm.estimate_mse_matrix(kind, obs, fam, dims, mc)

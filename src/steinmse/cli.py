@@ -3,7 +3,9 @@
 Subcommands: estimate, constants, risk-curve, coverage, canonicalize.
 JSON outputs carry a schema version and echo every numeric flag; CSV runs
 drop a metadata.json next to the tables. Seeds are mandatory wherever
-randomness is involved, so every run is reproducible by construction.
+randomness is involved, so every run is reproducible by construction;
+``estimate`` involves none, since the constants of the built-in families
+are exact.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
@@ -17,7 +19,6 @@ import sys
 import numpy as np
 
 from .confidence import ConfidenceSpec, ConfidenceVariant, build_confidence_set
-from .distributions import RngStream
 from .experiments import (ExperimentConfig, reproduce_tables, run_coverage_curve,
                           run_matrix_risk_curve, run_mse_risk_curve, write_plot_script,
                           write_tables)
@@ -31,6 +32,9 @@ _MATRIX_KINDS = {k.value: k for k in MatrixEstimatorKind}
 _VARIANTS = {v.value: v for v in ConfidenceVariant}
 _VARIANTS["c1star"] = ConfidenceVariant.C1_STAR
 _VARIANTS["c2star"] = ConfidenceVariant.C2_STAR
+
+_CONST_REPS_HELP = ("replications for Monte Carlo constants; the constants of the "
+                    "built-in families are exact, so it is only echoed")
 
 
 class UsageError(Exception):
@@ -67,6 +71,16 @@ def _dims_or_usage(p: int, n: int) -> ProblemDims:
         return ProblemDims(p, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _spec_or_usage(name: str, level: float) -> ConfidenceSpec:
+    variant = _VARIANTS.get(name.strip().lower())
+    if variant is None:
+        raise UsageError(f"unknown confidence variant {name!r}")
+    try:
+        return ConfidenceSpec(variant, level)
+    except ValueError as exc:
+        raise UsageError(f"--level: {exc}") from exc
 
 
 def _parse_dims_list(text: str) -> list:
@@ -133,18 +147,12 @@ def _cmd_estimate(args) -> int:
     needs_mc = matrix_kind.needs_constants
     cspec = None
     if args.confidence:
-        variant = _VARIANTS.get(args.confidence.lower())
-        if variant is None:
-            raise UsageError(f"unknown confidence variant {args.confidence!r}")
-        cspec = ConfidenceSpec(variant, args.level)
+        cspec = _spec_or_usage(args.confidence, args.level)
         needs_mc = needs_mc or cspec.matrix_kind is not None
-    stochastic = (needs_sc and fam.kind.value != "james-stein") or needs_mc
-    if stochastic and args.seed is None:
-        raise UsageError("--seed is required when Monte Carlo constants are needed")
-    rng = RngStream(args.seed or 0)
 
-    sc = shrinkage_constants(fam, dims, args.const_reps, rng.child(1)) if needs_sc else None
-    mc = matrix_constants(fam, dims, args.j_max, args.const_reps, rng.child(2)) if needs_mc else None
+    # Built-in families have exact constants: no stream, no replications.
+    sc = shrinkage_constants(fam, dims) if needs_sc else None
+    mc = matrix_constants(fam, dims, args.j_max) if needs_mc else None
 
     point = apply_estimator(obs, fam, dims)
     mse_value = estimate_mse(mse_kind, obs, fam, dims, sc)
@@ -258,11 +266,7 @@ def _cmd_risk_curve(args) -> int:
 def _cmd_coverage(args) -> int:
     dims = _dims_or_usage(args.p, args.n)
     cfg = _make_config(args, dims)
-    try:
-        variants = tuple(ConfidenceSpec(_VARIANTS[v.strip().lower()], args.level)
-                         for v in args.variants.split(","))
-    except KeyError as exc:
-        raise UsageError(f"unknown confidence variant {exc.args[0]!r}") from exc
+    variants = tuple(_spec_or_usage(v, args.level) for v in args.variants.split(","))
     _write_curve(run_coverage_curve(cfg, variants), args.out, "coverage_curve")
     return 0
 
@@ -304,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--matrix", default="umvue", choices=sorted(_MATRIX_KINDS))
     est.add_argument("--confidence", default=None, help="c0, c1, c2, c3, c1star, c2star")
     est.add_argument("--level", type=float, default=0.95)
-    est.add_argument("--seed", type=int, default=None)
-    est.add_argument("--const-reps", type=int, default=1_000_000)
+    est.add_argument("--seed", type=int, default=None,
+                     help="echoed only: the built-in families' constants are exact")
+    est.add_argument("--const-reps", type=int, default=1_000_000, help=_CONST_REPS_HELP)
     est.add_argument("--j-max", type=int, default=50)
     est.add_argument("--out", default=None, help="JSON output path (default: stdout)")
     est.set_defaults(func=_cmd_estimate)
@@ -329,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--lambdas", default="0:30:1")
     risk.add_argument("--reps", type=int, default=100_000)
     risk.add_argument("--seed", type=int, required=True)
-    risk.add_argument("--const-reps", type=int, default=1_000_000)
+    risk.add_argument("--const-reps", type=int, default=1_000_000, help=_CONST_REPS_HELP)
     risk.add_argument("--threads", type=int, default=None)
     risk.add_argument("--out", default=None, help="output directory (default: stdout)")
     risk.set_defaults(func=_cmd_risk_curve)
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--lambdas", default="0:30:5")
     cov.add_argument("--reps", type=int, default=10_000)
     cov.add_argument("--seed", type=int, required=True)
-    cov.add_argument("--const-reps", type=int, default=1_000_000)
+    cov.add_argument("--const-reps", type=int, default=1_000_000, help=_CONST_REPS_HELP)
     cov.add_argument("--threads", type=int, default=None)
     cov.add_argument("--out", default=None, help="output directory (default: stdout)")
     cov.set_defaults(func=_cmd_coverage)

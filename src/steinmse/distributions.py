@@ -2,7 +2,9 @@
 
 Densities are evaluated in log space so large degrees of freedom and large
 arguments do not overflow. The F quantile is obtained by inverting the
-regularized incomplete beta representation of the CDF. All random draws come
+regularized incomplete beta representation of the CDF; the same
+representation gives the partial moments of a chi-square ratio in closed
+form (``ratio_partial_moments``). All random draws come
 from counter-based Philox streams keyed by (seed, stream_id): the same key
 always reproduces the same draws, no matter which thread or process asks for
 them, so experiments can be sharded arbitrarily without changing a single
@@ -15,13 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaincc, betaln, gammaln, hyp2f1
 
 __all__ = [
     "RngStream",
     "chi2_pdf",
     "noncentral_chi2_pdf",
     "f_quantile",
+    "ratio_partial_moments",
     "sample_normal_vector",
     "sample_chi2",
 ]
@@ -180,6 +183,33 @@ def f_quantile(q: float, d1: int, d2: int) -> float:
     if abs(cdf(x) - q) > 1e-10:
         raise RuntimeError(f"F quantile inversion stalled at x={x} (CDF error {cdf(x) - q:.3e})")
     return x
+
+
+def ratio_partial_moments(k: int, n: int, c: float):
+    """(P(W < c), E[1/W; W > c], E[W; W < c]) for W = U/V, with U ~ chi^2_k
+    and V ~ chi^2_n independent, k > 2 and a cut c >= 0.
+
+    W/(1+W) is Beta(k/2, n/2), so with x = c/(1+c), a = k/2, b = n/2:
+    P(W < c) = I_x(a, b), E[1/W; W > c] = n/(k-2) (1 - I_x(a-1, b+1)), and
+    E[W; W < c] = B_x(a+1, b-1)/B(a, b) = x^{a+1} 2F1(a+1, 2-b; a+2; x) /
+    ((a+1) B(a, b)). The hypergeometric form of the incomplete beta stays
+    valid for b - 1 <= 0, that is n = 1 and n = 2.
+    """
+    k = _check_df(k)
+    n = _check_df(n, "n")
+    if k <= 2:
+        raise ValueError("E[1/W] needs k > 2")
+    if not c >= 0:
+        raise ValueError("the cut c must be nonnegative")
+    a, b = 0.5 * k, 0.5 * n
+    x = c / (1.0 + c)
+    below = float(betainc(a, b, x))
+    inv_above = n / (k - 2.0) * float(betaincc(a - 1.0, b + 1.0, x))
+    if x == 0.0:
+        return below, inv_above, 0.0
+    log_scale = (a + 1.0) * np.log(x) - np.log(a + 1.0) - betaln(a, b)
+    w_below = float(np.exp(log_scale) * hyp2f1(a + 1.0, 2.0 - b, a + 2.0, x))
+    return below, inv_above, w_below
 
 
 def sample_normal_vector(dims, theta, sigma2: float, rng: RngStream) -> np.ndarray:

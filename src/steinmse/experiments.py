@@ -1,4 +1,4 @@
-"""Monte Carlo drivers: risk curves, coverage curves, constants tables.
+"""Monte Carlo drivers for risk and coverage curves, and the constants tables.
 
 Replications are drawn in fixed-size blocks, each block from its own
 counter-based stream, and block partials are reduced in block order. The
@@ -477,10 +477,12 @@ def reproduce_tables(dims_list, families=("james-stein", "positive-part"),
                      reps: int = 1_000_000, seed: int = 0, j_max: int = 50) -> dict:
     """Regenerate the five constants tables, stderr columns included.
 
-    Closed-form entries carry stderr 0; Monte Carlo entries propagate
-    their stderr into the derived roots and certificates by re-solving at
-    the +/- one-sigma inputs. Per-j beta curves are included as a sixth
-    table so the moment curves can be replotted.
+    The families are built-in, so every constant is exact and every
+    stderr column is 0: ``reps`` and ``seed`` change no number. Monte Carlo
+    constants (custom families) would propagate their stderr into the
+    derived roots and certificates by re-solving at the +/- one-sigma
+    inputs. Per-j beta curves are included as a sixth table so the moment
+    curves can be replotted.
 
     Returns {name: CsvTable} with names table1_gamma, table2_w,
     table3_beta2, table4_gamma_xi_eta, table5_w_xi_eta, beta_per_j.

@@ -14,6 +14,10 @@ positive definite under certificates driven by the moment constant beta2.
 ``XI*_TR`` variants additionally clamp xi from below at the admissibility
 cap (printed with denominator n+p+1; the band condition uses n+p+2, so
 the constant is configurable).
+
+The moment curves behind beta1 and beta2 are exact for the built-in
+James-Stein and positive-part rules (incomplete beta and hypergeometric
+closed forms) and Monte Carlo estimates for custom families.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_bisect
-from .distributions import RngStream
-from .shrinkage import Observation, ProblemDims, ShrinkageFamily
+from .distributions import RngStream, ratio_partial_moments
+from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily
 from .umvue import AxialMatrix, g_functions
 
 __all__ = [
@@ -62,14 +66,16 @@ class MatrixEstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BetaConstants:
-    """Monte Carlo moment extremes behind the matrix certificates.
+    """Moment extremes behind the matrix certificates.
 
     beta1 is the infimum over j >= 0 of the first moment curve (its
     nonnegativity licenses the nonnegative-definite construction), beta2
     the supremum of the second (it scales every positive-definite
     construction). Per-j values (j, value, stderr) are kept so the curves
     can be replotted and audited; j is scanned over 0..j_max plus tail
-    checks at 2 j_max and 4 j_max.
+    checks at 2 j_max and 4 j_max. Built-in families carry exact values
+    (method "closed-form", reps 0, every stderr 0); custom families carry
+    Monte Carlo estimates (method "monte-carlo").
     """
 
     beta1: float
@@ -117,19 +123,22 @@ def b_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
 
 def beta_j(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int,
            reps: int = 1_000_000, rng: RngStream | None = None, chunk: int = 262144):
-    """Monte Carlo moment over u ~ chi^2_{p+2j}, v ~ chi^2_n independent.
+    """Moment over u ~ chi^2_{p+2j}, v ~ chi^2_n independent.
 
     order 1: E[ 2(p-1) phi(u/v)/(u/v) - (p+2j-1) b(u/v) / (p+2j) ]
     order 2: E[ 2 phi(u/v)/(u/v) - b(u/v) / (p+2j) ]
 
-    Returns (value, stderr). Calling twice with the same stream repeats the
-    same draws, which is how the two orders are paired in
-    ``beta_constants``.
+    Returns (value, stderr). Built-in families get the exact value with
+    stderr 0, and ``reps``/``rng`` are ignored. Custom families get a Monte
+    Carlo estimate; calling twice with the same stream repeats the same
+    draws, which is how the two orders are paired in ``beta_constants``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if int(j) != j or j < 0:
         raise ValueError("j must be a nonnegative integer")
+    if fam.has_closed_forms:
+        return _beta_j_closed_form(order, fam, dims, int(j)), 0.0
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if rng is None:
@@ -160,24 +169,44 @@ def beta_j(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int,
     return mean, float(np.sqrt(var / reps))
 
 
+def _beta_j_closed_form(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int) -> float:
+    """Exact moment of a built-in family from the partial moments of W = U/V.
+
+    Below the kink c = (p-2)/(n+2) the positive-part rule has phi/W = 1 and
+    b(W) = (n-2)W; above it phi/W = c/W and b(W) = (4c + (n+2)c^2)/W. The
+    James-Stein rule is the upper branch everywhere, a cut at zero.
+    """
+    p, n, c = dims.p, dims.n, dims.shrink_constant
+    k = p + 2 * j
+    cut = c if fam.kind is FamilyKind.POSITIVE_PART else 0.0
+    below, inv_above, w_below = ratio_partial_moments(k, n, cut)
+    phi_over_w = below + c * inv_above
+    b = (n - 2.0) * w_below + (4.0 * c + (n + 2.0) * c * c) * inv_above
+    if order == 1:
+        return 2.0 * (p - 1.0) * phi_over_w - (k - 1.0) / k * b
+    return 2.0 * phi_over_w - b / k
+
+
 def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
                    reps: int = 1_000_000, rng: RngStream | None = None) -> BetaConstants:
     """Scan j = 0..j_max (plus tail checks at 2 j_max and 4 j_max) for the
     extremes of both moment curves.
 
-    Each j gets its own child stream, and both orders are evaluated on the
+    Built-in families are exact and need no stream. For custom families
+    each j gets its own child stream, and both orders are evaluated on the
     same draws. Warns when an extremum lands on a scan boundary, since the
     true extremum may then sit beyond the scanned range.
     """
     if j_max < 10:
         raise ValueError("j_max must be at least 10")
-    if rng is None:
+    exact = fam.has_closed_forms
+    if rng is None and not exact:
         raise ValueError("a random stream is required")
     js = list(range(j_max + 1)) + [2 * j_max, 4 * j_max]
     per1 = []
     per2 = []
     for j in js:
-        stream = rng.child(j)
+        stream = None if exact else rng.child(j)
         v1, se1 = beta_j(1, fam, dims, j, reps, stream)
         v2, se2 = beta_j(2, fam, dims, j, reps, stream)
         per1.append((j, v1, se1))
@@ -194,8 +223,9 @@ def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
         warnings.warn(
             f"second moment curve maximized at the scan boundary (j={argmax_j}); "
             "its supremum may lie beyond j_max", RuntimeWarning)
+    method, reps = ("closed-form", 0) if exact else ("monte-carlo", reps)
     return BetaConstants(beta1, beta1_se, argmin_j, beta2, beta2_se, argmax_j,
-                         j_max, reps, tuple(per1), tuple(per2))
+                         j_max, reps, tuple(per1), tuple(per2), method)
 
 
 def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
@@ -255,8 +285,9 @@ def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
                      reps: int = 1_000_000, rng: RngStream | None = None) -> MatrixConstants:
     """Compute the beta extremes, threshold roots and certificates once.
 
-    Standard errors of the roots and certificates are propagated from the
-    beta2 standard error by re-solving at beta2 +/- stderr.
+    Exact for built-in families (every stderr 0). For custom families the
+    standard errors of the roots and certificates are propagated from the
+    Monte Carlo beta2 standard error by re-solving at beta2 +/- stderr.
     """
     beta = beta_constants(fam, dims, j_max, reps, rng)
     w_xi, w_eta = solve_w_xi_eta(fam, dims, beta.beta2)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_bisect
-from .distributions import RngStream
+from .distributions import RngStream, ratio_partial_moments
 from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, true_risk
 from .umvue import g_functions
 
@@ -92,17 +92,25 @@ def alpha_pn(fam: ShrinkageFamily, dims: ProblemDims, reps: int = 1_000_000,
              rng: RngStream | None = None):
     """Risk reduction at zero signal, in sigma^2 units; returns (alpha, stderr).
 
-    Closed form n(p-2)/(n+2) for the James-Stein rule; otherwise a Monte
-    Carlo estimate. The caller vouches that phi(W)/W is nonincreasing so
-    the reduction really is maximized at zero signal (true for both
-    built-in families).
+    Exact for the built-in families, with stderr 0 and ``reps``/``rng``
+    ignored: n(p-2)/(n+2) for the James-Stein rule, and for the
+    positive-part rule the mean of its reduction integrand, 2p - (n-2)W
+    below the kink c = (p-2)/(n+2) and c(p-2)/W above it, over W = U/V with
+    U ~ chi^2_p, V ~ chi^2_n. Custom families get a Monte Carlo estimate.
+    The caller vouches that phi(W)/W is nonincreasing so the reduction
+    really is maximized at zero signal (true for both built-in families).
     """
+    p, n = dims.p, dims.n
     if fam.kind is FamilyKind.JAMES_STEIN:
-        return dims.n * (dims.p - 2.0) / (dims.n + 2.0), 0.0
+        return n * (p - 2.0) / (n + 2.0), 0.0
+    if fam.kind is FamilyKind.POSITIVE_PART:
+        c = dims.shrink_constant
+        below, inv_above, w_below = ratio_partial_moments(p, n, c)
+        return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above, 0.0
     if rng is None:
         raise ValueError("a random stream is required for the Monte Carlo alpha")
     risk, stderr = true_risk(fam, dims, 0.0, reps, rng)
-    return dims.p - risk, stderr
+    return p - risk, stderr
 
 
 def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily
 
@@ -130,6 +129,10 @@ def g_transform(h, dims: ProblemDims, w: float, c0: float = 0.0, breakpoints=())
     that case; a nonzero c0 only arises for callers working branch by
     branch.
     """
+    # Imported here: only custom families reach the quadrature, and
+    # scipy.integrate is about half the import cost of the package.
+    from scipy.integrate import quad
+
     if not w > 0:
         raise ValueError("w must be positive")
     n = dims.n

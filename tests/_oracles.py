@@ -90,6 +90,37 @@ def js_beta_moment_exact(order, p, n, j):
     return k * mean_ratio * factor
 
 
+def js_plus_beta_moment_quad(order, p, n, j):
+    """Moment-curve value of the positive-part rule by direct quadrature.
+
+    Integrates the defining kernel, built from phi = min(W, k) and its
+    slope, against the density of W = U/V with U ~ chi^2_{p+2j}: on [0, k]
+    in W and on (k, inf) through W = k/v, v in (0, 1).
+    """
+    k = (p - 2.0) / (n + 2.0)
+    df = p + 2 * j
+
+    def kernel(w):
+        phi, dphi = (w, 1.0) if w < k else (k, 0.0)
+        b = 4.0 * phi / w + (n + 2.0) * phi * phi / w - 4.0 * dphi - 4.0 * phi * dphi
+        if order == 1:
+            return 2.0 * (p - 1.0) * phi / w - (df - 1.0) / df * b
+        return 2.0 * phi / w - b / df
+
+    def low(w):
+        return kernel(w) * ratio_chi2_density(w, df, n) if w > 0.0 else 0.0
+
+    def tail(v):
+        if v <= 0.0:
+            return 0.0
+        w = k / v
+        return kernel(w) * ratio_chi2_density(w, df, n) * k / (v * v)
+
+    lo_val, _ = quad(low, 0.0, k, epsabs=0.0, epsrel=1e-12, limit=400)
+    hi_val, _ = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
+    return lo_val + hi_val
+
+
 def quadratic_root(c):
     """Positive root of W(1+W) = c."""
     return 0.5 * (np.sqrt(1.0 + 4.0 * c) - 1.0)

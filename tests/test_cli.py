@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -49,11 +51,18 @@ def test_estimate_umvue_needs_no_seed(x_csv, capsys):
     assert payload["mse"]["kind"] == "umvue"
 
 
-def test_estimate_requires_seed_for_monte_carlo(x_csv, capsys):
-    code = main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
-                 "--family", "js-plus", "--mse", "psi2", "--matrix", "umvue"])
-    assert code == 2
-    assert "seed" in capsys.readouterr().err
+def test_estimate_output_does_not_depend_on_seed(x_csv, capsys):
+    # The built-in families' constants are exact, so the seed is only echoed.
+    base = ["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
+            "--family", "js-plus", "--mse", "psi2", "--matrix", "xi2-tr",
+            "--confidence", "c2star", "--const-reps", "20000", "--j-max", "12"]
+    payloads = []
+    for seed_args in (["--seed", "1"], ["--seed", "2"], []):
+        assert main(base + seed_args) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    seeds = [p["inputs"].pop("seed") for p in payloads]
+    assert seeds == [1, 2, None]
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_estimate_rejects_small_p(x_csv, capsys):
@@ -183,3 +192,30 @@ def test_estimate_closes_input_files(x_csv, capsys):
         assert main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0"]) == 0
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "1"])
+def test_estimate_level_outside_unit_interval_is_usage_error(x_csv, capsys, level):
+    code = main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
+                 "--confidence", "c0", "--level", level])
+    assert code == 2
+    assert "--level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["1.5", "-0.2"])
+def test_coverage_level_outside_unit_interval_is_usage_error(capsys, level):
+    code = main(["coverage", "--p", "5", "--n", "5", "--variants", "c0", "--level", level,
+                 "--lambdas", "0", "--reps", "10", "--seed", "1"])
+    assert code == 2
+    assert "--level" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    import steinmse
+    src = os.path.dirname(os.path.dirname(os.path.abspath(steinmse.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, steinmse.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -232,7 +232,7 @@ def test_reproduce_tables_structure_and_analytic_rows(tmp_path):
     t1 = {row[0]: row for row in tables["table1_gamma"].rows}
     assert t1["james-stein"][3] == pytest.approx(0.6795, abs=5e-4)
     assert t1["james-stein"][4] == 0.0  # analytic path: no Monte Carlo error
-    assert t1["positive-part"][4] > 0.0
+    assert t1["positive-part"][4] == 0.0  # exact for both built-in families
     t5 = {(row[0], row[1]): row for row in tables["table5_w_xi_eta"].rows}
     assert ("w_eta", "james-stein") not in t5  # identically-one marker
     assert ("w_eta", "positive-part") in t5

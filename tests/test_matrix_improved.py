@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import js_beta_moment_exact, quadratic_root
+from _oracles import js_beta_moment_exact, js_plus_beta_moment_quad, quadratic_root
 
 MK = sm.MatrixEstimatorKind
 DIMS = sm.ProblemDims(5, 5)
@@ -14,6 +14,11 @@ PP = sm.ShrinkageFamily.positive_part(DIMS)
 # Exact second-moment supremum for the constant rule: attained at j=0 and
 # j=1, both equal to k n / p.
 JS_BETA2_EXACT = (3.0 / 7.0) * 5.0 / 5.0
+
+
+def _custom_clone(fam):
+    """The same rule as a custom family, which routes it to Monte Carlo."""
+    return sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
 
 
 class TestBOfW:
@@ -44,7 +49,32 @@ class TestBetaJ:
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5)])
     def test_js_matches_exact_moments(self, order, j):
         value, stderr = sm.beta_j(order, JS, DIMS, j, reps=400_000, rng=sm.RngStream(42, j))
+        assert stderr == 0.0
+        assert value == pytest.approx(js_beta_moment_exact(order, 5, 5, j), rel=1e-12)
+
+    @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5)])
+    def test_js_monte_carlo_matches_exact_moments(self, order, j):
+        clone = _custom_clone(JS)
+        value, stderr = sm.beta_j(order, clone, DIMS, j, reps=400_000, rng=sm.RngStream(42, j))
         assert abs(value - js_beta_moment_exact(order, 5, 5, j)) < 4.0 * stderr
+
+    @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (5, 5), (10, 10)])
+    def test_positive_part_matches_quadrature_oracle(self, p, n):
+        dims = sm.ProblemDims(p, n)
+        fam = sm.ShrinkageFamily.positive_part(dims)
+        for order in (1, 2):
+            for j in (0, 1, 3, 50, 200):
+                value, stderr = sm.beta_j(order, fam, dims, j)
+                assert stderr == 0.0
+                assert value == pytest.approx(js_plus_beta_moment_quad(order, p, n, j),
+                                              rel=1e-9)
+
+    @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 3)])
+    def test_positive_part_monte_carlo_matches_closed_form(self, order, j):
+        clone = _custom_clone(PP)
+        value, stderr = sm.beta_j(order, clone, DIMS, j, reps=10**6, rng=sm.RngStream(54, j))
+        exact, _ = sm.beta_j(order, PP, DIMS, j)
+        assert abs(value - exact) < 4.0 * stderr
 
     def test_large_j_limit_drops_second_kernel(self):
         # The b-term scales as 1/(p+2j); at j=200 the curve is within noise
@@ -58,6 +88,18 @@ class TestBetaJ:
         a = sm.beta_j(1, JS, DIMS, 2, reps=5000, rng=sm.RngStream(44))
         b = sm.beta_j(1, JS, DIMS, 2, reps=5000, rng=sm.RngStream(44))
         assert a == b
+
+    def test_monte_carlo_same_stream_repeats_draws(self):
+        clone = _custom_clone(JS)
+        a = sm.beta_j(1, clone, DIMS, 2, reps=5000, rng=sm.RngStream(44))
+        b = sm.beta_j(1, clone, DIMS, 2, reps=5000, rng=sm.RngStream(44))
+        assert a == b and a[1] > 0.0
+
+    def test_monte_carlo_needs_stream(self):
+        with pytest.raises(ValueError):
+            sm.beta_j(2, _custom_clone(JS), DIMS, 0, reps=1000)
+        with pytest.raises(ValueError):
+            sm.beta_constants(_custom_clone(JS), DIMS, j_max=10, reps=1000)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +118,16 @@ class TestBetaConstants:
     def test_first_moment_nonnegative(self, js_consts):
         assert js_consts.beta1 >= 0.0
         assert all(v >= -3.0 * se for _, v, se in js_consts.per_j_beta1)
+
+    def test_provenance(self, js_consts):
+        assert js_consts.method == "closed-form" and js_consts.reps == 0
+        assert js_consts.beta1_stderr == 0.0 and js_consts.beta2_stderr == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mc = sm.beta_constants(_custom_clone(JS), DIMS, j_max=10, reps=2000,
+                                   rng=sm.RngStream(55))
+        assert mc.method == "monte-carlo" and mc.reps == 2000
+        assert mc.beta2_stderr > 0.0
 
     def test_tail_checks_present(self, js_consts):
         js_scanned = [j for j, _, _ in js_consts.per_j_beta2]

@@ -17,6 +17,10 @@ def _js_clone_as_custom(dims):
     return sm.ShrinkageFamily.custom(phi, dphi, label="js-clone")
 
 
+def _pp_clone_as_custom():
+    return sm.ShrinkageFamily.custom(PP.phi, PP.phi_prime, label="pp-clone")
+
+
 class TestAOfW:
     def test_js_closed_form(self):
         # n(p-2)^2 / (p(n+2)^2 W) = 9/49 at (5,5), W=1.
@@ -49,11 +53,24 @@ class TestAlpha:
 
     def test_positive_part_matches_quadrature_oracle(self):
         alpha, se = sm.alpha_pn(PP, DIMS, reps=400_000, rng=sm.RngStream(32))
+        assert se == 0.0
+        assert alpha == pytest.approx(js_plus_alpha_quad(5, 5), rel=1e-9)
+
+    @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (10, 5), (5, 10), (10, 10)])
+    def test_positive_part_matches_quadrature_oracle_across_dims(self, p, n):
+        dims = sm.ProblemDims(p, n)
+        alpha, se = sm.alpha_pn(sm.ShrinkageFamily.positive_part(dims), dims)
+        assert se == 0.0
+        assert alpha == pytest.approx(js_plus_alpha_quad(p, n), rel=1e-9)
+
+    def test_monte_carlo_matches_quadrature_oracle(self):
+        alpha, se = sm.alpha_pn(_pp_clone_as_custom(), DIMS, reps=400_000,
+                                rng=sm.RngStream(32))
         assert abs(alpha - js_plus_alpha_quad(5, 5)) < 4.0 * se
 
     def test_monte_carlo_needs_stream(self):
         with pytest.raises(ValueError):
-            sm.alpha_pn(PP, DIMS)
+            sm.alpha_pn(_pp_clone_as_custom(), DIMS)
 
 
 class TestRoots:
@@ -203,6 +220,11 @@ def test_constants_builder_provenance():
     assert sc_js.provenance == "closed-form"
     assert sc_js.alpha_stderr == 0.0
     sc_pp = sm.shrinkage_constants(PP, DIMS, reps=100_000, rng=sm.RngStream(34))
-    assert sc_pp.provenance == "monte-carlo"
-    assert sc_pp.alpha_stderr > 0
+    assert sc_pp.provenance == "closed-form"
+    assert sc_pp.alpha_stderr == 0.0 and sc_pp.reps == 0
     assert 0 < sc_pp.alpha < DIMS.p
+    sc_custom = sm.shrinkage_constants(_pp_clone_as_custom(), DIMS, reps=100_000,
+                                       rng=sm.RngStream(34))
+    assert sc_custom.provenance == "monte-carlo"
+    assert sc_custom.alpha_stderr > 0 and sc_custom.reps == 100_000
+    assert 0 < sc_custom.alpha < DIMS.p
