@@ -1,27 +1,22 @@
 """Regenerate the constants tables for the standard dimension grid.
 
-Both built-in rules have exact constants, so every stderr column is 0 and
---reps and --seed change no number; they are kept for the metadata.
+Both built-in rules have closed-form constants, so the tables need no
+seed and carry no standard errors.
 """
 
 import argparse
-import warnings
 
 import steinmse as sm
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for CSV output")
     args = parser.parse_args()
 
     dims_list = [sm.ProblemDims(5, 5), sm.ProblemDims(10, 5),
                  sm.ProblemDims(5, 10), sm.ProblemDims(10, 10)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tables = sm.reproduce_tables(dims_list, reps=args.reps, seed=args.seed)
+    tables = sm.reproduce_tables(dims_list)
 
     for name in ("table1_gamma", "table2_w", "table3_beta2",
                  "table4_gamma_xi_eta", "table5_w_xi_eta"):
@@ -32,7 +27,7 @@ def main():
             print("  ".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in row))
 
     if args.out:
-        sm.write_tables(tables, args.out, {"reps": args.reps, "seed": args.seed})
+        sm.write_tables(tables, args.out, {"dims": [[d.p, d.n] for d in dims_list]})
         sm.write_plot_script(args.out)
         print(f"\nwrote CSVs to {args.out}")
 

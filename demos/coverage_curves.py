@@ -7,7 +7,6 @@ and spend all of the improvement on coverage.
 """
 
 import argparse
-import warnings
 
 import steinmse as sm
 
@@ -24,12 +23,9 @@ def main():
     dims = sm.ProblemDims(args.p, args.n)
     cfg = sm.ExperimentConfig(
         dims_list=(dims,), lambda_grid=tuple(float(v) for v in range(0, 31, 5)),
-        reps=args.reps, seed=args.seed, families=("positive-part",),
-        const_reps=300_000)
+        reps=args.reps, seed=args.seed, families=("positive-part",))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        table = sm.run_coverage_curve(cfg)
+    table = sm.run_coverage_curve(cfg)
 
     variants = ("c0", "c1", "c2", "c3", "c1*", "c2*")
     print(f"coverage at the 95% level, (p, n) = ({args.p}, {args.n})")

@@ -54,6 +54,4 @@ def main():
 
 
 if __name__ == "__main__":
-    import warnings
-    warnings.filterwarnings("ignore", category=RuntimeWarning)
     main()

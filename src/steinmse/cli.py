@@ -2,10 +2,10 @@
 
 Subcommands: estimate, constants, risk-curve, coverage, canonicalize.
 JSON outputs carry a schema version and echo every numeric flag; CSV runs
-drop a metadata.json next to the tables. Seeds are mandatory wherever
-randomness is involved, so every run is reproducible by construction;
-``estimate`` involves none, since the constants of the built-in families
-are exact.
+drop a metadata.json next to the tables. Only the Monte Carlo curves
+(risk-curve, coverage) draw random numbers, and they require a seed, so
+every run is reproducible by construction. The constants behind
+``estimate`` and ``constants`` are closed forms or quadratures.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
@@ -32,9 +32,6 @@ _MATRIX_KINDS = {k.value: k for k in MatrixEstimatorKind}
 _VARIANTS = {v.value: v for v in ConfidenceVariant}
 _VARIANTS["c1star"] = ConfidenceVariant.C1_STAR
 _VARIANTS["c2star"] = ConfidenceVariant.C2_STAR
-
-_CONST_REPS_HELP = ("replications for Monte Carlo constants; the constants of the "
-                    "built-in families are exact, so it is only echoed")
 
 
 class UsageError(Exception):
@@ -150,7 +147,6 @@ def _cmd_estimate(args) -> int:
         cspec = _spec_or_usage(args.confidence, args.level)
         needs_mc = needs_mc or cspec.matrix_kind is not None
 
-    # Built-in families have exact constants: no stream, no replications.
     sc = shrinkage_constants(fam, dims) if needs_sc else None
     mc = matrix_constants(fam, dims, args.j_max) if needs_mc else None
 
@@ -192,10 +188,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_constants(args) -> int:
     dims_list = _parse_dims_list(args.dims)
-    tables = reproduce_tables(dims_list, families=args.families.split(","),
-                              reps=args.reps, seed=args.seed, j_max=args.j_max)
-    meta = {"dims": args.dims, "families": args.families, "reps": args.reps,
-            "seed": args.seed, "j_max": args.j_max}
+    tables = reproduce_tables(dims_list, families=args.families.split(","), j_max=args.j_max)
+    meta = {"dims": args.dims, "families": args.families, "j_max": args.j_max}
     if args.out:
         write_tables(tables, args.out, meta)
         write_plot_script(args.out)
@@ -217,7 +211,6 @@ def _make_config(args, dims, kinds=None, matrix_kinds=None) -> ExperimentConfig:
         "seed": args.seed,
         "families": (args.family,),
         "threads": _threads(args),
-        "const_reps": args.const_reps,
     }
     if kinds is not None:
         kwargs["estimator_kinds"] = kinds
@@ -309,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--confidence", default=None, help="c0, c1, c2, c3, c1star, c2star")
     est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--seed", type=int, default=None,
-                     help="echoed only: the built-in families' constants are exact")
-    est.add_argument("--const-reps", type=int, default=1_000_000, help=_CONST_REPS_HELP)
+                     help="ignored and echoed: estimate draws no random numbers")
+    est.add_argument("--const-reps", type=int, default=1_000_000,
+                     help="ignored and echoed: the constants involve no replications")
     est.add_argument("--j-max", type=int, default=50)
     est.add_argument("--out", default=None, help="JSON output path (default: stdout)")
     est.set_defaults(func=_cmd_estimate)
@@ -318,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("constants", help="regenerate the constants tables")
     con.add_argument("--dims", default="5x5,10x5,5x10,10x10")
     con.add_argument("--families", default="james-stein,positive-part")
-    con.add_argument("--reps", type=int, default=1_000_000)
-    con.add_argument("--seed", type=int, required=True)
     con.add_argument("--j-max", type=int, default=50)
     con.add_argument("--out", default=None, help="output directory (default: stdout)")
     con.set_defaults(func=_cmd_constants)
@@ -334,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--lambdas", default="0:30:1")
     risk.add_argument("--reps", type=int, default=100_000)
     risk.add_argument("--seed", type=int, required=True)
-    risk.add_argument("--const-reps", type=int, default=1_000_000, help=_CONST_REPS_HELP)
     risk.add_argument("--threads", type=int, default=None)
     risk.add_argument("--out", default=None, help="output directory (default: stdout)")
     risk.set_defaults(func=_cmd_risk_curve)
@@ -348,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--lambdas", default="0:30:5")
     cov.add_argument("--reps", type=int, default=10_000)
     cov.add_argument("--seed", type=int, required=True)
-    cov.add_argument("--const-reps", type=int, default=1_000_000, help=_CONST_REPS_HELP)
     cov.add_argument("--threads", type=int, default=None)
     cov.add_argument("--out", default=None, help="output directory (default: stdout)")
     cov.set_defaults(func=_cmd_coverage)

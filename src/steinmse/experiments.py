@@ -31,8 +31,7 @@ import numpy as np
 from .confidence import ConfidenceSpec, ConfidenceVariant, _set_geometry
 from .distributions import RngStream
 from .matrix_improved import (MatrixEstimatorKind, matrix_constants, matrix_eigen_parts)
-from .mse_improved import (MseEstimatorKind, estimate_mse_at, shrinkage_constants,
-                           solve_w_pn)
+from .mse_improved import MseEstimatorKind, estimate_mse_at, shrinkage_constants
 from .shrinkage import (ProblemDims, ShrinkageFamily, family_from_name, shrink_factors,
                         true_risk)
 
@@ -56,7 +55,6 @@ __all__ = [
 # Replications per stream; fixed so outputs never depend on worker count.
 BLOCK = 4096
 
-_DOMAIN_CONSTANTS = 1
 _DOMAIN_TRUE = 2
 _DOMAIN_MSE_CURVE = 3
 _DOMAIN_MATRIX_CURVE = 4
@@ -76,7 +74,9 @@ class ExperimentConfig:
     theta_direction: "equal" distributes the signal evenly over the
     coordinates, "first-axis" puts it all on the first one, or pass an
     explicit vector. Risks depend on theta only through the noncentrality,
-    which the direction-invariance test exploits.
+    which the direction-invariance test exploits. const_reps is ignored:
+    the shrinkage and matrix constants involve no random draws. It is
+    still accepted for configurations written when they did.
     """
 
     dims_list: tuple = (ProblemDims(5, 5),)
@@ -116,7 +116,6 @@ class ExperimentConfig:
             "theta_direction": (self.theta_direction if isinstance(self.theta_direction, str)
                                 else list(np.asarray(self.theta_direction, dtype=float))),
             "threads": self.threads,
-            "const_reps": self.const_reps,
             "true_reps_factor": self.true_reps_factor,
         }
 
@@ -286,10 +285,8 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         p, n = dims.p, dims.n
         for fi, fam_name in enumerate(cfg.families):
             fam = family_from_name(fam_name, dims)
-            consts = None
-            if any(k.needs_constants for k in kinds):
-                consts = shrinkage_constants(fam, dims, cfg.const_reps,
-                                             _stream(cfg.seed, _DOMAIN_CONSTANTS, fi, di))
+            consts = shrinkage_constants(fam, dims) if any(
+                k.needs_constants for k in kinds) else None
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
                 r_true, _ = true_risk(fam, dims, lam, cfg.reps * cfg.true_reps_factor,
@@ -372,7 +369,7 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
             fam = family_from_name(fam_name, dims)
             consts = None
             if any(k.needs_constants for k in kinds):
-                consts = _lookup_matrix_constants(cfg, fam_name, fam, dims, fi, di, consts_map)
+                consts = _lookup_matrix_constants(fam_name, fam, dims, consts_map)
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
                 m_true = _true_matrix_dense(fam, dims, lam, cfg.reps * cfg.true_reps_factor,
@@ -410,11 +407,10 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     return RiskTable(loss, rows, meta)
 
 
-def _lookup_matrix_constants(cfg, fam_name, fam, dims, fi, di, consts_map):
+def _lookup_matrix_constants(fam_name, fam, dims, consts_map):
     if consts_map is not None and (fam_name, dims) in consts_map:
         return consts_map[(fam_name, dims)]
-    return matrix_constants(fam, dims, reps=cfg.const_reps,
-                            rng=_stream(cfg.seed, _DOMAIN_CONSTANTS, fi, di, 1))
+    return matrix_constants(fam, dims)
 
 
 def default_confidence_variants(level: float = 0.95) -> tuple:
@@ -439,7 +435,7 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
             fam = family_from_name(fam_name, dims)
             consts = None
             if any(v.matrix_kind is not None for v in variants):
-                consts = _lookup_matrix_constants(cfg, fam_name, fam, dims, fi, di, consts_map)
+                consts = _lookup_matrix_constants(fam_name, fam, dims, consts_map)
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
                 theta = math.sqrt(lam) * direction
@@ -474,58 +470,45 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
 
 
 def reproduce_tables(dims_list, families=("james-stein", "positive-part"),
-                     reps: int = 1_000_000, seed: int = 0, j_max: int = 50) -> dict:
-    """Regenerate the five constants tables, stderr columns included.
+                     j_max: int = 50) -> dict:
+    """Regenerate the five constants tables.
 
-    The families are built-in, so every constant is exact and every
-    stderr column is 0: ``reps`` and ``seed`` change no number. Monte Carlo
-    constants (custom families) would propagate their stderr into the
-    derived roots and certificates by re-solving at the +/- one-sigma
-    inputs. Per-j beta curves are included as a sixth table so the moment
-    curves can be replotted.
+    Every constant is a closed form (built-in families) or a deterministic
+    quadrature, so the tables carry no standard errors and need no seed.
+    Per-j beta curves are included as a sixth table so the moment curves
+    can be replotted.
 
     Returns {name: CsvTable} with names table1_gamma, table2_w,
     table3_beta2, table4_gamma_xi_eta, table5_w_xi_eta, beta_per_j.
     """
     t1, t2, t3, t4, t5, tj = [], [], [], [], [], []
-    for di, dims in enumerate(tuple(dims_list)):
+    for dims in dims_list:
         p, n = dims.p, dims.n
-        for fi, fam_name in enumerate(tuple(families)):
+        for fam_name in families:
             fam = family_from_name(fam_name, dims)
-            sc = shrinkage_constants(fam, dims, reps,
-                                     _stream(seed, _DOMAIN_CONSTANTS, fi, di))
-            if sc.alpha_stderr > 0:
-                lo = solve_w_pn(fam, dims, sc.alpha - sc.alpha_stderr)
-                hi = solve_w_pn(fam, dims, sc.alpha + sc.alpha_stderr)
-                w_se = 0.5 * abs(hi - lo)
-            else:
-                w_se = 0.0
-            gamma_se = n * w_se / (n + p + 2.0)
-            t1.append((fam_name, p, n, sc.gamma, gamma_se))
-            t2.append((fam_name, p, n, sc.w_pn, w_se))
-            mc = matrix_constants(fam, dims, j_max, reps,
-                                  _stream(seed, _DOMAIN_CONSTANTS, fi, di, 1))
-            t3.append((fam_name, p, n, mc.beta.beta2, mc.beta.beta2_stderr, mc.beta.argmax_j))
+            sc = shrinkage_constants(fam, dims)
+            t1.append((fam_name, p, n, sc.gamma))
+            t2.append((fam_name, p, n, sc.w_pn))
+            mc = matrix_constants(fam, dims, j_max)
+            t3.append((fam_name, p, n, mc.beta.beta2, mc.beta.argmax_j))
             if mc.gamma_xi is not None:
-                t4.append(("gamma_xi", fam_name, p, n, mc.gamma_xi, mc.gamma_xi_stderr))
-                t5.append(("w_xi", fam_name, p, n, mc.w_xi, mc.w_xi_stderr))
+                t4.append(("gamma_xi", fam_name, p, n, mc.gamma_xi))
+                t5.append(("w_xi", fam_name, p, n, mc.w_xi))
             if mc.gamma_eta is not None:
-                t4.append(("gamma_eta", fam_name, p, n, mc.gamma_eta, mc.gamma_eta_stderr))
-                t5.append(("w_eta", fam_name, p, n, mc.w_eta, mc.w_eta_stderr))
+                t4.append(("gamma_eta", fam_name, p, n, mc.gamma_eta))
+                t5.append(("w_eta", fam_name, p, n, mc.w_eta))
             for order, per in ((1, mc.beta.per_j_beta1), (2, mc.beta.per_j_beta2)):
-                for j, value, se in per:
-                    tj.append((fam_name, p, n, order, j, value, se))
+                for j, value in per:
+                    tj.append((fam_name, p, n, order, j, value))
     return {
-        "table1_gamma": CsvTable("table1_gamma", ("family", "p", "n", "gamma", "stderr"), t1),
-        "table2_w": CsvTable("table2_w", ("family", "p", "n", "w_pn", "stderr"), t2),
-        "table3_beta2": CsvTable("table3_beta2",
-                                 ("family", "p", "n", "beta2", "stderr", "argmax_j"), t3),
+        "table1_gamma": CsvTable("table1_gamma", ("family", "p", "n", "gamma"), t1),
+        "table2_w": CsvTable("table2_w", ("family", "p", "n", "w_pn"), t2),
+        "table3_beta2": CsvTable("table3_beta2", ("family", "p", "n", "beta2", "argmax_j"), t3),
         "table4_gamma_xi_eta": CsvTable("table4_gamma_xi_eta",
-                                        ("quantity", "family", "p", "n", "value", "stderr"), t4),
+                                        ("quantity", "family", "p", "n", "value"), t4),
         "table5_w_xi_eta": CsvTable("table5_w_xi_eta",
-                                    ("quantity", "family", "p", "n", "value", "stderr"), t5),
-        "beta_per_j": CsvTable("beta_per_j",
-                               ("family", "p", "n", "order", "j", "value", "stderr"), tj),
+                                    ("quantity", "family", "p", "n", "value"), t5),
+        "beta_per_j": CsvTable("beta_per_j", ("family", "p", "n", "order", "j", "value"), tj),
     }
 
 

@@ -15,9 +15,10 @@ positive definite under certificates driven by the moment constant beta2.
 cap (printed with denominator n+p+1; the band condition uses n+p+2, so
 the constant is configurable).
 
-The moment curves behind beta1 and beta2 are exact for the built-in
-James-Stein and positive-part rules (incomplete beta and hypergeometric
-closed forms) and Monte Carlo estimates for custom families.
+The moment curves behind beta1 and beta2 are closed forms (incomplete
+beta and hypergeometric functions) for the built-in James-Stein and
+positive-part rules, and one-dimensional quadratures over the Beta law of
+W/(1+W) for custom families. No constant involves random draws.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_bisect
-from .distributions import RngStream, ratio_partial_moments
+from .distributions import ratio_expectation, ratio_partial_moments
 from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily
 from .umvue import AxialMatrix, g_functions
 
@@ -71,24 +72,24 @@ class BetaConstants:
     beta1 is the infimum over j >= 0 of the first moment curve (its
     nonnegativity licenses the nonnegative-definite construction), beta2
     the supremum of the second (it scales every positive-definite
-    construction). Per-j values (j, value, stderr) are kept so the curves
-    can be replotted and audited; j is scanned over 0..j_max plus tail
-    checks at 2 j_max and 4 j_max. Built-in families carry exact values
-    (method "closed-form", reps 0, every stderr 0); custom families carry
-    Monte Carlo estimates (method "monte-carlo").
+    construction). Per-j values (j, value) are kept so the curves can be
+    replotted and audited; j is scanned over 0..j_max plus tail checks at
+    2 j_max and 4 j_max, and an argument is the smallest scanned j within
+    1e-12 (relative) of the extreme. For the built-in families both curves
+    tend to 0 as j grows, so beta1 also takes that limit into account:
+    argmin_j is None when the limit 0 is below every scanned value.
+    method is "closed-form" for the built-in families and "quadrature"
+    for custom ones.
     """
 
     beta1: float
-    beta1_stderr: float
-    argmin_j: int
+    argmin_j: int | None
     beta2: float
-    beta2_stderr: float
     argmax_j: int
     j_max: int
-    reps: int
     per_j_beta1: tuple
     per_j_beta2: tuple
-    method: str = "monte-carlo"
+    method: str
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,6 @@ class MatrixConstants:
     w_eta: float | None
     gamma_xi: float | None
     gamma_eta: float | None
-    w_xi_stderr: float = 0.0
-    w_eta_stderr: float = 0.0
-    gamma_xi_stderr: float = 0.0
-    gamma_eta_stderr: float = 0.0
 
 
 def b_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
@@ -121,52 +118,30 @@ def b_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
     return 4.0 * phi / w + (n + 2.0) * phi * phi / w - 4.0 * dphi - 4.0 * phi * dphi
 
 
-def beta_j(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int,
-           reps: int = 1_000_000, rng: RngStream | None = None, chunk: int = 262144):
+def beta_j(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int) -> float:
     """Moment over u ~ chi^2_{p+2j}, v ~ chi^2_n independent.
 
     order 1: E[ 2(p-1) phi(u/v)/(u/v) - (p+2j-1) b(u/v) / (p+2j) ]
     order 2: E[ 2 phi(u/v)/(u/v) - b(u/v) / (p+2j) ]
 
-    Returns (value, stderr). Built-in families get the exact value with
-    stderr 0, and ``reps``/``rng`` are ignored. Custom families get a Monte
-    Carlo estimate; calling twice with the same stream repeats the same
-    draws, which is how the two orders are paired in ``beta_constants``.
+    Built-in families get the closed form; custom families get one
+    quadrature over the Beta law of W/(1+W) (``ratio_expectation``).
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if int(j) != j or j < 0:
         raise ValueError("j must be a nonnegative integer")
     if fam.has_closed_forms:
-        return _beta_j_closed_form(order, fam, dims, int(j)), 0.0
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if rng is None:
-        raise ValueError("a random stream is required")
-    p, n = dims.p, dims.n
-    g = rng.generator()
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        u = g.chisquare(p + 2 * j, m)
-        v = g.chisquare(n, m)
-        w = u / v
-        phi_over_w = np.asarray(fam.phi(w), dtype=float) / w
-        bvals = np.asarray(b_of_w(fam, dims, w), dtype=float)
-        if order == 1:
-            vals = 2.0 * (p - 1.0) * phi_over_w - (p + 2.0 * j - 1.0) / (p + 2.0 * j) * bvals
-        else:
-            vals = 2.0 * phi_over_w - bvals / (p + 2.0 * j)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / reps
-    if reps == 1:
-        return mean, float("nan")
-    var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
-    return mean, float(np.sqrt(var / reps))
+        return _beta_j_closed_form(order, fam, dims, int(j))
+    p, k = dims.p, dims.p + 2 * int(j)
+    b_weight = (k - 1.0) / k if order == 1 else 1.0 / k
+    phi_weight = 2.0 * (p - 1.0) if order == 1 else 2.0
+
+    def kernel(w: float) -> float:
+        phi_over_w = float(np.asarray(fam.phi(w), dtype=float)) / w
+        return phi_weight * phi_over_w - b_weight * float(b_of_w(fam, dims, w))
+
+    return ratio_expectation(kernel, k, dims.n)
 
 
 def _beta_j_closed_form(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int) -> float:
@@ -187,45 +162,48 @@ def _beta_j_closed_form(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: 
     return 2.0 * phi_over_w - b / k
 
 
-def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
-                   reps: int = 1_000_000, rng: RngStream | None = None) -> BetaConstants:
+def _first_within(per, extreme: float) -> int:
+    """Smallest scanned j whose value is within 1e-12 (relative) of the
+    extreme, so exact ties are not decided by rounding."""
+    return next(j for j, v in per if abs(v - extreme) <= 1e-12 * abs(extreme))
+
+
+def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50) -> BetaConstants:
     """Scan j = 0..j_max (plus tail checks at 2 j_max and 4 j_max) for the
     extremes of both moment curves.
 
-    Built-in families are exact and need no stream. For custom families
-    each j gets its own child stream, and both orders are evaluated on the
-    same draws. Warns when an extremum lands on a scan boundary, since the
-    true extremum may then sit beyond the scanned range.
+    For the built-in families both curves tend to 0 as j -> infinity: with
+    k = p + 2j, the James-Stein first curve is c n (p - 4 + (p+2)/k)/(k-2),
+    and the positive-part kink terms vanish. So beta1 is the smaller of the
+    scan minimum and 0. Custom families have no limit in hand, so a warning
+    fires when one of their extrema lands on a scan boundary: the true
+    extremum may then lie beyond the scanned range.
     """
     if j_max < 10:
         raise ValueError("j_max must be at least 10")
-    exact = fam.has_closed_forms
-    if rng is None and not exact:
-        raise ValueError("a random stream is required")
     js = list(range(j_max + 1)) + [2 * j_max, 4 * j_max]
     per1 = []
     per2 = []
     for j in js:
-        stream = None if exact else rng.child(j)
-        v1, se1 = beta_j(1, fam, dims, j, reps, stream)
-        v2, se2 = beta_j(2, fam, dims, j, reps, stream)
-        per1.append((j, v1, se1))
-        per2.append((j, v2, se2))
-    i_min = min(range(len(js)), key=lambda i: per1[i][1])
-    i_max = max(range(len(js)), key=lambda i: per2[i][1])
-    argmin_j, beta1, beta1_se = per1[i_min]
-    argmax_j, beta2, beta2_se = per2[i_max]
-    if argmin_j >= j_max:
+        per1.append((j, beta_j(1, fam, dims, j)))
+        per2.append((j, beta_j(2, fam, dims, j)))
+    beta1 = min(v for _, v in per1)
+    beta2 = max(v for _, v in per2)
+    argmin_j = _first_within(per1, beta1)
+    argmax_j = _first_within(per2, beta2)
+    exact = fam.has_closed_forms
+    if exact and beta1 > 0.0:
+        beta1, argmin_j = 0.0, None
+    if not exact and argmin_j >= j_max:
         warnings.warn(
             f"first moment curve minimized at the scan boundary (j={argmin_j}); "
             "its infimum may lie beyond j_max", RuntimeWarning)
-    if argmax_j >= j_max:
+    if not exact and argmax_j >= j_max:
         warnings.warn(
             f"second moment curve maximized at the scan boundary (j={argmax_j}); "
             "its supremum may lie beyond j_max", RuntimeWarning)
-    method, reps = ("closed-form", 0) if exact else ("monte-carlo", reps)
-    return BetaConstants(beta1, beta1_se, argmin_j, beta2, beta2_se, argmax_j,
-                         j_max, reps, tuple(per1), tuple(per2), method)
+    return BetaConstants(beta1, argmin_j, beta2, argmax_j, j_max, tuple(per1), tuple(per2),
+                         "closed-form" if exact else "quadrature")
 
 
 def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
@@ -271,49 +249,18 @@ def gamma_xi_eta(dims: ProblemDims, w_xi, w_eta, beta2: float):
     return gamma_xi, gamma_eta
 
 
-def _halfspread(solve, center: float, stderr: float) -> float:
-    if stderr == 0.0 or not np.isfinite(stderr):
-        return 0.0
-    lo = solve(center - stderr)
-    hi = solve(center + stderr)
-    if lo is None or hi is None:
-        return float("nan")
-    return 0.5 * abs(hi - lo)
-
-
 def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
-                     reps: int = 1_000_000, rng: RngStream | None = None) -> MatrixConstants:
+                     reps=None, rng=None) -> MatrixConstants:
     """Compute the beta extremes, threshold roots and certificates once.
 
-    Exact for built-in families (every stderr 0). For custom families the
-    standard errors of the roots and certificates are propagated from the
-    Monte Carlo beta2 standard error by re-solving at beta2 +/- stderr.
+    Every constant is a closed form or a deterministic quadrature, so
+    ``reps`` and ``rng`` are ignored; they are still accepted for callers
+    written against the former Monte Carlo constants.
     """
-    beta = beta_constants(fam, dims, j_max, reps, rng)
+    beta = beta_constants(fam, dims, j_max)
     w_xi, w_eta = solve_w_xi_eta(fam, dims, beta.beta2)
     gamma_xi, gamma_eta = gamma_xi_eta(dims, w_xi, w_eta, beta.beta2)
-
-    def xi_solver(b):
-        return solve_w_xi_eta(fam, dims, b)[0]
-
-    def eta_solver(b):
-        return solve_w_xi_eta(fam, dims, b)[1]
-
-    def gxi(b):
-        w = xi_solver(b)
-        return None if w is None else dims.n * (1.0 + w) * b / (dims.n + dims.p + 2.0)
-
-    def geta(b):
-        w = eta_solver(b)
-        return None if w is None else dims.n * (1.0 + w) * b / (dims.n + dims.p + 2.0)
-
-    se = beta.beta2_stderr
-    w_xi_se = 0.0 if w_xi is None else _halfspread(xi_solver, beta.beta2, se)
-    w_eta_se = 0.0 if w_eta is None else _halfspread(eta_solver, beta.beta2, se)
-    gxi_se = 0.0 if gamma_xi is None else _halfspread(gxi, beta.beta2, se)
-    geta_se = 0.0 if gamma_eta is None else _halfspread(geta, beta.beta2, se)
-    return MatrixConstants(beta, w_xi, w_eta, gamma_xi, gamma_eta,
-                           w_xi_se, w_eta_se, gxi_se, geta_se)
+    return MatrixConstants(beta, w_xi, w_eta, gamma_xi, gamma_eta)
 
 
 def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims: ProblemDims,
@@ -390,9 +337,8 @@ def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,
                                 grid=None) -> bool:
     """Analytic sufficient conditions for strict positive definiteness.
 
-    Monte Carlo certificate values are padded by three propagated standard
-    errors. When the eta scaling is identically one (None root), the axis
-    factor is 1/n - g1 + g3, so g3 >= g1 is verified on a grid instead.
+    When the eta scaling is identically one (None root), the axis factor is
+    1/n - g1 + g3, so g3 >= g1 is verified on a grid instead.
     """
     if not kind.needs_constants:
         return False
@@ -402,7 +348,7 @@ def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,
 
     def eta_side_ok() -> bool:
         if consts.w_eta is not None:
-            return consts.gamma_eta + 3.0 * consts.gamma_eta_stderr < 1.0
+            return consts.gamma_eta < 1.0
         gf = g_functions(fam, dims)
         g1 = np.asarray(gf.g1(grid), dtype=float)
         g3 = np.asarray(gf.g3(grid), dtype=float)
@@ -411,9 +357,7 @@ def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,
     if kind in (MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI1_TR_ETA1):
         if consts.w_xi is None:
             return False
-        xi_ok = consts.gamma_xi + 3.0 * consts.gamma_xi_stderr < 1.0
-        return bool(xi_ok and eta_side_ok())
+        return bool(consts.gamma_xi < 1.0 and eta_side_ok())
     # XI2 kinds: both eigenvalue factors are bounded below by
     # 1/n - beta2/(n+2), whichever branch the min/max picks.
-    beta_hi = consts.beta.beta2 + 3.0 * consts.beta.beta2_stderr
-    return bool(beta_hi / (n + 2.0) < 1.0 / n)
+    return bool(consts.beta.beta2 / (n + 2.0) < 1.0 / n)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_bisect
-from .distributions import RngStream, ratio_partial_moments
-from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, true_risk
+from .distributions import ratio_expectation, ratio_partial_moments
+from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
+                        risk_reduction_integrand)
 from .umvue import g_functions
 
 __all__ = [
@@ -65,15 +66,14 @@ class ShrinkageConstants:
     w_pn : root of (1+W)/a(W) = p(n+p+2)/(n alpha).
     gamma : n (1 + w_pn)/(n+p+2); gamma < p/alpha certifies that the first
         positive estimate never returns zero.
-    provenance : "closed-form" or "monte-carlo" (with reps and stderr).
+    provenance : how alpha was computed, "closed-form" (built-in families)
+        or "quadrature" (custom families).
     """
 
     alpha: float
     w_pn: float
     gamma: float
     provenance: str
-    alpha_stderr: float = 0.0
-    reps: int = 0
 
 
 def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
@@ -88,29 +88,26 @@ def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
     return (dims.n / dims.p) * (np.asarray(gf.g(w), dtype=float) - phi * phi / w)
 
 
-def alpha_pn(fam: ShrinkageFamily, dims: ProblemDims, reps: int = 1_000_000,
-             rng: RngStream | None = None):
-    """Risk reduction at zero signal, in sigma^2 units; returns (alpha, stderr).
+def alpha_pn(fam: ShrinkageFamily, dims: ProblemDims) -> float:
+    """Risk reduction at zero signal, in sigma^2 units.
 
-    Exact for the built-in families, with stderr 0 and ``reps``/``rng``
-    ignored: n(p-2)/(n+2) for the James-Stein rule, and for the
-    positive-part rule the mean of its reduction integrand, 2p - (n-2)W
-    below the kink c = (p-2)/(n+2) and c(p-2)/W above it, over W = U/V with
-    U ~ chi^2_p, V ~ chi^2_n. Custom families get a Monte Carlo estimate.
-    The caller vouches that phi(W)/W is nonincreasing so the reduction
-    really is maximized at zero signal (true for both built-in families).
+    The mean of ``risk_reduction_integrand`` over W = U/V with U ~ chi^2_p,
+    V ~ chi^2_n. Closed forms for the built-in families: n(p-2)/(n+2) for
+    the James-Stein rule, and for the positive-part rule the partial
+    moments of W on either side of the kink c = (p-2)/(n+2), where the
+    integrand is 2p - (n-2)W below and c(p-2)/W above. Custom families get
+    one quadrature (``ratio_expectation``). The caller vouches that
+    phi(W)/W is nonincreasing so the reduction really is maximized at zero
+    signal (true for both built-in families).
     """
     p, n = dims.p, dims.n
     if fam.kind is FamilyKind.JAMES_STEIN:
-        return n * (p - 2.0) / (n + 2.0), 0.0
+        return n * (p - 2.0) / (n + 2.0)
     if fam.kind is FamilyKind.POSITIVE_PART:
         c = dims.shrink_constant
         below, inv_above, w_below = ratio_partial_moments(p, n, c)
-        return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above, 0.0
-    if rng is None:
-        raise ValueError("a random stream is required for the Monte Carlo alpha")
-    risk, stderr = true_risk(fam, dims, 0.0, reps, rng)
-    return p - risk, stderr
+        return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above
+    return ratio_expectation(lambda w: risk_reduction_integrand(fam, dims, w), p, n)
 
 
 def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:
@@ -143,14 +140,18 @@ def gamma_pn(dims: ProblemDims, w_pn: float) -> float:
     return dims.n * (1.0 + w_pn) / (dims.n + dims.p + 2.0)
 
 
-def shrinkage_constants(fam: ShrinkageFamily, dims: ProblemDims, reps: int = 1_000_000,
-                        rng: RngStream | None = None) -> ShrinkageConstants:
-    """Compute (alpha, w_pn, gamma) once for a family / dimension pair."""
-    alpha, stderr = alpha_pn(fam, dims, reps, rng)
+def shrinkage_constants(fam: ShrinkageFamily, dims: ProblemDims, reps=None,
+                        rng=None) -> ShrinkageConstants:
+    """Compute (alpha, w_pn, gamma) once for a family / dimension pair.
+
+    alpha is a closed form or a deterministic quadrature, so ``reps`` and
+    ``rng`` are ignored; they are still accepted for callers written
+    against the former Monte Carlo alpha.
+    """
+    alpha = alpha_pn(fam, dims)
     w = solve_w_pn(fam, dims, alpha)
-    provenance = "closed-form" if stderr == 0.0 else "monte-carlo"
-    return ShrinkageConstants(alpha, w, gamma_pn(dims, w), provenance, stderr,
-                              0 if provenance == "closed-form" else reps)
+    provenance = "closed-form" if fam.has_closed_forms else "quadrature"
+    return ShrinkageConstants(alpha, w, gamma_pn(dims, w), provenance)
 
 
 def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: ProblemDims,
@@ -189,12 +190,8 @@ def estimate_mse(kind: MseEstimatorKind, obs: Observation, fam: ShrinkageFamily,
 
 
 def psi1_positive_certified(consts: ShrinkageConstants, dims: ProblemDims) -> bool:
-    """True when gamma * alpha < p guarantees a strictly positive PSI1.
-
-    A Monte Carlo alpha is padded by three standard errors before the
-    check, so certificates are only issued with headroom.
-    """
-    return consts.gamma * (consts.alpha + 3.0 * consts.alpha_stderr) < dims.p
+    """True when gamma * alpha < p guarantees a strictly positive PSI1."""
+    return consts.gamma * consts.alpha < dims.p
 
 
 def truncation_band_nonempty(fam: ShrinkageFamily, dims: ProblemDims, grid=None) -> bool:

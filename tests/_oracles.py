@@ -121,6 +121,41 @@ def js_plus_beta_moment_quad(order, p, n, j):
     return lo_val + hi_val
 
 
+def moment_curve_kernel(order, phi, dphi, p, n, j):
+    """Vectorized kernel of the moment curves at k = p + 2j, from phi and
+    its slope alone: 2(p-1) phi/W - (k-1) b(W)/k for order 1 and
+    2 phi/W - b(W)/k for order 2, with
+    b(W) = 4 phi/W + (n+2) phi^2/W - 4 phi' - 4 phi phi'."""
+    k = p + 2.0 * j
+
+    def kernel(w):
+        f, df = np.asarray(phi(w), dtype=float), np.asarray(dphi(w), dtype=float)
+        b = 4.0 * f / w + (n + 2.0) * f * f / w - 4.0 * df - 4.0 * f * df
+        if order == 1:
+            return 2.0 * (p - 1.0) * f / w - (k - 1.0) / k * b
+        return 2.0 * f / w - b / k
+
+    return kernel
+
+
+def ratio_mean_monte_carlo(f, k, n, reps, seed, chunk=262144):
+    """Monte Carlo mean of f(U/V), U ~ chi^2_k and V ~ chi^2_n independent,
+    with its standard error. These are the only Monte Carlo constants left:
+    they check the quadrature path on rules that have no closed form."""
+    g = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < reps:
+        m = min(chunk, reps - done)
+        vals = np.asarray(f(g.chisquare(k, m) / g.chisquare(n, m)), dtype=float)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / reps
+    var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
+    return mean, float(np.sqrt(var / reps))
+
+
 def quadratic_root(c):
     """Positive root of W(1+W) = c."""
     return 0.5 * (np.sqrt(1.0 + 4.0 * c) - 1.0)

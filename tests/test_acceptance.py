@@ -46,11 +46,11 @@ def _report(num: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def tables_bundle():
-    """Tables 1-5 at one million Monte Carlo replications."""
+    """Tables 1-5 from the exact constants."""
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        tables = sm.reproduce_tables(DIMS4, reps=10 ** 6, seed=SEED, j_max=50)
+        tables = sm.reproduce_tables(DIMS4, j_max=50)
     return tables, time.time() - t0
 
 
@@ -59,14 +59,13 @@ def pp55_matrix_consts():
     fam = sm.ShrinkageFamily.positive_part(D55)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.matrix_constants(fam, D55, j_max=50, reps=10 ** 6,
-                                   rng=sm.RngStream(SEED, 77))
+        return sm.matrix_constants(fam, D55, j_max=50)
 
 
 @pytest.fixture(scope="module")
 def pp55_shrinkage_consts():
     fam = sm.ShrinkageFamily.positive_part(D55)
-    return sm.shrinkage_constants(fam, D55, reps=10 ** 6, rng=sm.RngStream(SEED, 78))
+    return sm.shrinkage_constants(fam, D55)
 
 
 def test_criterion_01_table2_roots_analytic():
@@ -74,7 +73,7 @@ def test_criterion_01_table2_roots_analytic():
     roots = []
     for dims in DIMS4:
         fam = sm.ShrinkageFamily.james_stein(dims)
-        alpha, _ = sm.alpha_pn(fam, dims)
+        alpha = sm.alpha_pn(fam, dims)
         roots.append(sm.solve_w_pn(fam, dims, alpha))
     elapsed = time.time() - t0
     errs = [abs(w - want) for w, want in zip(roots, TABLE2_W_JS)]
@@ -92,22 +91,22 @@ def test_criterion_02_table1_gamma():
     js_gamma = []
     for dims in DIMS4:
         fam = sm.ShrinkageFamily.james_stein(dims)
-        alpha, _ = sm.alpha_pn(fam, dims)
+        alpha = sm.alpha_pn(fam, dims)
         js_gamma.append(sm.gamma_pn(dims, sm.solve_w_pn(fam, dims, alpha)))
     js_elapsed = time.time() - t0
     js_err = max(abs(g - want) for g, want in zip(js_gamma, TABLE1_GAMMA_JS))
 
     t0 = time.time()
     pp_gamma = []
-    for i, dims in enumerate(DIMS4):
+    for dims in DIMS4:
         fam = sm.ShrinkageFamily.positive_part(dims)
-        sc = sm.shrinkage_constants(fam, dims, reps=10 ** 6, rng=sm.RngStream(SEED, 100 + i))
+        sc = sm.shrinkage_constants(fam, dims)
         pp_gamma.append(sc.gamma)
     pp_elapsed = time.time() - t0
     pp_err = max(abs(g - want) for g, want in zip(pp_gamma, TABLE1_GAMMA_PP))
     ok = js_err <= 5e-4 and js_elapsed < 1.0 and pp_err <= 0.01 and pp_elapsed < 60.0
     _report(2, ok, f"analytic err {js_err:.2e} ({js_elapsed:.3f}s); "
-                   f"Monte Carlo err {pp_err:.4f} ({pp_elapsed:.1f}s)")
+                   f"positive-part err {pp_err:.4f} ({pp_elapsed:.1f}s)")
 
 
 def test_criterion_03_table3_beta2(tables_bundle):
@@ -198,7 +197,7 @@ def test_criterion_07_dominance_curves():
         reps=10 ** 4, seed=SEED, families=("positive-part",),
         estimator_kinds=(K.UMVUE, K.PSI0),
         matrix_kinds=(MK.UMVUE, MK.XI0_ETA0),
-        threads=1, const_reps=10 ** 5, true_reps_factor=10)
+        threads=1, true_reps_factor=10)
     scalar = sm.run_mse_risk_curve(cfg)
     matrix = sm.run_matrix_risk_curve(cfg)
     elapsed = time.time() - t0
@@ -345,7 +344,7 @@ def test_criterion_12_thread_count_determinism(tmp_path):
         cfg = sm.ExperimentConfig(
             dims_list=(D55,), lambda_grid=(0.0, 7.0), reps=8000, seed=SEED,
             families=("positive-part",), estimator_kinds=(K.UMVUE, K.PSI0),
-            threads=threads, const_reps=30_000, true_reps_factor=2)
+            threads=threads, true_reps_factor=2)
         risk = sm.run_mse_risk_curve(cfg)
         cov = sm.run_coverage_curve(cfg, (sm.ConfidenceSpec(CV.C0), sm.ConfidenceSpec(CV.C3)))
         rp = tmp_path / f"risk_{threads}.csv"

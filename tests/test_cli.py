@@ -83,8 +83,7 @@ def test_estimate_confidence_block(x_csv, capsys):
 
 def test_constants_writes_five_tables(tmp_path):
     out = tmp_path / "tables"
-    code = main(["constants", "--dims", "5x5", "--reps", "20000", "--seed", "42",
-                 "--j-max", "12", "--out", str(out)])
+    code = main(["constants", "--dims", "5x5", "--j-max", "12", "--out", str(out)])
     assert code == 0
     names = sorted(os.listdir(out))
     for expected in ("table1_gamma.csv", "table2_w.csv", "table3_beta2.csv",
@@ -92,14 +91,14 @@ def test_constants_writes_five_tables(tmp_path):
                      "metadata.json", "plot_curves.py"):
         assert expected in names
     header = (out / "table2_w.csv").read_text().splitlines()[0]
-    assert header == "family,p,n,w_pn,stderr"
+    assert header == "family,p,n,w_pn"
 
 
 def test_risk_curve_smoke(tmp_path):
     out = tmp_path / "risk"
     code = main(["risk-curve", "--p", "5", "--n", "5", "--family", "js-plus",
                  "--kinds", "umvue,psi0", "--lambdas", "0,5", "--reps", "2000",
-                 "--seed", "1", "--const-reps", "20000", "--out", str(out)])
+                 "--seed", "1", "--out", str(out)])
     assert code == 0
     text = (out / "risk_curve_mse.csv").read_text()
     assert text.splitlines()[0].startswith("p,n,family,lam,kind")
@@ -219,3 +218,28 @@ def test_cli_import_leaves_out_scipy_integrate():
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_estimate_with_matrix_constants_writes_nothing_to_stderr(x_csv):
+    import steinmse
+    src = os.path.dirname(os.path.dirname(os.path.abspath(steinmse.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys; from steinmse.cli import main; sys.exit(main())"
+    res = subprocess.run([sys.executable, "-c", code, "estimate", "--p", "5", "--n", "5",
+                          "--x", x_csv, "--s", "4.0", "--matrix", "xi2-tr"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--seed", "1"],
+    ["constants", "--reps", "1000"],
+    ["risk-curve", "--p", "5", "--n", "5", "--seed", "1", "--const-reps", "1000"],
+    ["coverage", "--p", "5", "--n", "5", "--seed", "1", "--const-reps", "1000"],
+])
+def test_monte_carlo_constant_flags_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -15,7 +15,7 @@ PP = sm.ShrinkageFamily.positive_part(DIMS)
 def consts():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.matrix_constants(PP, DIMS, j_max=20, reps=150_000, rng=sm.RngStream(61))
+        return sm.matrix_constants(PP, DIMS, j_max=20)
 
 
 class TestQuadFormInv:

@@ -16,7 +16,7 @@ def _small_cfg(**overrides):
                 families=("positive-part",),
                 estimator_kinds=(K.UMVUE, K.PSI0),
                 matrix_kinds=(MK.UMVUE, MK.XI0_ETA0),
-                threads=1, const_reps=40_000, true_reps_factor=3)
+                threads=1, true_reps_factor=3)
     base.update(overrides)
     return sm.ExperimentConfig(**base)
 
@@ -60,7 +60,7 @@ def test_dominance_at_larger_dims():
         seed=29, families=("james-stein", "positive-part"),
         estimator_kinds=(K.UMVUE, K.PSI0),
         matrix_kinds=(MK.UMVUE, MK.XI0_ETA0),
-        threads=1, const_reps=30_000, true_reps_factor=3)
+        threads=1, true_reps_factor=3)
     for table in (sm.run_mse_risk_curve(cfg), sm.run_matrix_risk_curve(cfg)):
         for row in table.rows:
             if row.kind != "umvue":
@@ -74,8 +74,7 @@ def test_coverage_dips_at_large_signal_for_larger_n():
     fam = sm.family_from_name("positive-part", dims)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        consts = sm.matrix_constants(fam, dims, j_max=25, reps=250_000,
-                                     rng=sm.RngStream(903))
+        consts = sm.matrix_constants(fam, dims, j_max=25)
         cfg = sm.ExperimentConfig(dims_list=(dims,), lambda_grid=(20.0,), reps=40_000,
                                   seed=3, families=("positive-part",), threads=1)
         table = sm.run_coverage_curve(cfg, consts_map={("positive-part", dims): consts})
@@ -112,7 +111,7 @@ def test_matrix_reduction_loss_dominance():
         warnings.simplefilter("ignore", RuntimeWarning)
         table = sm.run_matrix_risk_curve(
             _small_cfg(matrix_kinds=(MK.UMVUE, MK.XI1_ETA1, MK.XI2_ETA2),
-                       lambda_grid=(0.0, 6.0), const_reps=60_000),
+                       lambda_grid=(0.0, 6.0)),
             loss="reduction")
     by_key = {(r.lam, r.kind): r for r in table.rows}
     for lam in (0.0, 6.0):
@@ -159,7 +158,7 @@ def test_coverage_curve_baseline_pivot():
 
 
 def test_coverage_star_volume_ratio_exact():
-    cfg = _small_cfg(lambda_grid=(1.0,), reps=5000, const_reps=60_000)
+    cfg = _small_cfg(lambda_grid=(1.0,), reps=5000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         table = sm.run_coverage_curve(cfg)
@@ -171,12 +170,11 @@ def test_coverage_star_volume_ratio_exact():
 
 def test_coverage_matches_scalar_construction():
     # The vectorized engine agrees with the one-observation builder.
-    cfg = _small_cfg(lambda_grid=(2.0,), reps=64, const_reps=50_000)
+    cfg = _small_cfg(lambda_grid=(2.0,), reps=64)
     fam = sm.family_from_name("positive-part", DIMS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        consts = sm.matrix_constants(fam, DIMS, j_max=20, reps=50_000,
-                                     rng=sm.RngStream(902))
+        consts = sm.matrix_constants(fam, DIMS, j_max=20)
         table = sm.run_coverage_curve(cfg, consts_map={("positive-part", DIMS): consts})
     covered = {v: 0 for v in ("c0", "c1", "c2", "c3", "c1*", "c2*")}
     theta = np.sqrt(2.0 / DIMS.p) * np.ones(DIMS.p)
@@ -226,17 +224,17 @@ def test_csv_format(tmp_path):
 def test_reproduce_tables_structure_and_analytic_rows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        tables = sm.reproduce_tables([DIMS], reps=60_000, seed=31, j_max=12)
+        tables = sm.reproduce_tables([DIMS], j_max=12)
     assert set(tables) == {"table1_gamma", "table2_w", "table3_beta2",
                            "table4_gamma_xi_eta", "table5_w_xi_eta", "beta_per_j"}
     t1 = {row[0]: row for row in tables["table1_gamma"].rows}
     assert t1["james-stein"][3] == pytest.approx(0.6795, abs=5e-4)
-    assert t1["james-stein"][4] == 0.0  # analytic path: no Monte Carlo error
-    assert t1["positive-part"][4] == 0.0  # exact for both built-in families
+    for table in tables.values():
+        assert "stderr" not in table.header  # exact constants carry no error
     t5 = {(row[0], row[1]): row for row in tables["table5_w_xi_eta"].rows}
     assert ("w_eta", "james-stein") not in t5  # identically-one marker
     assert ("w_eta", "positive-part") in t5
-    paths = sm.write_tables(tables, str(tmp_path), {"seed": 31})
+    paths = sm.write_tables(tables, str(tmp_path), {"j_max": 12})
     assert (tmp_path / "metadata.json").exists()
     assert len(paths) == 7
     script = sm.write_plot_script(str(tmp_path))

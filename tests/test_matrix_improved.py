@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import js_beta_moment_exact, js_plus_beta_moment_quad, quadratic_root
+from _oracles import (js_beta_moment_exact, js_plus_beta_moment_quad, moment_curve_kernel,
+                      quadratic_root, ratio_mean_monte_carlo)
 
 MK = sm.MatrixEstimatorKind
 DIMS = sm.ProblemDims(5, 5)
@@ -16,8 +17,11 @@ PP = sm.ShrinkageFamily.positive_part(DIMS)
 JS_BETA2_EXACT = (3.0 / 7.0) * 5.0 / 5.0
 
 
+TABLE_DIMS = [(5, 5), (10, 5), (5, 10), (10, 10)]
+
+
 def _custom_clone(fam):
-    """The same rule as a custom family, which routes it to Monte Carlo."""
+    """The same rule as a custom family, which routes it to quadrature."""
     return sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
 
 
@@ -42,20 +46,18 @@ class TestBetaJ:
     def test_zero_phi_is_degenerate(self):
         zero = lambda w: np.zeros(np.shape(w)) if np.ndim(w) else 0.0
         fam = sm.ShrinkageFamily.custom(zero, zero)
-        value, stderr = sm.beta_j(2, fam, DIMS, 3, reps=2000, rng=sm.RngStream(41))
-        assert value == 0.0
-        assert stderr == 0.0
+        assert sm.beta_j(2, fam, DIMS, 3) == 0.0
 
-    @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5)])
+    @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5), (1, 50), (1, 200)])
     def test_js_matches_exact_moments(self, order, j):
-        value, stderr = sm.beta_j(order, JS, DIMS, j, reps=400_000, rng=sm.RngStream(42, j))
-        assert stderr == 0.0
+        value = sm.beta_j(order, JS, DIMS, j)
         assert value == pytest.approx(js_beta_moment_exact(order, 5, 5, j), rel=1e-12)
 
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5)])
     def test_js_monte_carlo_matches_exact_moments(self, order, j):
-        clone = _custom_clone(JS)
-        value, stderr = sm.beta_j(order, clone, DIMS, j, reps=400_000, rng=sm.RngStream(42, j))
+        # Validates the Monte Carlo oracle that checks the quadrature below.
+        kernel = moment_curve_kernel(order, JS.phi, JS.phi_prime, 5, 5, j)
+        value, stderr = ratio_mean_monte_carlo(kernel, 5 + 2 * j, 5, 400_000, seed=42 + j)
         assert abs(value - js_beta_moment_exact(order, 5, 5, j)) < 4.0 * stderr
 
     @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (5, 5), (10, 10)])
@@ -64,93 +66,118 @@ class TestBetaJ:
         fam = sm.ShrinkageFamily.positive_part(dims)
         for order in (1, 2):
             for j in (0, 1, 3, 50, 200):
-                value, stderr = sm.beta_j(order, fam, dims, j)
-                assert stderr == 0.0
+                value = sm.beta_j(order, fam, dims, j)
                 assert value == pytest.approx(js_plus_beta_moment_quad(order, p, n, j),
                                               rel=1e-9)
 
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 3)])
     def test_positive_part_monte_carlo_matches_closed_form(self, order, j):
-        clone = _custom_clone(PP)
-        value, stderr = sm.beta_j(order, clone, DIMS, j, reps=10**6, rng=sm.RngStream(54, j))
-        exact, _ = sm.beta_j(order, PP, DIMS, j)
-        assert abs(value - exact) < 4.0 * stderr
+        kernel = moment_curve_kernel(order, PP.phi, PP.phi_prime, 5, 5, j)
+        value, stderr = ratio_mean_monte_carlo(kernel, 5 + 2 * j, 5, 10**6, seed=54 + j)
+        assert abs(value - sm.beta_j(order, PP, DIMS, j)) < 4.0 * stderr
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 1), (5, 2), (5, 5), (10, 10)])
+    def test_quadrature_matches_closed_forms_on_custom_clones(self, p, n):
+        dims = sm.ProblemDims(p, n)
+        for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
+            clone = _custom_clone(fam)
+            for order in (1, 2):
+                for j in (0, 1, 3, 50, 200):
+                    # abs 1e-12 only matters where the exact value is 0: the
+                    # James-Stein first curve at (3, 5), j = 1.
+                    assert sm.beta_j(order, clone, dims, j) == pytest.approx(
+                        sm.beta_j(order, fam, dims, j), rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (1, 3), (2, 3)])
+    def test_quadrature_matches_monte_carlo_on_smooth_rule(self, order, j):
+        # phi = cW/(W+c) has no closed-form moment curve.
+        c = DIMS.shrink_constant
+        phi = lambda w: c * w / (w + c)
+        dphi = lambda w: c * c / ((w + c) * (w + c))
+        fam = sm.ShrinkageFamily.custom(phi, dphi, label="smooth")
+        kernel = moment_curve_kernel(order, phi, dphi, 5, 5, j)
+        value, stderr = ratio_mean_monte_carlo(kernel, 5 + 2 * j, 5, 400_000, seed=60 + j)
+        assert abs(sm.beta_j(order, fam, DIMS, j) - value) < 4.0 * stderr
 
     def test_large_j_limit_drops_second_kernel(self):
-        # The b-term scales as 1/(p+2j); at j=200 the curve is within noise
-        # of the first term alone, 2 k n / (p+2j-2).
+        # The b-term scales as 1/(p+2j); at j=200 the curve is within 2% of
+        # the first term alone, 2 k n / (p+2j-2).
         j = 200
-        value, stderr = sm.beta_j(2, JS, DIMS, j, reps=400_000, rng=sm.RngStream(43))
+        value = sm.beta_j(2, JS, DIMS, j)
         first_term = 2.0 * (3.0 / 7.0) * 5.0 / (5.0 + 2.0 * j - 2.0)
-        assert abs(value - first_term) < 3.0 * stderr + first_term * 0.02
-
-    def test_same_stream_pairs_orders(self):
-        a = sm.beta_j(1, JS, DIMS, 2, reps=5000, rng=sm.RngStream(44))
-        b = sm.beta_j(1, JS, DIMS, 2, reps=5000, rng=sm.RngStream(44))
-        assert a == b
-
-    def test_monte_carlo_same_stream_repeats_draws(self):
-        clone = _custom_clone(JS)
-        a = sm.beta_j(1, clone, DIMS, 2, reps=5000, rng=sm.RngStream(44))
-        b = sm.beta_j(1, clone, DIMS, 2, reps=5000, rng=sm.RngStream(44))
-        assert a == b and a[1] > 0.0
-
-    def test_monte_carlo_needs_stream(self):
-        with pytest.raises(ValueError):
-            sm.beta_j(2, _custom_clone(JS), DIMS, 0, reps=1000)
-        with pytest.raises(ValueError):
-            sm.beta_constants(_custom_clone(JS), DIMS, j_max=10, reps=1000)
+        assert abs(value - first_term) < first_term * 0.02
 
 
 @pytest.fixture(scope="module")
 def js_consts():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.beta_constants(JS, DIMS, j_max=20, reps=150_000, rng=sm.RngStream(45))
+    return sm.beta_constants(JS, DIMS, j_max=20)
 
 
 class TestBetaConstants:
     def test_supremum_at_small_j(self, js_consts):
-        # The exact curve ties at j=0 and j=1; Monte Carlo picks one of them.
-        assert js_consts.argmax_j in (0, 1)
-        assert abs(js_consts.beta2 - JS_BETA2_EXACT) < 5.0 * js_consts.beta2_stderr + 0.003
+        # The exact curve ties at j=0 and j=1; the smaller j is reported.
+        assert js_consts.argmax_j == 0
+        assert js_consts.beta2 == pytest.approx(JS_BETA2_EXACT, rel=1e-12)
 
     def test_first_moment_nonnegative(self, js_consts):
         assert js_consts.beta1 >= 0.0
-        assert all(v >= -3.0 * se for _, v, se in js_consts.per_j_beta1)
+        assert all(v >= 0.0 for _, v in js_consts.per_j_beta1)
 
     def test_provenance(self, js_consts):
-        assert js_consts.method == "closed-form" and js_consts.reps == 0
-        assert js_consts.beta1_stderr == 0.0 and js_consts.beta2_stderr == 0.0
+        assert js_consts.method == "closed-form"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mc = sm.beta_constants(_custom_clone(JS), DIMS, j_max=10, reps=2000,
-                                   rng=sm.RngStream(55))
-        assert mc.method == "monte-carlo" and mc.reps == 2000
-        assert mc.beta2_stderr > 0.0
+            quad = sm.beta_constants(_custom_clone(JS), DIMS, j_max=10)
+        assert quad.method == "quadrature"
+        assert quad.beta2 == pytest.approx(JS_BETA2_EXACT, rel=1e-8)
 
     def test_tail_checks_present(self, js_consts):
-        js_scanned = [j for j, _, _ in js_consts.per_j_beta2]
+        js_scanned = [j for j, _ in js_consts.per_j_beta2]
         assert js_scanned[-2:] == [40, 80]
 
     def test_boundary_warning_fires(self):
         # The first-moment curve of the constant rule decreases toward its
-        # j -> infinity limit, so the scan minimum sits at the tail check.
-        with pytest.warns(RuntimeWarning):
-            sm.beta_constants(JS, DIMS, j_max=10, reps=20_000, rng=sm.RngStream(46))
+        # j -> infinity limit, so the scan minimum sits at the tail check;
+        # a quadrature family has no limit in hand and warns.
+        with pytest.warns(RuntimeWarning, match="scan boundary"):
+            sm.beta_constants(_custom_clone(JS), DIMS, j_max=10)
+
+    @pytest.mark.parametrize("p,n", TABLE_DIMS + [(4, 5), (3, 5)])
+    @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
+    def test_built_in_limit_settles_the_scan(self, name, p, n):
+        dims = sm.ProblemDims(p, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bc = sm.beta_constants(sm.family_from_name(name, dims), dims)
+        scan_min = min(v for _, v in bc.per_j_beta1)
+        if p >= 4:
+            assert scan_min > 0.0
+            assert bc.beta1 == 0.0 and bc.argmin_j is None
+        else:
+            assert bc.beta1 == scan_min < 0.0
+            assert bc.argmin_j < 10
+
+    def test_js_interior_minimum_at_p3(self):
+        dims = sm.ProblemDims(3, 5)
+        bc = sm.beta_constants(sm.ShrinkageFamily.james_stein(dims), dims)
+        assert bc.argmin_j == 3
+        assert bc.beta1 == pytest.approx(-20.0 / 441.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p,n", TABLE_DIMS)
+    def test_js_argmax_tie_breaks_to_smallest_j(self, p, n):
+        dims = sm.ProblemDims(p, n)
+        assert sm.beta_constants(sm.ShrinkageFamily.james_stein(dims), dims).argmax_j == 0
 
     @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
     def test_first_moment_nonnegative_at_larger_dims(self, name):
         d10 = sm.ProblemDims(10, 10)
         fam = sm.family_from_name(name, d10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            bc = sm.beta_constants(fam, d10, j_max=12, reps=80_000, rng=sm.RngStream(53))
+        bc = sm.beta_constants(fam, d10, j_max=12)
         assert bc.beta1 >= 0.0
 
     def test_j_max_validation(self):
         with pytest.raises(ValueError):
-            sm.beta_constants(JS, DIMS, j_max=5, reps=1000, rng=sm.RngStream(47))
+            sm.beta_constants(JS, DIMS, j_max=5)
 
 
 class TestRoots:
@@ -187,16 +214,12 @@ class TestRoots:
 
 @pytest.fixture(scope="module")
 def pp_consts():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.matrix_constants(PP, DIMS, j_max=20, reps=200_000, rng=sm.RngStream(48))
+    return sm.matrix_constants(PP, DIMS, j_max=20)
 
 
 @pytest.fixture(scope="module")
 def js_matrix_consts():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.matrix_constants(JS, DIMS, j_max=20, reps=200_000, rng=sm.RngStream(49))
+    return sm.matrix_constants(JS, DIMS, j_max=20)
 
 
 class TestMatrixEstimates:
@@ -275,7 +298,7 @@ class TestMatrixEstimates:
 
 
 def test_reported_constants_match_printed_values(pp_consts, js_matrix_consts):
-    # Published values for (p, n) = (5, 5); Monte Carlo tolerance.
+    # Published values for (p, n) = (5, 5), at their original tolerances.
     assert js_matrix_consts.beta.beta2 == pytest.approx(0.4260, abs=0.02)
     assert pp_consts.beta.beta2 == pytest.approx(0.5332, abs=0.02)
     assert pp_consts.beta.argmax_j == 0

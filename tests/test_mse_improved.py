@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import js_plus_alpha_quad, quadratic_root
+from _oracles import js_plus_alpha_quad, quadratic_root, ratio_mean_monte_carlo
 
 K = sm.MseEstimatorKind
 DIMS = sm.ProblemDims(5, 5)
@@ -42,35 +42,43 @@ class TestAOfW:
 
 class TestAlpha:
     def test_js_closed_forms(self):
-        assert sm.alpha_pn(JS, DIMS)[0] == pytest.approx(15.0 / 7.0, rel=1e-14)
+        assert sm.alpha_pn(JS, DIMS) == pytest.approx(15.0 / 7.0, rel=1e-14)
         d10 = sm.ProblemDims(10, 10)
-        assert sm.alpha_pn(sm.ShrinkageFamily.james_stein(d10), d10)[0] == pytest.approx(
+        assert sm.alpha_pn(sm.ShrinkageFamily.james_stein(d10), d10) == pytest.approx(
             20.0 / 3.0, rel=1e-14)
 
     def test_positive_part_beats_js_at_zero_signal(self):
-        alpha, se = sm.alpha_pn(PP, DIMS, reps=300_000, rng=sm.RngStream(31))
-        assert alpha - 15.0 / 7.0 > 3.0 * se
+        assert sm.alpha_pn(PP, DIMS) > 15.0 / 7.0
 
     def test_positive_part_matches_quadrature_oracle(self):
-        alpha, se = sm.alpha_pn(PP, DIMS, reps=400_000, rng=sm.RngStream(32))
-        assert se == 0.0
-        assert alpha == pytest.approx(js_plus_alpha_quad(5, 5), rel=1e-9)
+        assert sm.alpha_pn(PP, DIMS) == pytest.approx(js_plus_alpha_quad(5, 5), rel=1e-9)
 
     @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (10, 5), (5, 10), (10, 10)])
     def test_positive_part_matches_quadrature_oracle_across_dims(self, p, n):
         dims = sm.ProblemDims(p, n)
-        alpha, se = sm.alpha_pn(sm.ShrinkageFamily.positive_part(dims), dims)
-        assert se == 0.0
+        alpha = sm.alpha_pn(sm.ShrinkageFamily.positive_part(dims), dims)
         assert alpha == pytest.approx(js_plus_alpha_quad(p, n), rel=1e-9)
 
     def test_monte_carlo_matches_quadrature_oracle(self):
-        alpha, se = sm.alpha_pn(_pp_clone_as_custom(), DIMS, reps=400_000,
-                                rng=sm.RngStream(32))
-        assert abs(alpha - js_plus_alpha_quad(5, 5)) < 4.0 * se
+        # alpha is p minus the risk at zero signal.
+        risk, se = sm.true_risk(PP, DIMS, 0.0, 400_000, sm.RngStream(32))
+        assert abs(DIMS.p - risk - js_plus_alpha_quad(5, 5)) < 4.0 * se
 
-    def test_monte_carlo_needs_stream(self):
-        with pytest.raises(ValueError):
-            sm.alpha_pn(_pp_clone_as_custom(), DIMS)
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 1), (5, 2), (5, 5), (10, 10)])
+    def test_quadrature_matches_closed_forms_on_custom_clones(self, p, n):
+        dims = sm.ProblemDims(p, n)
+        for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
+            clone = sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
+            assert sm.alpha_pn(clone, dims) == pytest.approx(sm.alpha_pn(fam, dims), rel=1e-8)
+
+    def test_quadrature_matches_monte_carlo_on_smooth_rule(self):
+        c = DIMS.shrink_constant
+        phi = lambda w: c * w / (w + c)
+        dphi = lambda w: c * c / ((w + c) * (w + c))
+        fam = sm.ShrinkageFamily.custom(phi, dphi, label="smooth")
+        value, stderr = ratio_mean_monte_carlo(
+            lambda w: sm.risk_reduction_integrand(fam, DIMS, w), 5, 5, 400_000, seed=37)
+        assert abs(sm.alpha_pn(fam, DIMS) - value) < 4.0 * stderr
 
 
 class TestRoots:
@@ -78,7 +86,7 @@ class TestRoots:
     def test_js_root_solves_quadratic(self, p, n):
         dims = sm.ProblemDims(p, n)
         fam = sm.ShrinkageFamily.james_stein(dims)
-        alpha, _ = sm.alpha_pn(fam, dims)
+        alpha = sm.alpha_pn(fam, dims)
         w = sm.solve_w_pn(fam, dims, alpha)
         want = quadratic_root((n + p + 2.0) * (p - 2.0) / (n * (n + 2.0)))
         assert w == pytest.approx(want, abs=1e-12)
@@ -90,13 +98,13 @@ class TestRoots:
         # Route the same rule through the general path: quadrature-based
         # a(W) plus bracketed bisection must land on the analytic root.
         clone = _js_clone_as_custom(DIMS)
-        alpha, _ = sm.alpha_pn(JS, DIMS)
+        alpha = sm.alpha_pn(JS, DIMS)
         w_generic = sm.solve_w_pn(clone, DIMS, alpha)
         w_analytic = sm.solve_w_pn(JS, DIMS, alpha)
         assert w_generic == pytest.approx(w_analytic, abs=1e-7)
 
     def test_positive_part_root_near_reported(self):
-        alpha, _ = sm.alpha_pn(PP, DIMS, reps=600_000, rng=sm.RngStream(33))
+        alpha = sm.alpha_pn(PP, DIMS)
         w = sm.solve_w_pn(PP, DIMS, alpha)
         assert w == pytest.approx(0.5357, abs=0.01)
         assert sm.gamma_pn(DIMS, w) == pytest.approx(0.6399, abs=0.01)
@@ -108,7 +116,7 @@ class TestRoots:
             sm.solve_w_pn(JS, DIMS, 5.0)
 
     def test_gamma_identity(self):
-        w = sm.solve_w_pn(JS, DIMS, sm.alpha_pn(JS, DIMS)[0])
+        w = sm.solve_w_pn(JS, DIMS, sm.alpha_pn(JS, DIMS))
         assert sm.gamma_pn(DIMS, w) == pytest.approx(5.0 * (1.0 + w) / 12.0, rel=1e-15)
 
 
@@ -218,13 +226,9 @@ class TestTruncationBand:
 def test_constants_builder_provenance():
     sc_js = sm.shrinkage_constants(JS, DIMS)
     assert sc_js.provenance == "closed-form"
-    assert sc_js.alpha_stderr == 0.0
-    sc_pp = sm.shrinkage_constants(PP, DIMS, reps=100_000, rng=sm.RngStream(34))
+    sc_pp = sm.shrinkage_constants(PP, DIMS)
     assert sc_pp.provenance == "closed-form"
-    assert sc_pp.alpha_stderr == 0.0 and sc_pp.reps == 0
     assert 0 < sc_pp.alpha < DIMS.p
-    sc_custom = sm.shrinkage_constants(_pp_clone_as_custom(), DIMS, reps=100_000,
-                                       rng=sm.RngStream(34))
-    assert sc_custom.provenance == "monte-carlo"
-    assert sc_custom.alpha_stderr > 0 and sc_custom.reps == 100_000
-    assert 0 < sc_custom.alpha < DIMS.p
+    sc_custom = sm.shrinkage_constants(_pp_clone_as_custom(), DIMS)
+    assert sc_custom.provenance == "quadrature"
+    assert sc_custom.alpha == pytest.approx(sc_pp.alpha, rel=1e-8)
