@@ -5,8 +5,7 @@ reproducible Monte Carlo drivers for risk and coverage experiments."""
 
 from .confidence import (ConfidenceResult, ConfidenceSpec, ConfidenceVariant,
                          build_confidence_set, ellipsoid_volume, quad_form_inv)
-from .distributions import (RngStream, chi2_pdf, f_quantile, noncentral_chi2_pdf,
-                            sample_chi2, sample_normal_vector)
+from .distributions import RngStream, f_quantile
 from .experiments import (CoverageTable, CsvTable, ExperimentConfig, RiskTable,
                           default_confidence_variants, reproduce_tables, run_coverage_curve,
                           run_matrix_risk_curve, run_mse_risk_curve, write_plot_script,
@@ -20,7 +19,8 @@ from .mse_improved import (MseEstimatorKind, ShrinkageConstants, a_of_w, alpha_p
                            shrinkage_constants, solve_w_pn, truncation_band_nonempty)
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
                         ShrunkToOriginWarning, apply_estimator, canonicalize_regression,
-                        family_from_name, risk_reduction_integrand, shrink_factors, true_risk)
+                        family_from_name, risk_reduction_integrand, shrink_factors,
+                        true_mse_matrix, true_risk)
 from .umvue import (AxialMatrix, GFunctions, g_functions, g_transform,
                     positive_part_branch_constants, umvue_mse, umvue_mse_at,
                     umvue_mse_matrix, umvue_risk_reduction, umvue_risk_reduction_matrix)
@@ -34,14 +34,14 @@ __all__ = [
     "Observation", "ProblemDims", "RiskTable", "RngStream", "ShrinkageConstants",
     "ShrinkageFamily", "ShrunkToOriginWarning", "a_of_w", "alpha_pn", "apply_estimator",
     "b_of_w", "beta_constants", "beta_j", "build_confidence_set", "canonicalize_regression",
-    "chi2_pdf", "default_confidence_variants", "ellipsoid_volume", "estimate_mse",
+    "default_confidence_variants", "ellipsoid_volume", "estimate_mse",
     "estimate_mse_at", "estimate_mse_matrix", "f_quantile", "family_from_name",
     "g_functions", "g_transform", "gamma_pn", "gamma_xi_eta", "matrix_constants",
-    "matrix_eigen_parts", "noncentral_chi2_pdf", "positive_definite_certified",
+    "matrix_eigen_parts", "positive_definite_certified",
     "positive_part_branch_constants", "psi1_positive_certified", "quad_form_inv",
     "reproduce_tables", "risk_reduction_integrand", "run_coverage_curve",
-    "run_matrix_risk_curve", "run_mse_risk_curve", "sample_chi2", "sample_normal_vector",
-    "shrink_factors", "shrinkage_constants", "solve_w_pn", "solve_w_xi_eta", "true_risk",
+    "run_matrix_risk_curve", "run_mse_risk_curve", "shrink_factors", "shrinkage_constants",
+    "solve_w_pn", "solve_w_xi_eta", "true_mse_matrix", "true_risk",
     "truncation_band_nonempty", "umvue_mse", "umvue_mse_at", "umvue_mse_matrix",
     "umvue_risk_reduction", "umvue_risk_reduction_matrix", "write_plot_script",
     "write_tables",

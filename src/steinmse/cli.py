@@ -94,17 +94,23 @@ def _parse_dims_list(text: str) -> list:
 
 
 def _parse_lambdas(text: str) -> list:
-    """Either a comma list or start:stop:step (inclusive stop)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("lambda range must look like start:stop:step")
-        start, stop, step = (float(v) for v in parts)
-        if step <= 0:
-            raise UsageError("lambda step must be positive")
-        out = list(np.arange(start, stop + 0.5 * step, step))
-        return out
-    return [float(v) for v in text.split(",")]
+    """Either a comma list or start:stop:step (inclusive stop); every
+    number must be finite and nonnegative."""
+    is_range = ":" in text
+    try:
+        values = [float(v) for v in text.split(":" if is_range else ",")]
+    except ValueError as exc:
+        raise UsageError(f"bad --lambdas {text!r}: {exc}") from None
+    if not all(0.0 <= v < float("inf") for v in values):
+        raise UsageError(f"--lambdas must be finite and nonnegative, got {text!r}")
+    if not is_range:
+        return values
+    if len(values) != 3:
+        raise UsageError("lambda range must look like start:stop:step")
+    start, stop, step = values
+    if step <= 0:
+        raise UsageError("lambda step must be positive")
+    return list(np.arange(start, stop + 0.5 * step, step))
 
 
 def _threads(args) -> int:

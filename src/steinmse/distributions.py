@@ -1,20 +1,20 @@
 """Chi-square and F special functions plus replayable random streams.
 
-Densities are evaluated in log space so large degrees of freedom and large
-arguments do not overflow. The F quantile is obtained by inverting the
-regularized incomplete beta representation of the CDF; the same
-representation gives the partial moments of a chi-square ratio in closed
-form (``ratio_partial_moments``) and the mean of any function of that
-ratio as a Beta-weighted quadrature (``ratio_expectation``). All random
-draws come
-from counter-based Philox streams keyed by (seed, stream_id): the same key
-always reproduces the same draws, no matter which thread or process asks for
-them, so experiments can be sharded arbitrarily without changing a single
-number.
+The F quantile is obtained by inverting the regularized incomplete beta
+representation of the CDF; the same representation gives the partial
+moments of a chi-square ratio in closed form (``ratio_partial_moments``,
+``ratio_inverse_square_above``) and the mean of any function of that ratio
+as a Beta-weighted quadrature (``ratio_expectation``). A noncentral
+chi-square is a Poisson mixture of central ones; ``poisson_weights`` gives
+the mixture weights. All random draws come from counter-based Philox
+streams keyed by (seed, stream_id): the same key always reproduces the
+same draws, no matter which thread or process asks for them, so
+experiments can be sharded arbitrarily without changing a single number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,27 +23,14 @@ from scipy.special import betainc, betaincc, betaln, gammaln, hyp2f1
 
 __all__ = [
     "RngStream",
-    "chi2_pdf",
-    "noncentral_chi2_pdf",
     "f_quantile",
+    "poisson_weights",
     "ratio_partial_moments",
+    "ratio_inverse_square_above",
     "ratio_expectation",
-    "sample_normal_vector",
-    "sample_chi2",
 ]
 
 _MASK64 = (1 << 64) - 1
-
-# A series term below this fraction of the running sum stops the summation.
-_REL_TERM_CUTOFF = 1e-15
-
-
-def _splitmix64(z: int) -> int:
-    """splitmix64 finalizer; spreads structured ids over all 64 bits."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -65,88 +52,11 @@ class RngStream:
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, index: int) -> "RngStream":
-        """Derived independent stream: same seed, scrambled stream id."""
-        mixed = _splitmix64(_splitmix64(self.stream_id & _MASK64) ^ (index & _MASK64))
-        return RngStream(self.seed, mixed)
-
 
 def _check_df(k, name: str = "k") -> int:
     if int(k) != k or k < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
     return int(k)
-
-
-def _chi2_logpdf(x: float, k: int) -> float:
-    """log density of chi-square with k df at x > 0."""
-    half = 0.5 * k
-    return (half - 1.0) * np.log(x) - 0.5 * x - half * np.log(2.0) - gammaln(half)
-
-
-def chi2_pdf(x, k):
-    """Central chi-square density with k degrees of freedom.
-
-    Accepts scalars or arrays for x. Computed as
-    exp((k/2-1) log x - x/2 - (k/2) log 2 - lgamma(k/2)), which stays finite
-    far into the tails.
-    """
-    k = _check_df(k)
-    scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("chi-square density requires x >= 0")
-    half = 0.5 * k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp((half - 1.0) * np.log(x) - 0.5 * x - half * np.log(2.0) - gammaln(half))
-    if k == 2:
-        # (k/2 - 1) log x is 0 * (-inf) at the origin; the limit is 1/2.
-        out = np.where(x == 0.0, 0.5, out)
-    return float(out) if scalar else out
-
-
-def noncentral_chi2_pdf(x, k, lam):
-    """Noncentral chi-square density: Poisson mixture of central densities.
-
-    The mixture is summed outward from the modal Poisson index; each
-    direction stops once consecutive terms fall below 1e-15 of the running
-    sum, which keeps the discarded relative mass under 1e-12.
-    """
-    k = _check_df(k)
-    if lam < 0:
-        raise ValueError("noncentrality must be nonnegative")
-    if np.ndim(x) != 0:
-        return np.array([noncentral_chi2_pdf(xi, k, lam) for xi in np.asarray(x, dtype=float)])
-    x = float(x)
-    if x < 0:
-        raise ValueError("chi-square density requires x >= 0")
-    if lam == 0.0:
-        return chi2_pdf(x, k)
-    if x == 0.0:
-        # Only the j = 0 mixture term is nonzero at the origin.
-        return float(np.exp(-0.5 * lam) * chi2_pdf(0.0, k))
-
-    log_half_lam = np.log(0.5 * lam)
-
-    def term(j: int) -> float:
-        return float(np.exp(-0.5 * lam + j * log_half_lam - gammaln(j + 1) + _chi2_logpdf(x, k + 2 * j)))
-
-    j_mode = int(0.5 * lam)
-    total = term(j_mode)
-    # <= so that terms that underflow to exactly zero count as converged
-    # even while the running sum is still zero (deep in the tails).
-    j, quiet = j_mode + 1, 0
-    while quiet < 2:
-        t = term(j)
-        total += t
-        quiet = quiet + 1 if t <= _REL_TERM_CUTOFF * total else 0
-        j += 1
-    j, quiet = j_mode - 1, 0
-    while j >= 0 and quiet < 2:
-        t = term(j)
-        total += t
-        quiet = quiet + 1 if t <= _REL_TERM_CUTOFF * total else 0
-        j -= 1
-    return float(total)
 
 
 @lru_cache(maxsize=64)
@@ -217,6 +127,47 @@ def ratio_partial_moments(k: int, n: int, c: float):
     return below, inv_above, w_below
 
 
+def ratio_inverse_square_above(k: int, n: int, c: float) -> float:
+    """E[1/W^2; W > c] for W = U/V, with U ~ chi^2_k and V ~ chi^2_n
+    independent, k > 4 and a cut c >= 0.
+
+    With x = c/(1+c), it is n(n+2)/((k-2)(k-4)) (1 - I_x(k/2 - 2, n/2 + 2)),
+    by the same Beta law of W/(1+W) as ``ratio_partial_moments``.
+    """
+    k = _check_df(k)
+    n = _check_df(n, "n")
+    if k <= 4:
+        raise ValueError("E[1/W^2] needs k > 4")
+    if not c >= 0:
+        raise ValueError("the cut c must be nonnegative")
+    x = c / (1.0 + c)
+    tail = float(betaincc(0.5 * k - 2.0, 0.5 * n + 2.0, x))
+    return n * (n + 2.0) / ((k - 2.0) * (k - 4.0)) * tail
+
+
+def poisson_weights(mean: float):
+    """(j0, w) with w[i] = P(N = j0 + i) for N ~ Poisson(mean).
+
+    The log probabilities j log(mean) - mean - lgamma(j + 1) are formed on
+    a window of 9 sqrt(mean) + 40 indices either side of the mode; the
+    ends below 1e-17 of the modal term are dropped and the rest are scaled
+    to sum to one. The mass left out is below 1e-15, and the number of
+    terms grows like sqrt(mean).
+    """
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"the Poisson mean must be finite and nonnegative, got {mean!r}")
+    if mean == 0.0:
+        return 0, np.ones(1)
+    mode = int(mean)
+    half = int(9.0 * math.sqrt(mean)) + 40
+    j = np.arange(max(mode - half, 0), mode + half + 1, dtype=float)
+    log_w = j * math.log(mean) - mean - gammaln(j + 1.0)
+    log_w -= log_w.max()
+    keep = np.flatnonzero(log_w >= math.log(1e-17))
+    w = np.exp(log_w[keep[0]:keep[-1] + 1])
+    return int(j[keep[0]]), w / w.sum()
+
+
 def ratio_expectation(f, k: int, n: int) -> float:
     """E[f(W)] for W = U/V, with U ~ chi^2_k and V ~ chi^2_n independent.
 
@@ -248,31 +199,3 @@ def ratio_expectation(f, k: int, n: int) -> float:
     if len(result) > 3:
         raise RuntimeError(f"ratio expectation did not converge (k={k}, n={n}): {result[3]}")
     return result[0] / norm
-
-
-def sample_normal_vector(dims, theta, sigma2: float, rng: RngStream) -> np.ndarray:
-    """One draw of a p-variate normal with mean theta and covariance sigma2 I.
-
-    ``dims`` only needs a ``p`` attribute. The draw is a pure function of the
-    stream key: calling twice with the same RngStream repeats the vector.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dims.p,):
-        raise ValueError(f"theta must have length p={dims.p}, got shape {theta.shape}")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    g = rng.generator()
-    return theta + np.sqrt(sigma2) * g.standard_normal(dims.p)
-
-
-def sample_chi2(n: int, sigma2: float, rng: RngStream) -> float:
-    """One draw of sigma2 times a chi-square variate with n df.
-
-    Deterministic in the stream key, like ``sample_normal_vector``. Use
-    distinct stream ids for draws that must be independent.
-    """
-    n = _check_df(n, "n")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    g = rng.generator()
-    return float(sigma2 * g.chisquare(n))

@@ -6,7 +6,9 @@ block layout depends only on the configuration (never on the worker
 count), so rerunning with any number of threads yields bit-identical
 tables. Competing estimators are always evaluated on the same draws
 (paired design), which makes dominance comparisons sharp at modest
-replication counts.
+replication counts. The risk curves score them against the exact truth,
+``true_risk`` and ``true_mse_matrix``, which involve no random draws, so
+the diff columns hold estimator noise alone.
 
 Coverage curves take every confidence-set quantity from the batch core in
 ``confidence``; this module only draws the blocks and sums the results.
@@ -32,7 +34,7 @@ from .confidence import ConfidenceSpec, ConfidenceVariant, _set_geometry
 from .distributions import RngStream
 from .matrix_improved import (MatrixEstimatorKind, matrix_constants, matrix_eigen_parts)
 from .mse_improved import MseEstimatorKind, estimate_mse_at, shrinkage_constants
-from .shrinkage import (ProblemDims, ShrinkageFamily, family_from_name, shrink_factors,
+from .shrinkage import (ProblemDims, family_from_name, shrink_factors, true_mse_matrix,
                         true_risk)
 
 __all__ = [
@@ -55,11 +57,9 @@ __all__ = [
 # Replications per stream; fixed so outputs never depend on worker count.
 BLOCK = 4096
 
-_DOMAIN_TRUE = 2
 _DOMAIN_MSE_CURVE = 3
 _DOMAIN_MATRIX_CURVE = 4
 _DOMAIN_COVERAGE = 5
-_DOMAIN_TRUE_MATRIX = 6
 
 _DEFAULT_MSE_KINDS = (MseEstimatorKind.UMVUE, MseEstimatorKind.PSI0,
                       MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR)
@@ -89,7 +89,6 @@ class ExperimentConfig:
     theta_direction: object = "equal"
     threads: int = 1
     const_reps: int = 1_000_000
-    true_reps_factor: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "dims_list", tuple(self.dims_list))
@@ -99,8 +98,8 @@ class ExperimentConfig:
         object.__setattr__(self, "matrix_kinds", tuple(self.matrix_kinds))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if any(lam < 0 for lam in self.lambda_grid):
-            raise ValueError("noncentrality values must be nonnegative")
+        if not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
+            raise ValueError("noncentrality values must be finite and nonnegative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -116,7 +115,6 @@ class ExperimentConfig:
             "theta_direction": (self.theta_direction if isinstance(self.theta_direction, str)
                                 else list(np.asarray(self.theta_direction, dtype=float))),
             "threads": self.threads,
-            "true_reps_factor": self.true_reps_factor,
         }
 
 
@@ -289,8 +287,7 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
                 k.needs_constants for k in kinds) else None
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
-                r_true, _ = true_risk(fam, dims, lam, cfg.reps * cfg.true_reps_factor,
-                                      _stream(cfg.seed, _DOMAIN_TRUE, fi, di, li))
+                r_true = true_risk(fam, dims, lam)
                 target = r_true if loss == "mse" else p - r_true
                 theta = math.sqrt(lam) * direction
                 nblocks, sizes = _block_sizes(cfg.reps)
@@ -313,29 +310,6 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
     return RiskTable(loss, rows, meta)
 
 
-def _true_matrix_dense(fam: ShrinkageFamily, dims: ProblemDims, lam: float, reps: int,
-                       rng: RngStream, direction: np.ndarray, chunk: int = 65536) -> np.ndarray:
-    """High-precision dense estimate of E[(delta - theta)(delta - theta)'].
-
-    The truth is only near-axial (its axis is theta, not the data), so this
-    is the one place a dense p x p moment matrix is accumulated.
-    """
-    p, n = dims.p, dims.n
-    theta = math.sqrt(lam) * direction
-    g = rng.generator()
-    acc = np.zeros((p, p))
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        x = theta + g.standard_normal((m, p))
-        s = g.chisquare(n, m)
-        w = np.einsum("ij,ij->i", x, x) / s
-        d = shrink_factors(fam, w)[:, None] * x - theta
-        acc += d.T @ d
-        done += m
-    return acc / reps
-
-
 def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
     """tr(Mhat - M)^2 with Mhat = s(l_perp I + (l_axis - l_perp) u u')."""
     tr_hat2 = s * s * ((p - 1.0) * l_perp * l_perp + l_axis * l_axis)
@@ -351,9 +325,9 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     loss="reduction": same for the complementary reduction matrices
     (S/n) I - estimate against I - M.
 
-    The true M at each grid point is estimated once, densely, with
-    true_reps_factor times the replication count; per-replication losses
-    then use exact O(p) trace algebra on the axial shapes.
+    The true M at each grid point is exact and axial in theta,
+    a I + b theta theta' (``true_mse_matrix``), so I - M is too and every
+    per-replication loss is O(p) trace algebra on the axial shapes.
     """
     if loss not in ("matrix", "reduction"):
         raise ValueError("loss must be 'matrix' or 'reduction'")
@@ -372,17 +346,11 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
                 consts = _lookup_matrix_constants(fam_name, fam, dims, consts_map)
             direction = _direction(cfg, p)
             for li, lam in enumerate(cfg.lambda_grid):
-                m_true = _true_matrix_dense(fam, dims, lam, cfg.reps * cfg.true_reps_factor,
-                                            _stream(cfg.seed, _DOMAIN_TRUE_MATRIX, fi, di, li),
-                                            direction)
-                if loss == "matrix":
-                    tr_m = float(np.trace(m_true))
-                    tr_m2 = float(np.sum(m_true * m_true))
-                    m_ref = m_true
-                else:
-                    m_ref = np.eye(p) - m_true
-                    tr_m = float(np.trace(m_ref))
-                    tr_m2 = float(np.sum(m_ref * m_ref))
+                a, b = true_mse_matrix(fam, dims, lam)
+                if loss == "reduction":
+                    a, b = 1.0 - a, -b
+                tr_m = p * a + b * lam
+                tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
                 theta = math.sqrt(lam) * direction
                 nblocks, sizes = _block_sizes(cfg.reps)
 
@@ -390,8 +358,8 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
                     x, s, w = _draw_block(
                         _stream(cfg.seed, _DOMAIN_MATRIX_CURVE, fi, di, li, bi),
                         sizes[bi], theta, n)
-                    u = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-                    u_m_u = np.einsum("ij,jk,ik->i", u, m_ref, u)
+                    x_theta = x @ theta
+                    u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
                     losses = []
                     for kind in kinds:
                         l_perp, l_axis = matrix_eigen_parts(kind, w, fam, dims, consts)

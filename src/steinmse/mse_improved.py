@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_bisect
-from .distributions import ratio_expectation, ratio_partial_moments
-from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
-                        risk_reduction_integrand)
+from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean
 from .umvue import g_functions
 
 __all__ = [
@@ -89,25 +87,16 @@ def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
 
 
 def alpha_pn(fam: ShrinkageFamily, dims: ProblemDims) -> float:
-    """Risk reduction at zero signal, in sigma^2 units.
+    """Risk reduction at zero signal, in sigma^2 units: p - true_risk(fam, dims, 0).
 
     The mean of ``risk_reduction_integrand`` over W = U/V with U ~ chi^2_p,
-    V ~ chi^2_n. Closed forms for the built-in families: n(p-2)/(n+2) for
-    the James-Stein rule, and for the positive-part rule the partial
-    moments of W on either side of the kink c = (p-2)/(n+2), where the
-    integrand is 2p - (n-2)W below and c(p-2)/W above. Custom families get
-    one quadrature (``ratio_expectation``). The caller vouches that
-    phi(W)/W is nonincreasing so the reduction really is maximized at zero
-    signal (true for both built-in families).
+    V ~ chi^2_n: n(p-2)/(n+2) for the James-Stein rule, a closed form in
+    the partial moments of W about the kink for the positive-part rule, and
+    one quadrature (``ratio_expectation``) for custom families. The caller
+    vouches that phi(W)/W is nonincreasing so the reduction really is
+    maximized at zero signal (true for both built-in families).
     """
-    p, n = dims.p, dims.n
-    if fam.kind is FamilyKind.JAMES_STEIN:
-        return n * (p - 2.0) / (n + 2.0)
-    if fam.kind is FamilyKind.POSITIVE_PART:
-        c = dims.shrink_constant
-        below, inv_above, w_below = ratio_partial_moments(p, n, c)
-        return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above
-    return ratio_expectation(lambda w: risk_reduction_integrand(fam, dims, w), p, n)
+    return _reduction_mean(fam, dims, dims.p)
 
 
 def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:

@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import RngStream
+from .distributions import (poisson_weights, ratio_expectation, ratio_inverse_square_above,
+                            ratio_partial_moments)
 
 __all__ = [
     "FamilyKind",
@@ -36,6 +37,7 @@ __all__ = [
     "canonicalize_regression",
     "risk_reduction_integrand",
     "true_risk",
+    "true_mse_matrix",
 ]
 
 
@@ -233,9 +235,10 @@ def risk_reduction_integrand(fam: ShrinkageFamily, dims: ProblemDims, w) -> np.n
 
     2(p-2) phi/W - (n+2) phi^2/W + 4 phi' + 4 phi phi'. The expression
     comes from integrating the squared error by parts against the
-    chi-square scale, so risk estimates built on it depend on the data only
-    through W and have far lower Monte Carlo variance than raw squared
-    errors.
+    chi-square scale (Stein's identity), so the risk depends on theta only
+    through the law of W. Its mean over W = chi^2_k / chi^2_n is a closed
+    form or one quadrature, and the zero-signal constant alpha and the
+    exact ``true_risk`` are built on it.
     """
     w = np.asarray(w, dtype=float)
     phi = np.asarray(fam.phi(w), dtype=float)
@@ -244,37 +247,70 @@ def risk_reduction_integrand(fam: ShrinkageFamily, dims: ProblemDims, w) -> np.n
     return 2.0 * (p - 2.0) * phi / w - (n + 2.0) * phi * phi / w + 4.0 * dphi + 4.0 * phi * dphi
 
 
-def true_risk(fam: ShrinkageFamily, dims: ProblemDims, lam: float, reps: int, rng: RngStream,
-              chunk: int = 65536):
-    """Monte Carlo risk of the rule at noncentrality lam (sigma^2 = 1 units).
+def _reduction_mean(fam: ShrinkageFamily, dims: ProblemDims, k: int) -> float:
+    """Mean of ``risk_reduction_integrand`` over W = U/V, U ~ chi^2_k, V ~ chi^2_n.
 
-    Averages p minus the risk-reduction integrand over draws of W. The
-    integrand contains only W, so the estimate is invariant to the true
-    scale and to the direction of theta. Returns (risk, stderr); the
-    stderr is NaN when reps == 1, and exactly zero when phi vanishes
-    identically (the integrand is then the constant p).
+    Closed forms for the built-in families: n(p-2)^2/((n+2)(k-2)) for the
+    James-Stein rule, and for the positive-part rule the partial moments of
+    W on either side of the kink c = (p-2)/(n+2), where the integrand is
+    2p - (n-2)W below and c(p-2)/W above. Custom families get one
+    quadrature (``ratio_expectation``).
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if lam < 0:
-        raise ValueError("noncentrality must be nonnegative")
     p, n = dims.p, dims.n
-    theta = np.sqrt(lam / p) * np.ones(p)
-    g = rng.generator()
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        x = theta + g.standard_normal((m, p))
-        s = g.chisquare(n, m)
-        w = np.einsum("ij,ij->i", x, x) / s
-        vals = p - risk_reduction_integrand(fam, dims, w)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / reps
-    if reps == 1:
-        return mean, float("nan")
-    var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
-    return mean, float(np.sqrt(var / reps))
+    if fam.kind is FamilyKind.JAMES_STEIN:
+        return n * (p - 2.0) / (n + 2.0) * ((p - 2.0) / (k - 2.0))
+    if fam.kind is FamilyKind.POSITIVE_PART:
+        c = dims.shrink_constant
+        below, inv_above, w_below = ratio_partial_moments(k, n, c)
+        return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above
+    return ratio_expectation(lambda w: risk_reduction_integrand(fam, dims, w), k, n)
+
+
+def _shrink_factor_moments(fam: ShrinkageFamily, dims: ProblemDims, k: int):
+    """(E[h], E[h^2]) for h = 1 - phi(W)/W over W = U/V, U ~ chi^2_k, V ~ chi^2_n.
+
+    Both built-in rules have h = 0 below a cut (c for the positive part, 0
+    for James-Stein) and h = 1 - c/W above it, so the partial moments
+    P(W > cut), E[1/W; W > cut] and E[1/W^2; W > cut] give both means.
+    """
+    if not fam.has_closed_forms:
+        return (ratio_expectation(lambda w: shrink_factors(fam, w), k, dims.n),
+                ratio_expectation(lambda w: shrink_factors(fam, w) ** 2, k, dims.n))
+    c = dims.shrink_constant
+    cut = c if fam.kind is FamilyKind.POSITIVE_PART else 0.0
+    below, inv_above, _ = ratio_partial_moments(k, dims.n, cut)
+    inv2_above = ratio_inverse_square_above(k, dims.n, cut)
+    return 1.0 - below - c * inv_above, 1.0 - below - 2.0 * c * inv_above + c * c * inv2_above
+
+
+def true_risk(fam: ShrinkageFamily, dims: ProblemDims, lam: float) -> float:
+    """Exact risk of the rule at noncentrality lam (sigma^2 = 1 units).
+
+    ||X||^2 ~ chi^2_p(lam) is a Poisson(lam/2) mixture of chi^2_{p+2j}, so
+    the risk is p - sum_j P(j) m(p + 2j), with m(k) the mean of
+    ``risk_reduction_integrand`` over W = chi^2_k / chi^2_n. It does not
+    depend on the true scale or on the direction of theta, and at lam = 0
+    it is exactly p - ``alpha_pn``. A negative or non-finite lam raises
+    ValueError.
+    """
+    j0, weights = poisson_weights(0.5 * lam)
+    means = [_reduction_mean(fam, dims, dims.p + 2 * (j0 + i)) for i in range(len(weights))]
+    return dims.p - float(np.dot(weights, means))
+
+
+def true_mse_matrix(fam: ShrinkageFamily, dims: ProblemDims, lam: float):
+    """Exact MSE matrix E[(delta - theta)(delta - theta)'] = a I + b theta theta'.
+
+    Returns (a, b). With h = 1 - phi(W)/W, the Judge & Bock (1978) identity
+    E[f(||X||^2) X X'] = E[f(chi^2_{p+2}(lam))] I + E[f(chi^2_{p+4}(lam))] theta theta'
+    gives a = E[h^2] at chi^2_{p+2}(lam) and
+    b = E[h^2] at chi^2_{p+4}(lam) - 2 E[h] at chi^2_{p+2}(lam) + 1, each a
+    Poisson(lam/2) mixture over central chi-squares. The trace p a + b lam
+    is ``true_risk``.
+    """
+    j0, weights = poisson_weights(0.5 * lam)
+    moments = np.array([_shrink_factor_moments(fam, dims, dims.p + 2 + 2 * (j0 + i))
+                        for i in range(len(weights) + 1)])
+    a = float(np.dot(weights, moments[:-1, 1]))
+    b = float(np.dot(weights, moments[1:, 1]) - 2.0 * np.dot(weights, moments[:-1, 0]) + 1.0)
+    return a, b

@@ -10,6 +10,24 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 
+def chi2_pdf(x, k):
+    """Central chi-square density with k degrees of freedom, in log space:
+    exp((k/2-1) log x - x/2 - (k/2) log 2 - lgamma(k/2)), finite far into
+    the tails. Scalars or arrays; the k = 2 origin takes its limit 1/2."""
+    if int(k) != k or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    scalar = np.ndim(x) == 0
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("chi-square density requires x >= 0")
+    half = 0.5 * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp((half - 1.0) * np.log(x) - 0.5 * x - half * np.log(2.0) - gammaln(half))
+    if k == 2:
+        out = np.where(x == 0.0, 0.5, out)
+    return float(out) if scalar else out
+
+
 def chi2_pdf_df4(x):
     """Elementary 4-df chi-square density, x e^{-x/2}/4; no gamma calls."""
     return 0.25 * x * np.exp(-0.5 * x)
@@ -140,8 +158,8 @@ def moment_curve_kernel(order, phi, dphi, p, n, j):
 
 def ratio_mean_monte_carlo(f, k, n, reps, seed, chunk=262144):
     """Monte Carlo mean of f(U/V), U ~ chi^2_k and V ~ chi^2_n independent,
-    with its standard error. These are the only Monte Carlo constants left:
-    they check the quadrature path on rules that have no closed form."""
+    with its standard error. It checks the quadrature path on rules that
+    have no closed form."""
     g = np.random.default_rng(seed)
     total = total_sq = 0.0
     done = 0
@@ -154,6 +172,55 @@ def ratio_mean_monte_carlo(f, k, n, reps, seed, chunk=262144):
     mean = total / reps
     var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
     return mean, float(np.sqrt(var / reps))
+
+
+def true_risk_monte_carlo(fam, dims, lam, reps, gen, chunk=65536):
+    """Monte Carlo risk of a shrinkage rule at noncentrality lam, with its
+    standard error: the mean of p minus the risk-reduction integrand over
+    draws of W = ||X||^2/S, X ~ N(theta, I_p), S ~ chi^2_n, drawn from the
+    numpy Generator ``gen``."""
+    p, n = dims.p, dims.n
+    theta = np.sqrt(lam / p) * np.ones(p)
+    total = total_sq = 0.0
+    done = 0
+    while done < reps:
+        m = min(chunk, reps - done)
+        x = theta + gen.standard_normal((m, p))
+        s = gen.chisquare(n, m)
+        w = np.einsum("ij,ij->i", x, x) / s
+        phi = np.asarray(fam.phi(w), dtype=float)
+        dphi = np.asarray(fam.phi_prime(w), dtype=float)
+        vals = p - (2.0 * (p - 2.0) * phi / w - (n + 2.0) * phi * phi / w
+                    + 4.0 * dphi + 4.0 * phi * dphi)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / reps
+    var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
+    return mean, float(np.sqrt(var / reps))
+
+
+def mse_matrix_monte_carlo(fam, theta, n, reps, gen, chunk=65536):
+    """Dense Monte Carlo estimate of E[(delta - theta)(delta - theta)'] for
+    delta = (1 - phi(W)/W) X, X ~ N(theta, I), S ~ chi^2_n, W = ||X||^2/S,
+    with the entrywise standard errors, from the numpy Generator ``gen``."""
+    theta = np.asarray(theta, dtype=float)
+    p = theta.shape[0]
+    acc = np.zeros((p, p))
+    acc_sq = np.zeros((p, p))
+    done = 0
+    while done < reps:
+        m = min(chunk, reps - done)
+        x = theta + gen.standard_normal((m, p))
+        s = gen.chisquare(n, m)
+        w = np.einsum("ij,ij->i", x, x) / s
+        d = (1.0 - np.asarray(fam.phi(w), dtype=float) / w)[:, None] * x - theta
+        acc += d.T @ d
+        acc_sq += (d * d).T @ (d * d)
+        done += m
+    mean = acc / reps
+    var = np.maximum(acc_sq - reps * mean * mean, 0.0) / (reps - 1)
+    return mean, np.sqrt(var / reps)
 
 
 def quadratic_root(c):

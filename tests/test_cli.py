@@ -167,6 +167,17 @@ def test_bad_lambda_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,lambdas", [
+    ("risk-curve", "inf"), ("risk-curve", "nan"), ("risk-curve", "abc"),
+    ("risk-curve", "0,-1"), ("risk-curve", "0:abc:1"), ("coverage", "nan"),
+])
+def test_bad_lambdas_are_usage_errors(capsys, command, lambdas):
+    code = main([command, "--p", "5", "--n", "5", "--lambdas", lambdas,
+                 "--reps", "10", "--seed", "1"])
+    assert code == 2
+    assert "--lambdas" in capsys.readouterr().err
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("STEIN_PRECISION_THREADS", "2")
     out = tmp_path / "risk"

@@ -3,13 +3,15 @@ import pytest
 from scipy.integrate import quad
 
 import steinmse as sm
-from _oracles import chi2_cdf_df4_quad, f_quantile_by_quadrature
+from _oracles import (chi2_cdf_df4_quad, chi2_pdf, f_quantile_by_quadrature,
+                      ratio_chi2_density)
+from steinmse.distributions import poisson_weights, ratio_inverse_square_above
 
 
 def test_chi2_pdf_exponential_case():
     # 2 df is the rate-1/2 exponential.
-    assert sm.chi2_pdf(2.0, 2) == pytest.approx(np.exp(-1.0) / 2.0, rel=1e-12)
-    assert sm.chi2_pdf(0.0, 2) == 0.5
+    assert chi2_pdf(2.0, 2) == pytest.approx(np.exp(-1.0) / 2.0, rel=1e-12)
+    assert chi2_pdf(0.0, 2) == 0.5
 
 
 def test_chi2_pdf_matches_numerical_cdf_derivative():
@@ -18,30 +20,38 @@ def test_chi2_pdf_matches_numerical_cdf_derivative():
     h = 1e-2
     deriv = (8.0 * (chi2_cdf_df4_quad(1 + 0.5 * h) - chi2_cdf_df4_quad(1 - 0.5 * h))
              - (chi2_cdf_df4_quad(1 + h) - chi2_cdf_df4_quad(1 - h))) / (6.0 * h)
-    assert abs(sm.chi2_pdf(1.0, 4) - deriv) < 1e-8
+    assert abs(chi2_pdf(1.0, 4) - deriv) < 1e-8
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 40])
 def test_chi2_pdf_normalizes(k):
-    total, _ = quad(sm.chi2_pdf, 0.0, np.inf, args=(k,), limit=200)
+    total, _ = quad(chi2_pdf, 0.0, np.inf, args=(k,), limit=200)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_chi2_pdf_domain_errors():
     with pytest.raises(ValueError):
-        sm.chi2_pdf(-0.5, 3)
+        chi2_pdf(-0.5, 3)
     with pytest.raises(ValueError):
-        sm.chi2_pdf(1.0, 0)
+        chi2_pdf(1.0, 0)
+
+
+def noncentral_chi2_pdf(x, k, lam):
+    """Noncentral chi-square density as the Poisson(lam/2) mixture of central
+    densities, with the library's mixture weights."""
+    j0, w = poisson_weights(0.5 * lam)
+    return sum(wi * chi2_pdf(x, k + 2 * (j0 + i)) for i, wi in enumerate(w))
 
 
 def test_noncentral_reduces_to_central():
+    assert poisson_weights(0.0) == (0, pytest.approx([1.0]))
     xs = np.linspace(0.01, 30.0, 40)
-    assert np.allclose(sm.noncentral_chi2_pdf(xs, 5, 0.0), sm.chi2_pdf(xs, 5), rtol=1e-13)
+    assert np.allclose(noncentral_chi2_pdf(xs, 5, 0.0), chi2_pdf(xs, 5), rtol=1e-13)
 
 
 @pytest.mark.parametrize("k,lam", [(5, 2.0), (3, 0.4), (8, 25.0)])
 def test_noncentral_pdf_normalizes(k, lam):
-    total, _ = quad(lambda x: sm.noncentral_chi2_pdf(x, k, lam), 0.0, np.inf, limit=300)
+    total, _ = quad(lambda x: noncentral_chi2_pdf(x, k, lam), 0.0, np.inf, limit=300)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -56,7 +66,7 @@ def test_noncentral_pdf_matches_sampling():
     draws = ((theta + g.standard_normal((n_draws, k))) ** 2).sum(axis=1)
     lo, hi = 2.95, 3.05
     p_hat = np.mean((draws >= lo) & (draws < hi))
-    p_bin, _ = quad(lambda x: sm.noncentral_chi2_pdf(x, k, lam), lo, hi, epsabs=1e-12)
+    p_bin, _ = quad(lambda x: noncentral_chi2_pdf(x, k, lam), lo, hi, epsabs=1e-12)
     se = np.sqrt(p_bin * (1 - p_bin) / n_draws)
     assert abs(p_hat - p_bin) < 3.0 * se
 
@@ -64,12 +74,12 @@ def test_noncentral_pdf_matches_sampling():
 @pytest.mark.parametrize("x,k,lam", [(3.0, 5, 0.5), (3.0, 5, 2.0), (12.0, 4, 50.0),
                                      (600.0, 6, 500.0), (0.3, 3, 9.0)])
 def test_noncentral_truncation_loss_bounded(x, k, lam):
-    # The stopping rule must not discard more than 1e-12 of the mixture
+    # The weight window must not discard more than 1e-12 of the mixture
     # mass relative to the full sum (bounded by the Poisson tail). The
-    # reference extends the summation far past where the rule stops.
+    # reference extends the summation far past where the window ends.
     from scipy.special import gammaln
 
-    compact = sm.noncentral_chi2_pdf(x, k, lam)
+    compact = noncentral_chi2_pdf(x, k, lam)
     log_half = np.log(0.5 * lam)
     j_hi = int(0.5 * lam) + max(200, int(20 * np.sqrt(lam) + 50))
     js = np.arange(0, j_hi)
@@ -78,6 +88,40 @@ def test_noncentral_truncation_loss_bounded(x, k, lam):
                  + (half - 1.0) * np.log(x) - 0.5 * x - half * np.log(2.0) - gammaln(half))
     reference = float(np.exp(log_terms).sum())
     assert abs(compact - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize("mean", [1e-9, 0.3, 7.5, 250.0, 5e5])
+def test_poisson_weights_moments_and_width(mean):
+    # A Poisson law has mean and variance both equal to its parameter, and
+    # the window holds O(sqrt(mean)) terms, so mean 5e5 (lam = 1e6) stays
+    # a few thousand terms.
+    j0, w = poisson_weights(mean)
+    j = j0 + np.arange(len(w))
+    assert w.sum() == pytest.approx(1.0, rel=1e-14)
+    assert float(w @ j) == pytest.approx(mean, rel=1e-12, abs=1e-15)
+    assert float(w @ (j - mean) ** 2) == pytest.approx(mean, rel=1e-9, abs=1e-15)
+    assert len(w) <= 20.0 * np.sqrt(mean) + 41
+
+
+@pytest.mark.parametrize("mean", [-0.5, np.nan, np.inf])
+def test_poisson_weights_rejects_bad_mean(mean):
+    with pytest.raises(ValueError):
+        poisson_weights(mean)
+
+
+@pytest.mark.parametrize("k,n,c", [(5, 5, 0.0), (7, 5, 0.4286), (12, 1, 0.5), (9, 10, 2.0)])
+def test_inverse_square_above_matches_quadrature(k, n, c):
+    # Oracle: direct quadrature of w^-2 against the chi-square ratio density.
+    val, _ = quad(lambda w: ratio_chi2_density(w, k, n) / (w * w), c, np.inf,
+                  epsabs=0.0, epsrel=1e-12, limit=400)
+    assert ratio_inverse_square_above(k, n, c) == pytest.approx(val, rel=1e-9)
+
+
+def test_inverse_square_above_domain_errors():
+    with pytest.raises(ValueError):
+        ratio_inverse_square_above(4, 5, 0.0)
+    with pytest.raises(ValueError):
+        ratio_inverse_square_above(6, 5, -1.0)
 
 
 def test_f_quantile_median_symmetry():
@@ -107,24 +151,6 @@ def test_f_quantile_domain_errors():
         sm.f_quantile(0.5, 0, 5)
 
 
-def test_normal_sampler_moments_and_determinism():
-    dims = sm.ProblemDims(5, 5)
-    theta = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-    n_draws = 200_000
-    first = np.empty(n_draws)
-    for i in range(n_draws):
-        first[i] = sm.sample_normal_vector(dims, theta, 1.0, sm.RngStream(7, i))[0]
-    # 4 MC standard errors at this sample size.
-    assert abs(first.mean() - 2.0) < 4.0 / np.sqrt(n_draws)
-    assert abs(first.var(ddof=1) - 1.0) < 4.0 * np.sqrt(2.0 / n_draws)
-    # Same stream key: bit-identical vector. Different key: different draw.
-    a = sm.sample_normal_vector(dims, theta, 1.0, sm.RngStream(7, 3))
-    b = sm.sample_normal_vector(dims, theta, 1.0, sm.RngStream(7, 3))
-    c = sm.sample_normal_vector(dims, theta, 1.0, sm.RngStream(7, 4))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_normal_sampler_batch_scale_moments():
     # The op draws from a Philox stream; at the 1e6 scale the stream's
     # batched output must satisfy the tight law-of-large-numbers bounds.
@@ -134,30 +160,8 @@ def test_normal_sampler_batch_scale_moments():
     assert abs(coords.var(ddof=1) - 1.0) < 0.006
 
 
-def test_chi2_sampler_moments():
-    n_draws = 200_000
-    draws = np.empty(n_draws)
-    for i in range(n_draws):
-        draws[i] = sm.sample_chi2(5, 1.0, sm.RngStream(9, i))
-    se = np.sqrt(10.0 / n_draws)
-    assert abs(draws.mean() - 5.0) < 4.0 * se
-    # Scaling: sigma2 = 4 multiplies the draw exactly.
-    assert sm.sample_chi2(5, 4.0, sm.RngStream(9, 0)) == pytest.approx(4.0 * draws[0], rel=1e-12)
-    assert sm.sample_chi2(5, 1.0, sm.RngStream(9, 1)) == draws[1]
-
-
 def test_chi2_sampler_batch_scale_moments():
     g = sm.RngStream(13).generator()
     draws = g.chisquare(5, 10 ** 6)
     assert abs(draws.mean() - 5.0) < 0.02
     assert abs(4.0 * draws.mean() - 20.0) < 0.08
-
-
-def test_sampler_validation():
-    dims = sm.ProblemDims(5, 5)
-    with pytest.raises(ValueError):
-        sm.sample_normal_vector(dims, np.zeros(4), 1.0, sm.RngStream(0))
-    with pytest.raises(ValueError):
-        sm.sample_normal_vector(dims, np.zeros(5), 0.0, sm.RngStream(0))
-    with pytest.raises(ValueError):
-        sm.sample_chi2(0, 1.0, sm.RngStream(0))

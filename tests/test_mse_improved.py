@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import js_plus_alpha_quad, quadratic_root, ratio_mean_monte_carlo
+from _oracles import (js_plus_alpha_quad, quadratic_root, ratio_mean_monte_carlo,
+                      true_risk_monte_carlo)
 
 K = sm.MseEstimatorKind
 DIMS = sm.ProblemDims(5, 5)
@@ -61,7 +62,7 @@ class TestAlpha:
 
     def test_monte_carlo_matches_quadrature_oracle(self):
         # alpha is p minus the risk at zero signal.
-        risk, se = sm.true_risk(PP, DIMS, 0.0, 400_000, sm.RngStream(32))
+        risk, se = true_risk_monte_carlo(PP, DIMS, 0.0, 400_000, sm.RngStream(32).generator())
         assert abs(DIMS.p - risk - js_plus_alpha_quad(5, 5)) < 4.0 * se
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 1), (5, 2), (5, 5), (10, 10)])
@@ -207,7 +208,7 @@ class TestTruncationBand:
         # dominates max(0, unbiased) as well.
         assert sm.truncation_band_nonempty(JS, DIMS)
         for li, lam in enumerate((0.0, 2.0, 8.0)):
-            risk_true, _ = sm.true_risk(JS, DIMS, lam, 300_000, sm.RngStream(35, li))
+            risk_true = sm.true_risk(JS, DIMS, lam)
             g = sm.RngStream(36, li).generator()
             reps = 50_000
             theta = np.sqrt(lam / DIMS.p) * np.ones(DIMS.p)

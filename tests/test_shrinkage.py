@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinmse as sm
+from _oracles import mse_matrix_monte_carlo, true_risk_monte_carlo
+
+TABLE_DIMS = ((5, 5), (10, 5), (5, 10), (10, 10))
 
 
 def _zero_family():
@@ -109,48 +114,81 @@ def test_canonicalize_rejects_rank_deficiency():
 
 def test_true_risk_zero_phi_is_exact():
     dims = sm.ProblemDims(5, 5)
-    risk, stderr = sm.true_risk(_zero_family(), dims, 3.0, 500, sm.RngStream(5))
-    assert risk == 5.0
-    assert stderr == 0.0
+    assert sm.true_risk(_zero_family(), dims, 3.0) == 5.0
+    # h = 1 everywhere: M = I, up to the 1e-10 quadrature tolerance.
+    assert sm.true_mse_matrix(_zero_family(), dims, 3.0) == pytest.approx((1.0, 0.0), abs=1e-10)
 
 
 def test_true_risk_vanishes_at_large_signal():
     dims = sm.ProblemDims(5, 5)
     fam = sm.ShrinkageFamily.james_stein(dims)
-    risk, stderr = sm.true_risk(fam, dims, 1e6, 50_000, sm.RngStream(6))
-    assert abs(risk - 5.0) < 3.0 * stderr + 1e-4
+    risk = sm.true_risk(fam, dims, 1e6)
+    assert 5.0 - 1e-4 < risk < 5.0
 
 
 def test_true_risk_zero_signal_closed_form():
     # At zero signal the James-Stein risk is p - n(p-2)/(n+2) = 20/7.
     dims = sm.ProblemDims(5, 5)
     fam = sm.ShrinkageFamily.james_stein(dims)
-    risk, stderr = sm.true_risk(fam, dims, 0.0, 400_000, sm.RngStream(7))
-    assert abs(risk - 20.0 / 7.0) < 3.0 * stderr
+    assert sm.true_risk(fam, dims, 0.0) == pytest.approx(20.0 / 7.0, rel=1e-15)
 
 
 def test_james_stein_dominates_on_grid():
     dims = sm.ProblemDims(5, 5)
     fam = sm.ShrinkageFamily.james_stein(dims)
-    for i, lam in enumerate((0.0, 1.0, 4.0, 10.0, 30.0)):
-        risk, stderr = sm.true_risk(fam, dims, lam, 100_000, sm.RngStream(8, i))
-        assert risk < dims.p + 3.0 * stderr
+    for lam in (0.0, 1.0, 4.0, 10.0, 30.0):
+        assert sm.true_risk(fam, dims, lam) < dims.p
 
 
-def test_true_risk_deterministic_in_stream():
+@pytest.mark.parametrize("p,n", TABLE_DIMS + ((3, 1),))
+def test_true_risk_at_zero_is_p_minus_alpha(p, n):
+    dims = sm.ProblemDims(p, n)
+    for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
+        assert sm.true_risk(fam, dims, 0.0) == p - sm.alpha_pn(fam, dims)
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_truth_rejects_bad_noncentrality(lam):
     dims = sm.ProblemDims(5, 5)
     fam = sm.ShrinkageFamily.positive_part(dims)
-    a = sm.true_risk(fam, dims, 2.0, 10_000, sm.RngStream(9))
-    b = sm.true_risk(fam, dims, 2.0, 10_000, sm.RngStream(9))
-    assert a == b
+    with pytest.raises(ValueError):
+        sm.true_risk(fam, dims, lam)
+    with pytest.raises(ValueError):
+        sm.true_mse_matrix(fam, dims, lam)
 
 
-def test_true_risk_single_rep_flags_stderr():
-    dims = sm.ProblemDims(5, 5)
-    fam = sm.ShrinkageFamily.james_stein(dims)
-    risk, stderr = sm.true_risk(fam, dims, 1.0, 1, sm.RngStream(10))
-    assert np.isfinite(risk)
-    assert np.isnan(stderr)
+@pytest.mark.parametrize("lam", [0.0, 5.0, 20.0])
+@pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+@pytest.mark.parametrize("p,n", TABLE_DIMS)
+def test_exact_truth_matches_monte_carlo_oracles(p, n, fam_name, lam):
+    # The dense Monte Carlo matrix is checked entry by entry against
+    # a I + b theta theta', the Monte Carlo risk against true_risk.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    gen = np.random.default_rng((p, n, len(fam_name), int(lam)))
+    reps = 100_000
+    risk, risk_se = true_risk_monte_carlo(fam, dims, lam, reps, gen)
+    assert abs(risk - sm.true_risk(fam, dims, lam)) < 4.0 * risk_se
+    theta = np.sqrt(lam / p) * np.ones(p)
+    mean, se = mse_matrix_monte_carlo(fam, theta, n, reps, gen)
+    a, b = sm.true_mse_matrix(fam, dims, lam)
+    exact = a * np.eye(p) + b * np.outer(theta, theta)
+    assert np.all(np.abs(mean - exact) < 4.0 * se)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=st.integers(3, 30), n=st.integers(1, 30), lam=st.floats(0.0, 200.0),
+       fam_name=st.sampled_from(["james-stein", "positive-part"]))
+def test_matrix_trace_is_scalar_risk(p, n, lam, fam_name):
+    # tr(a I + b theta theta') = p a + b lam is the scalar risk. The two
+    # sides share no moment formula. The scalar side takes E[W; W < c] from
+    # a hypergeometric series that is good to about 2e-12 relative at
+    # large odd n (4.5e-12 in the risk at p = 29, n = 27, lam = 0, against
+    # 1.6e-15 for the matrix side), hence 1e-11.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    a, b = sm.true_mse_matrix(fam, dims, lam)
+    assert p * a + b * lam == pytest.approx(sm.true_risk(fam, dims, lam), rel=1e-11)
 
 
 def test_family_from_name_aliases():
