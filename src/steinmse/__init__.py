@@ -22,8 +22,7 @@ from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
                         family_from_name, risk_reduction_integrand, shrink_factors,
                         true_mse_matrix, true_risk)
 from .umvue import (AxialMatrix, GFunctions, g_functions, g_transform,
-                    positive_part_branch_constants, umvue_mse, umvue_mse_at,
-                    umvue_mse_matrix, umvue_risk_reduction, umvue_risk_reduction_matrix)
+                    positive_part_branch_constants, umvue_mse, umvue_mse_matrix)
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "reproduce_tables", "risk_reduction_integrand", "run_coverage_curve",
     "run_matrix_risk_curve", "run_mse_risk_curve", "shrink_factors", "shrinkage_constants",
     "solve_w_pn", "solve_w_xi_eta", "true_mse_matrix", "true_risk",
-    "truncation_band_nonempty", "umvue_mse", "umvue_mse_at", "umvue_mse_matrix",
-    "umvue_risk_reduction", "umvue_risk_reduction_matrix", "write_plot_script",
+    "truncation_band_nonempty", "umvue_mse", "umvue_mse_matrix", "write_plot_script",
     "write_tables",
 ]

@@ -113,18 +113,6 @@ def _parse_lambdas(text: str) -> list:
     return list(np.arange(start, stop + 0.5 * step, step))
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("STEIN_PRECISION_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"STEIN_PRECISION_THREADS must be an integer, got {env!r}") from None
-    return 1
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -216,7 +204,6 @@ def _make_config(args, dims, kinds=None, matrix_kinds=None) -> ExperimentConfig:
         "reps": args.reps,
         "seed": args.seed,
         "families": (args.family,),
-        "threads": _threads(args),
     }
     if kinds is not None:
         kwargs["estimator_kinds"] = kinds
@@ -332,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--lambdas", default="0:30:1")
     risk.add_argument("--reps", type=int, default=100_000)
     risk.add_argument("--seed", type=int, required=True)
-    risk.add_argument("--threads", type=int, default=None)
     risk.add_argument("--out", default=None, help="output directory (default: stdout)")
     risk.set_defaults(func=_cmd_risk_curve)
 
@@ -345,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--lambdas", default="0:30:5")
     cov.add_argument("--reps", type=int, default=10_000)
     cov.add_argument("--seed", type=int, required=True)
-    cov.add_argument("--threads", type=int, default=None)
     cov.add_argument("--out", default=None, help="output directory (default: stdout)")
     cov.set_defaults(func=_cmd_coverage)
 

@@ -60,26 +60,21 @@ _VARIANT_MATRIX_KIND = {
 
 @dataclass(frozen=True)
 class ConfidenceSpec:
-    """Which confidence set to build and at what level.
-
-    Matrix-shaped variants are bound to their estimator kinds (C1 family
-    to the first truncated positive-definite construction, C2 family to
-    the second); passing a conflicting ``matrix_kind`` raises.
-    """
+    """Which confidence set to build and at what level."""
 
     variant: ConfidenceVariant
     level: float = 0.95
-    matrix_kind: MatrixEstimatorKind | None = None
 
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
             raise ValueError("confidence level must lie strictly inside (0, 1)")
-        bound = _VARIANT_MATRIX_KIND.get(self.variant)
-        if self.matrix_kind is None:
-            object.__setattr__(self, "matrix_kind", bound)
-        elif self.matrix_kind is not bound:
-            raise ValueError(f"variant {self.variant.value} is bound to {bound}, "
-                             f"got {self.matrix_kind}")
+
+    @property
+    def matrix_kind(self) -> MatrixEstimatorKind | None:
+        """The estimator kind the variant's shape comes from: the first
+        truncated positive-definite construction for the C1 family, the
+        second for the C2 family, None for the (S/n) I shape of C0 and C3."""
+        return _VARIANT_MATRIX_KIND.get(self.variant)
 
 
 @dataclass(frozen=True)

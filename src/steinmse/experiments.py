@@ -1,17 +1,17 @@
 """Monte Carlo drivers for risk and coverage curves, and the constants tables.
 
-Replications are drawn in fixed-size blocks, each block from its own
-counter-based stream, and block partials are reduced in block order. The
-block layout depends only on the configuration (never on the worker
-count), so rerunning with any number of threads yields bit-identical
-tables. Competing estimators are always evaluated on the same draws
-(paired design), which makes dominance comparisons sharp at modest
-replication counts. The risk curves score them against the exact truth,
-``true_risk`` and ``true_mse_matrix``, which involve no random draws, so
-the diff columns hold estimator noise alone.
+All three curves walk one grid, ``_grid``: dims x family x noncentrality,
+with replications drawn serially in fixed-size blocks, each block from its
+own counter-based stream, and block partials summed in block order. The
+block layout depends only on the configuration, so a rerun yields
+bit-identical tables. Competing estimators are always evaluated on the
+same draws (paired design), which makes dominance comparisons sharp at
+modest replication counts. The risk curves score them against the exact
+truth, ``true_risk`` and ``true_mse_matrix``, which involve no random
+draws, so the diff columns hold estimator noise alone.
 
 Coverage curves take every confidence-set quantity from the batch core in
-``confidence``; this module only draws the blocks and sums the results.
+``confidence``; they only score each block and sum the results.
 
 Tables serialize to CSV with a header row and 10-significant-digit
 numbers; ``write_tables`` also drops a metadata JSON and a plot script
@@ -25,7 +25,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ __all__ = [
     "default_confidence_variants",
 ]
 
-# Replications per stream; fixed so outputs never depend on worker count.
+# Replications per stream; fixed so outputs depend only on the configuration.
 BLOCK = 4096
 
 _DOMAIN_MSE_CURVE = 3
@@ -74,9 +73,10 @@ class ExperimentConfig:
     theta_direction: "equal" distributes the signal evenly over the
     coordinates, "first-axis" puts it all on the first one, or pass an
     explicit vector. Risks depend on theta only through the noncentrality,
-    which the direction-invariance test exploits. const_reps is ignored:
-    the shrinkage and matrix constants involve no random draws. It is
-    still accepted for configurations written when they did.
+    which the direction-invariance test exploits. threads and const_reps
+    are ignored: blocks run serially, and the shrinkage and matrix
+    constants involve no random draws. Both are still accepted for
+    configurations written when they mattered.
     """
 
     dims_list: tuple = (ProblemDims(5, 5),)
@@ -114,7 +114,6 @@ class ExperimentConfig:
             "matrix_kinds": [k.value for k in self.matrix_kinds],
             "theta_direction": (self.theta_direction if isinstance(self.theta_direction, str)
                                 else list(np.asarray(self.theta_direction, dtype=float))),
-            "threads": self.threads,
         }
 
 
@@ -205,16 +204,9 @@ def _direction(cfg: ExperimentConfig, p: int) -> np.ndarray:
     return vec / norm
 
 
-def _map_blocks(fn, nblocks: int, threads: int) -> list:
-    if threads <= 1 or nblocks <= 1:
-        return [fn(i) for i in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(nblocks)))
-
-
 def _block_sizes(reps: int):
     nblocks = (reps + BLOCK - 1) // BLOCK
-    return nblocks, [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
+    return [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
 
 
 def _draw_block(stream: RngStream, m: int, theta: np.ndarray, n: int):
@@ -223,6 +215,37 @@ def _draw_block(stream: RngStream, m: int, theta: np.ndarray, n: int):
     s = g.chisquare(n, m)
     w = np.einsum("ij,ij->i", x, x) / s
     return x, s, w
+
+
+_GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam", "theta",
+                                       "block_sum"])
+
+
+def _grid(cfg: ExperimentConfig, domain: int, constants=None):
+    """Walk the dims x family x noncentrality grid of ``cfg`` in order.
+
+    ``constants(family_name, fam, dims)``, when given, supplies the
+    constants once per (dims, family). Each point carries ``block_sum(fn)``:
+    the sum of fn(x, s, w) over the point's blocks, each drawn from its own
+    stream of ``domain``, run serially and summed in block order.
+    """
+    sizes = _block_sizes(cfg.reps)
+    for di, dims in enumerate(cfg.dims_list):
+        for fi, fam_name in enumerate(cfg.families):
+            fam = family_from_name(fam_name, dims)
+            consts = None if constants is None else constants(fam_name, fam, dims)
+            direction = _direction(cfg, dims.p)
+            for li, lam in enumerate(cfg.lambda_grid):
+                theta = math.sqrt(lam) * direction
+
+                # The defaults pin this point's stream key and theta, so the
+                # function stays right after the walk moves on.
+                def block_sum(fn, key=(fi, di, li), theta=theta, n=dims.n):
+                    return np.sum(np.stack([
+                        fn(*_draw_block(_stream(cfg.seed, domain, *key, bi), m, theta, n))
+                        for bi, m in enumerate(sizes)]), axis=0)
+
+                yield _GridPoint(dims, fam_name, fam, consts, lam, theta, block_sum)
 
 
 def _mean_and_stderr(total: float, total_sq: float, m: int):
@@ -250,14 +273,15 @@ def _loss_stats(losses: list, base_idx):
     return out
 
 
-def _rows_from_stats(agg: np.ndarray, reps: int, kinds, dims, family, lam, rows: list):
+def _rows_from_stats(agg: np.ndarray, reps: int, kinds, pt: _GridPoint, rows: list):
     for ki, kind in enumerate(kinds):
         risk, stderr = _mean_and_stderr(agg[ki, 0], agg[ki, 1], reps)
         if np.isnan(agg[ki, 2]):
             dmean, dse = float("nan"), float("nan")
         else:
             dmean, dse = _mean_and_stderr(agg[ki, 2], agg[ki, 3], reps)
-        rows.append(RiskRow(dims.p, dims.n, family, lam, kind.value, risk, stderr, dmean, dse))
+        rows.append(RiskRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam, kind.value, risk, stderr,
+                            dmean, dse))
 
 
 def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
@@ -278,33 +302,24 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         base_idx = kinds.index(MseEstimatorKind.UMVUE)
     except ValueError:
         base_idx = None
+    constants = ((lambda _name, fam, dims: shrinkage_constants(fam, dims))
+                 if any(k.needs_constants for k in kinds) else None)
     rows: list = []
-    for di, dims in enumerate(cfg.dims_list):
-        p, n = dims.p, dims.n
-        for fi, fam_name in enumerate(cfg.families):
-            fam = family_from_name(fam_name, dims)
-            consts = shrinkage_constants(fam, dims) if any(
-                k.needs_constants for k in kinds) else None
-            direction = _direction(cfg, p)
-            for li, lam in enumerate(cfg.lambda_grid):
-                r_true = true_risk(fam, dims, lam)
-                target = r_true if loss == "mse" else p - r_true
-                theta = math.sqrt(lam) * direction
-                nblocks, sizes = _block_sizes(cfg.reps)
+    for pt in _grid(cfg, _DOMAIN_MSE_CURVE, constants):
+        p, n = pt.dims.p, pt.dims.n
+        r_true = true_risk(pt.fam, pt.dims, pt.lam)
+        target = r_true if loss == "mse" else p - r_true
 
-                def partial(bi: int) -> np.ndarray:
-                    _, s, w = _draw_block(
-                        _stream(cfg.seed, _DOMAIN_MSE_CURVE, fi, di, li, bi), sizes[bi], theta, n)
-                    losses = []
-                    for kind in kinds:
-                        est = np.asarray(estimate_mse_at(kind, w, s, fam, dims, consts))
-                        if loss == "reduction":
-                            est = p * s / n - est
-                        losses.append((est - target) ** 2)
-                    return _loss_stats(losses, base_idx)
+        def score(x, s, w):
+            losses = []
+            for kind in kinds:
+                est = np.asarray(estimate_mse_at(kind, w, s, pt.fam, pt.dims, pt.consts))
+                if loss == "reduction":
+                    est = p * s / n - est
+                losses.append((est - target) ** 2)
+            return _loss_stats(losses, base_idx)
 
-                agg = np.sum(np.stack(_map_blocks(partial, nblocks, cfg.threads)), axis=0)
-                _rows_from_stats(agg, cfg.reps, kinds, dims, fam_name, lam, rows)
+        _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
     meta = cfg.metadata()
     meta["loss"] = loss
     return RiskTable(loss, rows, meta)
@@ -315,6 +330,15 @@ def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
     tr_hat2 = s * s * ((p - 1.0) * l_perp * l_perp + l_axis * l_axis)
     tr_cross = s * (l_perp * tr_m + (l_axis - l_perp) * u_m_u)
     return tr_hat2 - 2.0 * tr_cross + tr_m2
+
+
+def _matrix_constants_from(consts_map: dict | None):
+    """The ``_grid`` constants hook: the precomputed entry when given."""
+    def constants(fam_name, fam, dims):
+        if consts_map is not None and (fam_name, dims) in consts_map:
+            return consts_map[(fam_name, dims)]
+        return matrix_constants(fam, dims)
+    return constants
 
 
 def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
@@ -336,49 +360,32 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
         base_idx = kinds.index(MatrixEstimatorKind.UMVUE)
     except ValueError:
         base_idx = None
+    constants = (_matrix_constants_from(consts_map)
+                 if any(k.needs_constants for k in kinds) else None)
     rows: list = []
-    for di, dims in enumerate(cfg.dims_list):
-        p, n = dims.p, dims.n
-        for fi, fam_name in enumerate(cfg.families):
-            fam = family_from_name(fam_name, dims)
-            consts = None
-            if any(k.needs_constants for k in kinds):
-                consts = _lookup_matrix_constants(fam_name, fam, dims, consts_map)
-            direction = _direction(cfg, p)
-            for li, lam in enumerate(cfg.lambda_grid):
-                a, b = true_mse_matrix(fam, dims, lam)
+    for pt in _grid(cfg, _DOMAIN_MATRIX_CURVE, constants):
+        p, n, lam, theta = pt.dims.p, pt.dims.n, pt.lam, pt.theta
+        a, b = true_mse_matrix(pt.fam, pt.dims, lam)
+        if loss == "reduction":
+            a, b = 1.0 - a, -b
+        tr_m = p * a + b * lam
+        tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
+
+        def score(x, s, w):
+            x_theta = x @ theta
+            u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
+            losses = []
+            for kind in kinds:
+                l_perp, l_axis = matrix_eigen_parts(kind, w, pt.fam, pt.dims, pt.consts)
                 if loss == "reduction":
-                    a, b = 1.0 - a, -b
-                tr_m = p * a + b * lam
-                tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
-                theta = math.sqrt(lam) * direction
-                nblocks, sizes = _block_sizes(cfg.reps)
+                    l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
+                losses.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
+            return _loss_stats(losses, base_idx)
 
-                def partial(bi: int) -> np.ndarray:
-                    x, s, w = _draw_block(
-                        _stream(cfg.seed, _DOMAIN_MATRIX_CURVE, fi, di, li, bi),
-                        sizes[bi], theta, n)
-                    x_theta = x @ theta
-                    u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
-                    losses = []
-                    for kind in kinds:
-                        l_perp, l_axis = matrix_eigen_parts(kind, w, fam, dims, consts)
-                        if loss == "reduction":
-                            l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
-                        losses.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
-                    return _loss_stats(losses, base_idx)
-
-                agg = np.sum(np.stack(_map_blocks(partial, nblocks, cfg.threads)), axis=0)
-                _rows_from_stats(agg, cfg.reps, kinds, dims, fam_name, lam, rows)
+        _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
     meta = cfg.metadata()
     meta["loss"] = loss
     return RiskTable(loss, rows, meta)
-
-
-def _lookup_matrix_constants(fam_name, fam, dims, consts_map):
-    if consts_map is not None and (fam_name, dims) in consts_map:
-        return consts_map[(fam_name, dims)]
-    return matrix_constants(fam, dims)
 
 
 def default_confidence_variants(level: float = 0.95) -> tuple:
@@ -396,41 +403,31 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     (nan when C0 is not among the variants).
     """
     variants = default_confidence_variants() if variants is None else tuple(variants)
+    constants = (_matrix_constants_from(consts_map)
+                 if any(v.matrix_kind is not None for v in variants) else None)
     rows: list = []
-    for di, dims in enumerate(cfg.dims_list):
-        p, n = dims.p, dims.n
-        for fi, fam_name in enumerate(cfg.families):
-            fam = family_from_name(fam_name, dims)
-            consts = None
-            if any(v.matrix_kind is not None for v in variants):
-                consts = _lookup_matrix_constants(fam_name, fam, dims, consts_map)
-            direction = _direction(cfg, p)
-            for li, lam in enumerate(cfg.lambda_grid):
-                theta = math.sqrt(lam) * direction
-                nblocks, sizes = _block_sizes(cfg.reps)
+    for pt in _grid(cfg, _DOMAIN_COVERAGE, constants):
 
-                def partial(bi: int) -> np.ndarray:
-                    x, s, w = _draw_block(
-                        _stream(cfg.seed, _DOMAIN_COVERAGE, fi, di, li, bi), sizes[bi], theta, n)
-                    delta = shrink_factors(fam, w)[:, None] * x
-                    out = np.empty((len(variants), 2))
-                    for vi, spec in enumerate(variants):
-                        geo = _set_geometry(x, s, w, delta, spec, fam, dims, consts, theta)
-                        out[vi, 0] = geo.covered.sum()
-                        out[vi, 1] = np.exp(geo.log_volume).sum()
-                    return out
+        def score(x, s, w):
+            delta = shrink_factors(pt.fam, w)[:, None] * x
+            out = np.empty((len(variants), 2))
+            for vi, spec in enumerate(variants):
+                geo = _set_geometry(x, s, w, delta, spec, pt.fam, pt.dims, pt.consts, pt.theta)
+                out[vi, 0] = geo.covered.sum()
+                out[vi, 1] = np.exp(geo.log_volume).sum()
+            return out
 
-                agg = np.sum(np.stack(_map_blocks(partial, nblocks, cfg.threads)), axis=0)
-                mean_vols = {variants[vi].variant: agg[vi, 1] / cfg.reps
-                             for vi in range(len(variants))}
-                c0_vol = mean_vols.get(ConfidenceVariant.C0)
-                for vi, spec in enumerate(variants):
-                    cov = agg[vi, 0] / cfg.reps
-                    se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
-                    vol = mean_vols[spec.variant]
-                    ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
-                    rows.append(CoverageRow(p, n, fam_name, lam, spec.variant.value,
-                                            cov, se, vol, ratio))
+        agg = pt.block_sum(score)
+        mean_vols = {variants[vi].variant: agg[vi, 1] / cfg.reps
+                     for vi in range(len(variants))}
+        c0_vol = mean_vols.get(ConfidenceVariant.C0)
+        for vi, spec in enumerate(variants):
+            cov = agg[vi, 0] / cfg.reps
+            se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
+            vol = mean_vols[spec.variant]
+            ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
+            rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
+                                    spec.variant.value, cov, se, vol, ratio))
     meta = cfg.metadata()
     meta["variants"] = [v.variant.value for v in variants]
     meta["levels"] = [v.level for v in variants]

@@ -29,10 +29,7 @@ __all__ = [
     "g_functions",
     "positive_part_branch_constants",
     "umvue_mse",
-    "umvue_mse_at",
     "umvue_mse_matrix",
-    "umvue_risk_reduction",
-    "umvue_risk_reduction_matrix",
 ]
 
 
@@ -244,23 +241,19 @@ def _positive_w(obs: Observation) -> float:
     return w
 
 
-def umvue_mse_at(w, s, fam: ShrinkageFamily, dims: ProblemDims):
-    """Unbiased risk estimate from (W, S) values; vectorized."""
-    gf = g_functions(fam, dims)
-    w = np.asarray(w, dtype=float)
-    s = np.asarray(s, dtype=float)
-    phi = np.asarray(fam.phi(w), dtype=float)
-    return dims.p * s / dims.n - s * np.asarray(gf.g(w), dtype=float) + s * phi * phi / w
-
-
 def umvue_mse(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> float:
     """Unbiased estimate of the rule's risk, pS/n - S g(W) + S phi^2(W)/W.
 
     Negative values are possible for small W; repairing that without
     giving up risk is exactly what the improved estimators are for.
+    ``estimate_mse_at`` with the UMVUE kind gives the same estimate for
+    arrays of (W, S) values.
     """
-    w = _positive_w(obs)
-    return float(umvue_mse_at(w, obs.s, fam, dims))
+    w = np.asarray(_positive_w(obs), dtype=float)
+    gf = g_functions(fam, dims)
+    s = np.asarray(obs.s, dtype=float)
+    phi = np.asarray(fam.phi(w), dtype=float)
+    return float(dims.p * s / dims.n - s * np.asarray(gf.g(w), dtype=float) + s * phi * phi / w)
 
 
 def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> AxialMatrix:
@@ -273,23 +266,5 @@ def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) 
     gf = g_functions(fam, dims)
     iso = 1.0 / dims.n - float(np.asarray(gf.g1(w), dtype=float))
     axial = float(np.asarray(gf.g3(w), dtype=float))
-    axis = obs.x / np.linalg.norm(obs.x)
-    return AxialMatrix(dims.p, obs.s, iso, axial, axis)
-
-
-def umvue_risk_reduction(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> float:
-    """Unbiased estimate of the risk reduction p sigma^2 - risk: pS/n minus
-    the unbiased risk estimate."""
-    return dims.p * obs.s / dims.n - umvue_mse(obs, fam, dims)
-
-
-def umvue_risk_reduction_matrix(obs: Observation, fam: ShrinkageFamily,
-                                dims: ProblemDims) -> AxialMatrix:
-    """Unbiased estimate of the matrix risk reduction (S/n) I minus the
-    matrix estimate: iso part g1(W), axial part -g3(W)."""
-    w = _positive_w(obs)
-    gf = g_functions(fam, dims)
-    iso = float(np.asarray(gf.g1(w), dtype=float))
-    axial = -float(np.asarray(gf.g3(w), dtype=float))
     axis = obs.x / np.linalg.norm(obs.x)
     return AxialMatrix(dims.p, obs.s, iso, axial, axis)

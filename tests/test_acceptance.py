@@ -180,7 +180,7 @@ def test_criterion_06_unbiasedness():
             x = theta + g.standard_normal((reps, D55.p))
             s = g.chisquare(D55.n, reps)
             w = np.einsum("ij,ij->i", x, x) / s
-            vals = np.asarray(sm.umvue_mse_at(w, s, fam, D55))
+            vals = np.asarray(sm.estimate_mse_at(K.UMVUE, w, s, fam, D55))
             se = vals.std(ddof=1) / np.sqrt(reps)
             sigma = abs(vals.mean() - risk) / se
             worst_sigma = max(worst_sigma, sigma)
@@ -253,8 +253,8 @@ def test_criterion_09_branch_continuity():
             left_v, right_v = float(fn(k)), float(fn(right))
             worst = max(worst, abs(left_v - right_v) / abs(right_v))
         # The scalar estimate itself is continuous across the kink.
-        left_mse = float(sm.umvue_mse_at(k, 1.0, fam, dims))
-        right_mse = float(sm.umvue_mse_at(right, 1.0, fam, dims))
+        left_mse = float(sm.estimate_mse_at(K.UMVUE, k, 1.0, fam, dims))
+        right_mse = float(sm.estimate_mse_at(K.UMVUE, right, 1.0, fam, dims))
         worst = max(worst, abs(left_mse - right_mse) / max(abs(right_mse), 1e-3))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 1.0

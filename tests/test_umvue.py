@@ -149,38 +149,6 @@ class TestUmvueMse:
             sm.umvue_mse(obs, JS, DIMS)
 
 
-class TestRiskReduction:
-    def test_complement_identity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            obs = sm.Observation(rng.standard_normal(5), float(rng.uniform(0.3, 4.0)))
-            total = sm.umvue_mse(obs, PP, DIMS) + sm.umvue_risk_reduction(obs, PP, DIMS)
-            assert total == pytest.approx(DIMS.p * obs.s / DIMS.n, rel=1e-12)
-
-    def test_js_example(self):
-        obs = sm.Observation([1.0, 0, 0, 0, 0], 1.0)
-        assert sm.umvue_risk_reduction(obs, JS, DIMS) == pytest.approx(9.0 / 49.0, rel=1e-12)
-
-    def test_matrix_components(self):
-        obs = sm.Observation([1.0, 0, 0, 0, 0], 1.0)
-        red = sm.umvue_risk_reduction_matrix(obs, JS, DIMS)
-        gf = sm.g_functions(JS, DIMS)
-        assert red.iso == pytest.approx(float(gf.g1(1.0)), rel=1e-14)
-        assert red.axial == pytest.approx(-float(gf.g3(1.0)), rel=1e-14)
-        # (S/n) I minus the reduction matrix recovers the matrix estimate.
-        mat = sm.umvue_mse_matrix(obs, JS, DIMS)
-        np.testing.assert_allclose(obs.s / DIMS.n * np.eye(5) - red.to_dense(),
-                                   mat.to_dense(), rtol=1e-12)
-
-    def test_zero_phi_reduction_vanishes(self):
-        obs = sm.Observation([1.0, 2.0, 0, 0.1, 0.5], 2.0)
-        fam = _zero_family()
-        assert sm.umvue_risk_reduction(obs, fam, DIMS) == pytest.approx(0.0, abs=1e-12)
-        red = sm.umvue_risk_reduction_matrix(obs, fam, DIMS)
-        assert red.iso == pytest.approx(0.0, abs=1e-12)
-        assert red.axial == pytest.approx(0.0, abs=1e-12)
-
-
 def test_unbiasedness_smoke():
     # The estimate's Monte Carlo mean tracks the exact risk; the sharp
     # version at 1e5 replications lives in the acceptance suite.
@@ -192,6 +160,6 @@ def test_unbiasedness_smoke():
     x = theta + g.standard_normal((reps, DIMS.p))
     s = g.chisquare(DIMS.n, reps)
     w = np.einsum("ij,ij->i", x, x) / s
-    vals = np.asarray(sm.umvue_mse_at(w, s, PP, DIMS))
+    vals = np.asarray(sm.estimate_mse_at(sm.MseEstimatorKind.UMVUE, w, s, PP, DIMS))
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - risk) < 4.0 * se
