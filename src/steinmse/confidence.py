@@ -20,11 +20,11 @@ unaffected by that convention.
 from __future__ import annotations
 
 import enum
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import f_quantile
 from .matrix_improved import MatrixConstants, MatrixEstimatorKind, matrix_eigen_parts
@@ -107,7 +107,7 @@ def _inv_quad(dd, t, l_perp, l_axis, s):
 
 def _log_volume(logdet, c, p):
     """Log of the volume ``ellipsoid_volume`` describes, from log |M|."""
-    return 0.5 * logdet + 0.5 * p * np.log(c * p * np.pi) - gammaln(0.5 * p + 1.0)
+    return 0.5 * logdet + 0.5 * p * np.log(c * p * np.pi) - math.lgamma(0.5 * p + 1.0)
 
 
 def quad_form_inv(m: AxialMatrix, d) -> float:

@@ -5,6 +5,7 @@ the library path it checks: elementary closed forms, direct quadrature,
 dense linear algebra, or exact moment identities for chi-square ratios.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
@@ -67,6 +68,36 @@ def ratio_chi2_density(w, p, n):
     """Density of U/V with U ~ chi^2_p, V ~ chi^2_n independent."""
     logc = gammaln(0.5 * (p + n)) - gammaln(0.5 * p) - gammaln(0.5 * n)
     return np.exp(logc + (0.5 * p - 1.0) * np.log(w) - 0.5 * (p + n) * np.log1p(w))
+
+
+def ratio_moments_mpmath(k, n, c, dps=40):
+    """(P(W < c), E[1/W; W > c], E[W; W < c], E[1/W^2; W > c]) for
+    W = chi^2_k / chi^2_n, in mpmath at ``dps`` digits; the last entry is
+    None for k <= 4.
+
+    With T = W/(1+W) ~ Beta(a, b), a = k/2, b = n/2, and x = c/(1+c): the
+    lower tail is x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x) and the
+    upper tail the same with a and b (and x and 1-x) swapped, both sums of
+    positive terms; E[W; W < c] is x^{a+1} 2F1(a+1, 2-b; a+2; x) /
+    ((a+1) B(a, b)).
+    """
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(k) / 2, mpmath.mpf(n) / 2
+        c = mpmath.mpf(c)
+        x = c / (1 + c)
+
+        def lower(a, b):
+            return (x ** a * (1 - x) ** b / (a * mpmath.beta(a, b))
+                    * mpmath.hyp2f1(a + b, 1, a + 1, x))
+
+        def upper(a, b):
+            return (x ** a * (1 - x) ** b / (b * mpmath.beta(a, b))
+                    * mpmath.hyp2f1(a + b, 1, b + 1, 1 - x))
+
+        w_below = (x ** (a + 1) * mpmath.hyp2f1(a + 1, 2 - b, a + 2, x)
+                   / ((a + 1) * mpmath.beta(a, b)))
+        inv2 = n * (n + 2) / mpmath.mpf((k - 2) * (k - 4)) * upper(a - 2, b + 2) if k > 4 else None
+        return lower(a, b), n / mpmath.mpf(k - 2) * upper(a - 1, b + 1), w_below, inv2
 
 
 def js_plus_alpha_quad(p, n):

@@ -229,26 +229,40 @@ def test_coverage_level_outside_unit_interval_is_usage_error(capsys, level):
     assert "--level" in capsys.readouterr().err
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh ``import steinmse.cli`` loads ``module``."""
+def _modules_after(code: str, *argv: str) -> list:
+    """Sorted names in ``sys.modules`` after a fresh interpreter runs ``code``
+    (with ``argv`` as its arguments) on the library sources."""
     import steinmse
     src = os.path.dirname(os.path.dirname(os.path.abspath(steinmse.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = f"import sys, steinmse.cli; print({module!r} in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code += "\nimport json, sys; sys.stderr.write('\\n' + json.dumps(sorted(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    return res.stdout.strip() == "True"
+    return json.loads(res.stderr.rsplit("\n", 1)[-1])
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    assert not _loaded_by_cli_import("scipy.integrate")
+def _scipy(modules) -> list:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_import_leaves_out_scipy():
+    for code in ("import steinmse", "import steinmse.cli"):
+        assert _scipy(_modules_after(code)) == [], code
+
+
+def test_estimate_with_every_constant_kind_leaves_out_scipy(x_csv):
+    # The closed-form constants, the F quantile and the volume all run on
+    # the library's own kernels.
+    code = "from steinmse.cli import main; main()"
+    loaded = _modules_after(code, "estimate", "--p", "5", "--n", "5", "--x", x_csv,
+                            "--s", "4.0", "--family", "js-plus", "--mse", "psi2-tr",
+                            "--matrix", "xi2-tr", "--confidence", "c2star")
+    assert _scipy(loaded) == []
 
 
 def test_import_leaves_out_the_thread_pool():
-    # scipy.special already loads concurrent.futures itself (through
-    # numpy.testing); the thread pool lives in concurrent.futures.thread.
-    assert not _loaded_by_cli_import("concurrent.futures.thread")
+    assert [m for m in _modules_after("import steinmse.cli") if m.startswith("concurrent")] == []
 
 
 def test_estimate_with_matrix_constants_writes_nothing_to_stderr(x_csv):

@@ -1,11 +1,18 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc, betaincc, betaln
 
 import steinmse as sm
 from _oracles import (chi2_cdf_df4_quad, chi2_pdf, f_quantile_by_quadrature,
-                      ratio_chi2_density)
-from steinmse.distributions import poisson_weights, ratio_inverse_square_above
+                      ratio_chi2_density, ratio_moments_mpmath)
+from steinmse.distributions import (_beta_fraction, _betainc_pair, poisson_weights,
+                                    ratio_inverse_square_above, ratio_partial_moments)
 
 
 def test_chi2_pdf_exponential_case():
@@ -165,3 +172,94 @@ def test_chi2_sampler_batch_scale_moments():
     draws = g.chisquare(5, 10 ** 6)
     assert abs(draws.mean() - 5.0) < 0.02
     assert abs(4.0 * draws.mean() - 20.0) < 0.08
+
+
+_KERNEL_ARGS = dict(a=st.floats(0.5, 300.0), b=st.floats(0.5, 50.0), x=st.floats(0.01, 0.99))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(**_KERNEL_ARGS)
+def test_betainc_pair_matches_scipy(a, b, x):
+    # Relative accuracy on both tails wherever the reference is not deep in
+    # underflow; the small tail is the one the fraction computes.
+    lower, upper = _betainc_pair(a, b, x)
+    for got, ref in ((lower, float(betainc(a, b, x))), (upper, float(betaincc(a, b, x)))):
+        if ref >= 1e-100:
+            assert got == pytest.approx(ref, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**_KERNEL_ARGS)
+def test_betainc_pair_complement_and_contiguous_relation(a, b, x):
+    # I + (1 - I) is one to the last bit, and, away from underflow,
+    # I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b)).
+    lower, upper = _betainc_pair(a, b, x)
+    assert abs(lower + upper - 1.0) <= 2.0 ** -52
+    if lower < 1e-100:
+        return
+    step = math.exp(a * math.log(x) + b * math.log1p(-x) - float(betaln(a, b))) / a
+    assert _betainc_pair(a + 1.0, b, x)[0] == pytest.approx(lower - step,
+                                                            abs=1e-12 * lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 5, 10, 29, 40])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 27, 30])
+def test_partial_moments_match_mpmath(p, n):
+    # The three partial moments and E[1/W^2; W > c] at the positive-part
+    # cut, for k = p + 2j across the j-scan, against 40-digit references.
+    c = (p - 2.0) / (n + 2.0)
+    for j in (0, 1, 3, 10, 50, 200):
+        k = p + 2 * j
+        ref = ratio_moments_mpmath(k, n, c)
+        inv2 = ratio_inverse_square_above(k, n, c) if k > 4 else None
+        got = ratio_partial_moments(k, n, c) + (inv2,)
+        for g, r in zip(got, ref):
+            if r is not None:
+                assert g == pytest.approx(float(r), rel=5e-13), (k, n)
+
+
+@pytest.mark.parametrize("c", [0.01, 0.3, 1.0, 4.0, 60.0])
+@pytest.mark.parametrize("k,n", [(3, 1), (5, 2), (6, 5), (12, 3), (41, 30)])
+def test_partial_moments_match_mpmath_on_both_sides_of_the_mean(k, n, c):
+    # Cuts far below and far above the mean of W, so that each tail is
+    # computed both directly and as a complement.
+    ref = ratio_moments_mpmath(k, n, c)
+    inv2 = ratio_inverse_square_above(k, n, c) if k > 4 else None
+    for g, r in zip(ratio_partial_moments(k, n, c) + (inv2,), ref):
+        if r is not None:
+            assert g == pytest.approx(float(r), rel=5e-13)
+
+
+def test_partial_moment_below_cut_at_large_odd_n():
+    # E[W; W < c] at (k, n) = (29, 27), c = 27/29, by 40-digit quadrature of
+    # w against the chi-square ratio density; the hypergeometric series once
+    # lost 12 digits here (1.8e-12 off).
+    k, n, c = 29, 27, 27.0 / 29.0
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(k) / 2, mpmath.mpf(n) / 2
+        density = lambda w: w ** (a - 1) / (1 + w) ** (a + b) / mpmath.beta(a, b)
+        ref = mpmath.quad(lambda w: w * density(w), [0, mpmath.mpf(c)])
+    assert ratio_partial_moments(k, n, c)[2] == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_fraction_and_series_that_do_not_converge_raise():
+    # At a = b = 1e15 the fraction needs far more steps than it may take,
+    # and at x = c/(1+c) = 1 - 1e-6 so does the n <= 2 series for
+    # E[W; W < c], whose terms shrink by a factor of about x.
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _beta_fraction(1e15, 1e15, 0.5)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        ratio_partial_moments(5, 1, 1e6)
+
+
+@pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+def test_partial_moments_reject_bad_cut(c):
+    with pytest.raises(ValueError):
+        ratio_partial_moments(5, 5, c)
+    with pytest.raises(ValueError):
+        ratio_inverse_square_above(6, 5, c)
+
+
+def test_partial_moments_reject_cut_where_x_rounds_to_one():
+    with pytest.raises(ValueError):
+        ratio_partial_moments(5, 5, 2.0 ** 53)

@@ -181,14 +181,13 @@ def test_exact_truth_matches_monte_carlo_oracles(p, n, fam_name, lam):
        fam_name=st.sampled_from(["james-stein", "positive-part"]))
 def test_matrix_trace_is_scalar_risk(p, n, lam, fam_name):
     # tr(a I + b theta theta') = p a + b lam is the scalar risk. The two
-    # sides share no moment formula. The scalar side takes E[W; W < c] from
-    # a hypergeometric series that is good to about 2e-12 relative at
-    # large odd n (4.5e-12 in the risk at p = 29, n = 27, lam = 0, against
-    # 1.6e-15 for the matrix side), hence 1e-11.
+    # sides share no moment formula: the scalar side uses E[W; W < c], the
+    # matrix side E[1/W^2; W > c]. Over the whole integer grid at
+    # lam in {0, 3, 50, 200} they agree to 6e-14.
     dims = sm.ProblemDims(p, n)
     fam = sm.family_from_name(fam_name, dims)
     a, b = sm.true_mse_matrix(fam, dims, lam)
-    assert p * a + b * lam == pytest.approx(sm.true_risk(fam, dims, lam), rel=1e-11)
+    assert p * a + b * lam == pytest.approx(sm.true_risk(fam, dims, lam), rel=1e-12)
 
 
 def test_family_from_name_aliases():
