@@ -254,7 +254,7 @@ def test_import_leaves_out_scipy():
 def test_estimate_with_every_constant_kind_leaves_out_scipy(x_csv):
     # The closed-form constants, the F quantile and the volume all run on
     # the library's own kernels.
-    code = "from steinmse.cli import main; main()"
+    code = "from steinmse.cli import main\nif main() != 0: raise SystemExit(1)"
     loaded = _modules_after(code, "estimate", "--p", "5", "--n", "5", "--x", x_csv,
                             "--s", "4.0", "--family", "js-plus", "--mse", "psi2-tr",
                             "--matrix", "xi2-tr", "--confidence", "c2star")

@@ -183,7 +183,7 @@ def test_matrix_trace_is_scalar_risk(p, n, lam, fam_name):
     # tr(a I + b theta theta') = p a + b lam is the scalar risk. The two
     # sides share no moment formula: the scalar side uses E[W; W < c], the
     # matrix side E[1/W^2; W > c]. Over the whole integer grid at
-    # lam in {0, 3, 50, 200} they agree to 6e-14.
+    # lam in {0, 3, 50, 200} they agree to 3.4e-14.
     dims = sm.ProblemDims(p, n)
     fam = sm.family_from_name(fam_name, dims)
     a, b = sm.true_mse_matrix(fam, dims, lam)
