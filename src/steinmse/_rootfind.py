@@ -5,12 +5,11 @@ from __future__ import annotations
 __all__ = ["bracketed_bisect"]
 
 
-def bracketed_bisect(f, lo: float, hi: float, tol: float = 1e-10,
-                     max_expand: int = 60, allow_no_root: bool = False):
+def bracketed_bisect(f, lo: float, hi: float, allow_no_root: bool = False):
     """Root of f on [lo, hi], expanding hi geometrically until f changes sign.
 
-    Bisects to an absolute width of ``tol``. If no sign change appears after
-    ``max_expand`` doublings, raises, or returns None when
+    Bisects to an absolute width of 1e-10. If no sign change appears after
+    60 doublings, raises, or returns None when
     ``allow_no_root`` is set (callers use None as an "equation never
     crosses" marker).
     """
@@ -18,16 +17,16 @@ def bracketed_bisect(f, lo: float, hi: float, tol: float = 1e-10,
     fhi = f(hi)
     if flo == 0.0:
         return lo
-    expansions = 0
-    while flo * fhi > 0 and expansions < max_expand:
+    for _ in range(60):
+        if flo * fhi <= 0:
+            break
         hi *= 2.0
         fhi = f(hi)
-        expansions += 1
     if flo * fhi > 0:
         if allow_no_root:
             return None
         raise RuntimeError(f"no sign change on [{lo:g}, {hi:g}]; cannot bracket a root")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:

@@ -24,8 +24,8 @@ from .experiments import (ExperimentConfig, reproduce_tables, run_coverage_curve
                           write_tables)
 from .matrix_improved import MatrixEstimatorKind, estimate_mse_matrix, matrix_constants
 from .mse_improved import MseEstimatorKind, estimate_mse, shrinkage_constants
-from .shrinkage import (Observation, ProblemDims, apply_estimator, canonicalize_regression,
-                        family_from_name)
+from .shrinkage import (Observation, ProblemDims, _family_kind, apply_estimator,
+                        canonicalize_regression, family_from_name)
 
 _MSE_KINDS = {k.value: k for k in MseEstimatorKind}
 _MATRIX_KINDS = {k.value: k for k in MatrixEstimatorKind}
@@ -36,6 +36,32 @@ _VARIANTS["c2star"] = ConfidenceVariant.C2_STAR
 
 class UsageError(Exception):
     """Bad flags or inputs; maps to exit code 2."""
+
+
+def _check_args(args) -> None:
+    """Reject flag values that no computation accepts, before any starts."""
+    flags = vars(args)
+    if "families" in flags:
+        names = flags["families"].split(",")
+    else:
+        names = [flags["family"]] if "family" in flags else []
+    try:
+        for name in names:
+            _family_kind(name)
+        if "p" in flags:
+            ProblemDims(args.p, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not flags.get("s", 1.0) > 0:
+        raise UsageError("--s must be positive")
+    if not 0.0 < flags.get("level", 0.5) < 1.0:
+        raise UsageError("--level must lie strictly inside (0, 1)")
+    if flags.get("j_max", 10) < 10:
+        raise UsageError("--j-max must be at least 10")
+    if flags.get("reps", 1) < 1:
+        raise UsageError("--reps must be at least 1")
+    if args.command in ("risk-curve", "coverage") and not 0 <= args.seed < 1 << 64:
+        raise UsageError("--seed must lie in [0, 2**64)")
 
 
 def _read_column(path: str) -> np.ndarray:
@@ -63,21 +89,11 @@ def _read_matrix(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _dims_or_usage(p: int, n: int) -> ProblemDims:
-    try:
-        return ProblemDims(p, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _spec_or_usage(name: str, level: float) -> ConfidenceSpec:
     variant = _VARIANTS.get(name.strip().lower())
     if variant is None:
         raise UsageError(f"unknown confidence variant {name!r}")
-    try:
-        return ConfidenceSpec(variant, level)
-    except ValueError as exc:
-        raise UsageError(f"--level: {exc}") from exc
+    return ConfidenceSpec(variant, level)
 
 
 def _parse_dims_list(text: str) -> list:
@@ -85,11 +101,9 @@ def _parse_dims_list(text: str) -> list:
     for part in text.split(","):
         try:
             p_str, n_str = part.lower().split("x")
-            out.append(_dims_or_usage(int(p_str), int(n_str)))
-        except (ValueError, UsageError) as exc:
-            if isinstance(exc, UsageError):
-                raise
-            raise UsageError(f"bad dims entry {part!r}; expected like 5x5") from exc
+            out.append(ProblemDims(int(p_str), int(n_str)))
+        except ValueError as exc:
+            raise UsageError(f"bad dims entry {part!r}; expected like 5x5 ({exc})") from exc
     return out
 
 
@@ -123,12 +137,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    dims = _dims_or_usage(args.p, args.n)
+    dims = ProblemDims(args.p, args.n)
     x = _read_column(args.x)
     if x.shape != (dims.p,):
         raise UsageError(f"data vector has length {x.shape[0]}, expected p={dims.p}")
-    if not args.s > 0:
-        raise UsageError("--s must be positive")
     fam = family_from_name(args.family, dims)
     obs = Observation(x, args.s)
     mse_kind = _MSE_KINDS[args.mse]
@@ -227,7 +239,7 @@ def _write_curve(table, out: str | None, name: str) -> None:
 
 
 def _cmd_risk_curve(args) -> int:
-    dims = _dims_or_usage(args.p, args.n)
+    dims = ProblemDims(args.p, args.n)
     if args.target == "mse":
         if args.loss == "matrix":
             raise UsageError("--loss matrix needs --target matrix")
@@ -250,7 +262,7 @@ def _cmd_risk_curve(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    dims = _dims_or_usage(args.p, args.n)
+    dims = ProblemDims(args.p, args.n)
     cfg = _make_config(args, dims)
     variants = tuple(_spec_or_usage(v, args.level) for v in args.variants.split(","))
     _write_curve(run_coverage_curve(cfg, variants), args.out, "coverage_curve")
@@ -346,6 +358,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,28 +123,16 @@ def quad_form_inv(m: AxialMatrix, d) -> float:
     return _inv_quad(float(d @ d), float(m.axis @ d), m.iso, m.iso + m.axial, m.scale)
 
 
-def ellipsoid_volume(m, c: float, dims: ProblemDims | None = None) -> float:
+def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
     """Volume of { theta : (center-theta)' M^{-1} (center-theta) / p <= c }.
 
-    ``m`` is an AxialMatrix, or a scalar s0 meaning M = s0 I (then ``dims``
-    supplies p). Equals |M|^{1/2} (c p pi)^{p/2} / Gamma(p/2 + 1), computed
-    in log space.
+    Equals |M|^{1/2} (c p pi)^{p/2} / Gamma(p/2 + 1) for the AxialMatrix
+    M, computed in log space.
     """
     if not c > 0:
         raise ValueError("quadratic radius must be positive")
-    if isinstance(m, AxialMatrix):
-        p = m.dim
-        _require_positive_definite(m, "ellipsoid volume")
-        logdet = m.logdet()
-    else:
-        if dims is None:
-            raise ValueError("dims is required when the shape is an isotropic scale")
-        p = dims.p
-        s0 = float(m)
-        if not s0 > 0:
-            raise ValueError("isotropic scale must be positive")
-        logdet = p * np.log(s0)
-    return float(np.exp(_log_volume(logdet, c, p)))
+    _require_positive_definite(m, "ellipsoid volume")
+    return float(np.exp(_log_volume(m.logdet(), c, m.dim)))
 
 
 _SetGeometry = namedtuple("_SetGeometry",

@@ -32,9 +32,6 @@ __all__ = [
     "ratio_expectation",
 ]
 
-_MASK64 = (1 << 64) - 1
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Immutable key (seed, stream_id) naming a counter-based random stream.
@@ -44,14 +41,21 @@ class RngStream:
     under one seed give statistically independent sequences (Philox keyed
     by the 128-bit concatenation), which makes results independent of
     thread scheduling: shard work by stream id, not by shared state.
+    Both fields must be integers in [0, 2**64), so no two keys alias.
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if int(value) != value or not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
+        key = (int(self.seed) << 64) | int(self.stream_id)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -388,10 +388,9 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     return RiskTable(loss, rows, meta)
 
 
-def default_confidence_variants(level: float = 0.95) -> tuple:
-    return tuple(ConfidenceSpec(v, level) for v in (
-        ConfidenceVariant.C0, ConfidenceVariant.C1, ConfidenceVariant.C2,
-        ConfidenceVariant.C3, ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR))
+def default_confidence_variants() -> tuple:
+    """Every confidence variant at the 95% level."""
+    return tuple(ConfidenceSpec(v) for v in ConfidenceVariant)
 
 
 def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
@@ -477,7 +476,7 @@ def reproduce_tables(dims_list, families=("james-stein", "positive-part"),
     }
 
 
-def write_tables(tables: dict, out_dir: str, metadata: dict | None = None) -> list:
+def write_tables(tables: dict, out_dir: str, metadata: dict) -> list:
     """Write each table as <name>.csv under out_dir, plus metadata.json."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -485,11 +484,10 @@ def write_tables(tables: dict, out_dir: str, metadata: dict | None = None) -> li
         path = os.path.join(out_dir, f"{name}.csv")
         table.write(path)
         written.append(path)
-    if metadata is not None:
-        meta_path = os.path.join(out_dir, "metadata.json")
-        with open(meta_path, "w") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True)
-        written.append(meta_path)
+    meta_path = os.path.join(out_dir, "metadata.json")
+    with open(meta_path, "w") as fh:
+        json.dump(metadata, fh, indent=2, sort_keys=True)
+    written.append(meta_path)
     return written
 
 

@@ -12,8 +12,7 @@ and l_axis = 1/n - g1 eta + g3. ``XI0_ETA0`` caps both factors at zero
 improving the complementary risk-reduction matrix and are strictly
 positive definite under certificates driven by the moment constant beta2.
 ``XI*_TR`` variants additionally clamp xi from below at the admissibility
-cap (printed with denominator n+p+1; the band condition uses n+p+2, so
-the constant is configurable).
+cap (1+W)/(n+p+1), the denominator printed in the truncation formulas.
 
 The moment curves behind beta1 and beta2 are closed forms (incomplete
 beta and hypergeometric functions) for the built-in James-Stein and
@@ -31,7 +30,7 @@ import numpy as np
 
 from ._rootfind import bracketed_bisect
 from .distributions import ratio_expectation, ratio_partial_moments
-from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily
+from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _require_dims_match
 from .umvue import AxialMatrix, g_functions
 
 __all__ = [
@@ -151,6 +150,7 @@ def _beta_j_closed_form(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: 
     b(W) = (n-2)W; above it phi/W = c/W and b(W) = (4c + (n+2)c^2)/W. The
     James-Stein rule is the upper branch everywhere, a cut at zero.
     """
+    _require_dims_match(fam, dims)
     p, n, c = dims.p, dims.n, dims.shrink_constant
     k = p + 2 * j
     cut = c if fam.kind is FamilyKind.POSITIVE_PART else 0.0
@@ -231,8 +231,8 @@ def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
         g3 = float(np.asarray(gf.g3(w), dtype=float))
         return (g3 + (1.0 + w) * c) / g1 - 1.0
 
-    w_xi = bracketed_bisect(q_xi, 1e-8, 1.0, tol=1e-10, allow_no_root=True)
-    w_eta = bracketed_bisect(q_eta, 1e-8, 1.0, tol=1e-10, allow_no_root=True)
+    w_xi = bracketed_bisect(q_xi, 1e-8, 1.0, allow_no_root=True)
+    w_eta = bracketed_bisect(q_eta, 1e-8, 1.0, allow_no_root=True)
     return w_xi, w_eta
 
 
@@ -264,8 +264,7 @@ def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
 
 
 def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims: ProblemDims,
-                       consts: MatrixConstants | None = None,
-                       cap_denominator: int | None = None):
+                       consts: MatrixConstants | None = None):
     """Eigenvalue factors (l_perp, l_axis) of the chosen matrix estimate.
 
     The estimate is S (l_perp I + (l_axis - l_perp) u u'): l_perp has
@@ -274,17 +273,15 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
     factors (1/n - g1 xi resp. 1/n - g1 eta + g3), which is algebraically
     identical and makes the clamp values (0 for the nonnegative
     construction, the positive floors for the others) exact in floating
-    point. ``cap_denominator`` overrides the n+p+1 constant printed in
-    the truncation formulas (the admissibility band uses n+p+2; both
-    conventions are exposed on purpose).
+    point. The truncated kinds cap l_perp at (1+W)/(n+p+1), the constant
+    printed in the truncation formulas.
     """
     w = np.asarray(w, dtype=float)
     p, n = dims.p, dims.n
     gf = g_functions(fam, dims)
     g1 = np.asarray(gf.g1(w), dtype=float)
     g3 = np.asarray(gf.g3(w), dtype=float)
-    denom = float(cap_denominator) if cap_denominator else n + p + 1.0
-    upper_cap = (1.0 + w) / denom  # l_perp value forced by the xi truncation
+    upper_cap = (1.0 + w) / (n + p + 1.0)  # l_perp value forced by the xi truncation
 
     if kind is MatrixEstimatorKind.UMVUE:
         l_perp = 1.0 / n - g1
@@ -319,13 +316,12 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
 
 
 def estimate_mse_matrix(kind: MatrixEstimatorKind, obs: Observation, fam: ShrinkageFamily,
-                        dims: ProblemDims, consts: MatrixConstants | None = None,
-                        cap_denominator: int | None = None) -> AxialMatrix:
+                        dims: ProblemDims, consts: MatrixConstants | None = None) -> AxialMatrix:
     """MSE-matrix estimate of the requested kind as an AxialMatrix."""
     w = obs.w
     if not w > 0:
         raise ValueError("W must be positive")
-    l_perp, l_axis = matrix_eigen_parts(kind, w, fam, dims, consts, cap_denominator)
+    l_perp, l_axis = matrix_eigen_parts(kind, w, fam, dims, consts)
     l_perp = float(l_perp)
     l_axis = float(l_axis)
     axis = obs.x / np.linalg.norm(obs.x)
@@ -333,8 +329,7 @@ def estimate_mse_matrix(kind: MatrixEstimatorKind, obs: Observation, fam: Shrink
 
 
 def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,
-                                dims: ProblemDims, consts: MatrixConstants,
-                                grid=None) -> bool:
+                                dims: ProblemDims, consts: MatrixConstants) -> bool:
     """Analytic sufficient conditions for strict positive definiteness.
 
     When the eta scaling is identically one (None root), the axis factor is
@@ -343,12 +338,11 @@ def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,
     if not kind.needs_constants:
         return False
     n = dims.n
-    if grid is None:
-        grid = np.geomspace(1e-6, 1e6, 2001)
 
     def eta_side_ok() -> bool:
         if consts.w_eta is not None:
             return consts.gamma_eta < 1.0
+        grid = np.geomspace(1e-6, 1e6, 2001)
         gf = g_functions(fam, dims)
         g1 = np.asarray(gf.g1(grid), dtype=float)
         g3 = np.asarray(gf.g3(grid), dtype=float)

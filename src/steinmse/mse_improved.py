@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_bisect
-from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean
+from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean,
+                        _require_dims_match)
 from .umvue import g_functions
 
 __all__ = [
@@ -112,6 +113,7 @@ def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:
     if not 0.0 < alpha < p:
         raise ValueError(f"alpha must lie in (0, p); got {alpha!r}")
     if fam.kind is FamilyKind.JAMES_STEIN:
+        _require_dims_match(fam, dims)
         c = (n + p + 2.0) * (p - 2.0) / (n * (n + 2.0))
         return 0.5 * (np.sqrt(1.0 + 4.0 * c) - 1.0)
     target = p * (n + p + 2.0) / (n * alpha)
@@ -119,7 +121,7 @@ def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:
     def f(w: float) -> float:
         return (1.0 + w) / float(a_of_w(fam, dims, w)) - target
 
-    return bracketed_bisect(f, 1e-8, (p + 2.0) / n + 10.0, tol=1e-10)
+    return bracketed_bisect(f, 1e-8, (p + 2.0) / n + 10.0)
 
 
 def gamma_pn(dims: ProblemDims, w_pn: float) -> float:
@@ -183,7 +185,7 @@ def psi1_positive_certified(consts: ShrinkageConstants, dims: ProblemDims) -> bo
     return consts.gamma * consts.alpha < dims.p
 
 
-def truncation_band_nonempty(fam: ShrinkageFamily, dims: ProblemDims, grid=None) -> bool:
+def truncation_band_nonempty(fam: ShrinkageFamily, dims: ProblemDims) -> bool:
     """Whether some W satisfies (1/a(W))(1 - n(1+W)/(n+p+2)) >= 1.
 
     On that set the upper cap strictly binds below the zero-truncated
@@ -192,8 +194,7 @@ def truncation_band_nonempty(fam: ShrinkageFamily, dims: ProblemDims, grid=None)
     hold (it forces n(1+W) < n+p+2, so W < (p+2)/n).
     """
     p, n = dims.p, dims.n
-    if grid is None:
-        grid = np.linspace(1e-4, (p + 2.0) / n, 4001)
+    grid = np.linspace(1e-4, (p + 2.0) / n, 4001)
     a = np.asarray(a_of_w(fam, dims, grid), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs = (1.0 - n * (1.0 + grid) / (n + p + 2.0)) / a

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -100,7 +101,7 @@ class ShrinkageFamily:
 
     Both callables must stay finite on W >= 0; the built-in constructors
     return vectorized callables and custom ones should accept numpy arrays
-    too. The continuity flags declare what the unbiased-estimation
+    too. ``phi_continuous`` declares what the unbiased-estimation
     machinery may rely on: the general (quadrature) path requires a
     continuous phi, while the built-in positive-part rule carries its own
     branch constants for the kink.
@@ -110,7 +111,6 @@ class ShrinkageFamily:
     phi: Callable
     phi_prime: Callable
     phi_continuous: bool = True
-    phi_prime_continuous: bool = True
     label: str = "custom"
 
     @property
@@ -127,7 +127,7 @@ class ShrinkageFamily:
         def phi_prime(w):
             return np.zeros(np.shape(w)) if np.ndim(w) else 0.0
 
-        return ShrinkageFamily(FamilyKind.JAMES_STEIN, phi, phi_prime, True, True, "james-stein")
+        return ShrinkageFamily(FamilyKind.JAMES_STEIN, phi, phi_prime, True, "james-stein")
 
     @staticmethod
     def positive_part(dims: ProblemDims) -> "ShrinkageFamily":
@@ -143,11 +143,11 @@ class ShrinkageFamily:
                 return np.where(np.asarray(w, dtype=float) < k, 1.0, 0.0)
             return 1.0 if w < k else 0.0
 
-        return ShrinkageFamily(FamilyKind.POSITIVE_PART, phi, phi_prime, True, False, "positive-part")
+        return ShrinkageFamily(FamilyKind.POSITIVE_PART, phi, phi_prime, True, "positive-part")
 
     @staticmethod
-    def custom(phi, phi_prime, phi_continuous=True, phi_prime_continuous=True, label="custom"):
-        return ShrinkageFamily(FamilyKind.CUSTOM, phi, phi_prime, phi_continuous, phi_prime_continuous, label)
+    def custom(phi, phi_prime, phi_continuous=True, label="custom"):
+        return ShrinkageFamily(FamilyKind.CUSTOM, phi, phi_prime, phi_continuous, label)
 
 
 _FAMILY_ALIASES = {
@@ -161,13 +161,17 @@ _FAMILY_ALIASES = {
 }
 
 
-def family_from_name(name: str, dims: ProblemDims) -> ShrinkageFamily:
-    """Build a built-in family from a CLI / config alias."""
+def _family_kind(name: str) -> FamilyKind:
+    """The built-in family a CLI / config alias names; ValueError if none."""
     try:
-        kind = _FAMILY_ALIASES[name.strip().lower()]
+        return _FAMILY_ALIASES[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_ALIASES)}") from None
-    if kind is FamilyKind.JAMES_STEIN:
+
+
+def family_from_name(name: str, dims: ProblemDims) -> ShrinkageFamily:
+    """Build a built-in family from a CLI / config alias."""
+    if _family_kind(name) is FamilyKind.JAMES_STEIN:
         return ShrinkageFamily.james_stein(dims)
     return ShrinkageFamily.positive_part(dims)
 
@@ -247,6 +251,14 @@ def risk_reduction_integrand(fam: ShrinkageFamily, dims: ProblemDims, w) -> np.n
     return 2.0 * (p - 2.0) * phi / w - (n + 2.0) * phi * phi / w + 4.0 * dphi + 4.0 * phi * dphi
 
 
+# Cached because the constants scans call it once per moment.
+@lru_cache(maxsize=128)
+def _require_dims_match(fam: ShrinkageFamily, dims: ProblemDims) -> None:
+    """Reject a built-in family whose phi is the rule of dims other than ``dims``."""
+    if fam.has_closed_forms and float(fam.phi(np.inf)) != dims.shrink_constant:
+        raise ValueError(f"this {fam.label} family was built for other dims than {dims}")
+
+
 def _reduction_mean(fam: ShrinkageFamily, dims: ProblemDims, k: int) -> float:
     """Mean of ``risk_reduction_integrand`` over W = U/V, U ~ chi^2_k, V ~ chi^2_n.
 
@@ -256,6 +268,7 @@ def _reduction_mean(fam: ShrinkageFamily, dims: ProblemDims, k: int) -> float:
     2p - (n-2)W below and c(p-2)/W above. Custom families get one
     quadrature (``ratio_expectation``).
     """
+    _require_dims_match(fam, dims)
     p, n = dims.p, dims.n
     if fam.kind is FamilyKind.JAMES_STEIN:
         return n * (p - 2.0) / (n + 2.0) * ((p - 2.0) / (k - 2.0))
@@ -276,6 +289,7 @@ def _shrink_factor_moments(fam: ShrinkageFamily, dims: ProblemDims, k: int):
     if not fam.has_closed_forms:
         return (ratio_expectation(lambda w: shrink_factors(fam, w), k, dims.n),
                 ratio_expectation(lambda w: shrink_factors(fam, w) ** 2, k, dims.n))
+    _require_dims_match(fam, dims)
     c = dims.shrink_constant
     cut = c if fam.kind is FamilyKind.POSITIVE_PART else 0.0
     below, inv_above, _ = ratio_partial_moments(k, dims.n, cut)

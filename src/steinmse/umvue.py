@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily
+from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _require_dims_match
 
 __all__ = [
     "AxialMatrix",
@@ -87,9 +87,6 @@ class AxialMatrix:
     def is_positive_definite(self) -> bool:
         return self.iso_eigenvalue > 0 and self.axis_eigenvalue > 0
 
-    def det(self) -> float:
-        return self.iso_eigenvalue ** (self.dim - 1) * self.axis_eigenvalue
-
     def logdet(self) -> float:
         if not self.is_positive_definite:
             raise ValueError("log-determinant requires a positive definite matrix")
@@ -115,16 +112,15 @@ class GFunctions:
     g: Callable
 
 
-def g_transform(h, dims: ProblemDims, w: float, c0: float = 0.0, breakpoints=()) -> float:
-    """Tail transform g(w) = w^{n/2} ( int_w^inf t^{-n/2-1} h(t) dt + c0 ).
+def g_transform(h, dims: ProblemDims, w: float, breakpoints=()) -> float:
+    """Tail transform g(w) = w^{n/2} int_w^inf t^{-n/2-1} h(t) dt.
 
     The infinite tail is mapped onto (0, 1] by t = w/v and integrated with
     adaptive Gauss-Kronrod quadrature (relative error target 1e-9).
     ``breakpoints`` lists t-values where h has kinks so subdivision edges
     land there. Integrating the exact (possibly kinked) h across its kink
-    already yields an absolutely continuous transform, so c0 stays 0 in
-    that case; a nonzero c0 only arises for callers working branch by
-    branch.
+    already yields an absolutely continuous transform, so no branch
+    constant is added.
     """
     # Imported here: only custom families reach the quadrature, and
     # scipy.integrate is about half the import cost of the package.
@@ -149,7 +145,7 @@ def g_transform(h, dims: ProblemDims, w: float, c0: float = 0.0, breakpoints=())
     if abserr > 1e-9 * abs(value) + 1e-12:
         raise RuntimeError(
             f"tail integral too inaccurate at w={w}: estimate {value:.6e}, error {abserr:.3e}")
-    return value + c0 * w ** (0.5 * n)
+    return value
 
 
 def positive_part_branch_constants(dims: ProblemDims):
@@ -163,15 +159,6 @@ def positive_part_branch_constants(dims: ProblemDims):
     return c0, c1, c2
 
 
-def _transform_vectorized(h, dims: ProblemDims, breakpoints=()):
-    def gfun(w):
-        if np.ndim(w) == 0:
-            return g_transform(h, dims, float(w), 0.0, breakpoints)
-        return np.array([g_transform(h, dims, float(wi), 0.0, breakpoints)
-                         for wi in np.asarray(w, dtype=float)])
-    return gfun
-
-
 @lru_cache(maxsize=128)
 def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
     """Vectorized g-kernels for a family, closed-form where available.
@@ -180,6 +167,7 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
     is rejected because its transform needs family-specific branch
     constants (only the positive-part rule's are built in).
     """
+    _require_dims_match(fam, dims)
     p, n = dims.p, dims.n
     k = dims.shrink_constant
     half_n = 0.5 * n
@@ -220,8 +208,8 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
             return 2.0 * (float(np.asarray(fam.phi(t), dtype=float)) / t
                           - float(np.asarray(fam.phi_prime(t), dtype=float)))
 
-        g1 = _transform_vectorized(h1, dims)
-        g2 = _transform_vectorized(h2, dims)
+        g1 = np.vectorize(lambda w: g_transform(h1, dims, w), otypes=[float])
+        g2 = np.vectorize(lambda w: g_transform(h2, dims, w), otypes=[float])
 
     def g3(w):
         w_arr = np.asarray(w, dtype=float)

@@ -198,6 +198,28 @@ def test_curve_metadata_has_no_runtime_threads(tmp_path, monkeypatch, command):
     assert meta["seed"] == 9 and meta["reps"] == 1000
 
 
+@pytest.mark.parametrize("argv", [
+    ["risk-curve", "--reps", "0"], ["risk-curve", "--reps", "-5"],
+    ["coverage", "--reps", "0"], ["coverage", "--reps", "-1"],
+    ["risk-curve", "--seed", "-1"], ["coverage", "--seed", str(2 ** 64)],
+    ["estimate", "--family", "ridge"], ["risk-curve", "--family", "ridge"],
+    ["coverage", "--family", "ridge"], ["constants", "--families", "js,ridge"],
+    ["constants", "--j-max", "5"], ["estimate", "--j-max", "5", "--mse", "psi1"],
+])
+def test_bad_flag_values_are_usage_errors(x_csv, tmp_path, capsys, argv):
+    command, *flags = argv
+    out = str(tmp_path / "out")
+    base = {
+        "estimate": ["--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0"],
+        "constants": ["--dims", "5x5"],
+        "risk-curve": ["--p", "5", "--n", "5", "--lambdas", "0", "--reps", "10", "--seed", "1"],
+        "coverage": ["--p", "5", "--n", "5", "--lambdas", "0", "--reps", "10", "--seed", "1"],
+    }[command]
+    assert main([command, *base, *flags, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out)
+
+
 def test_mse_target_rejects_matrix_loss(capsys):
     code = main(["risk-curve", "--p", "5", "--n", "5", "--target", "mse", "--loss", "matrix",
                  "--lambdas", "0", "--reps", "10", "--seed", "1"])

@@ -75,11 +75,6 @@ class TestVolume:
         ratio = sm.ellipsoid_volume(m_scaled, 0.8) / sm.ellipsoid_volume(m, 0.8)
         assert ratio == pytest.approx(2.7 ** 2.5, rel=1e-12)
 
-    def test_isotropic_scalar_form(self):
-        m = sm.AxialMatrix(5, 2.0, 0.5, 0.0, np.array([1.0, 0, 0, 0, 0]))
-        assert sm.ellipsoid_volume(1.0, 3.0, DIMS) == pytest.approx(
-            sm.ellipsoid_volume(m, 3.0), rel=1e-12)
-
     def test_rejects_indefinite_shape(self):
         m = sm.AxialMatrix(3, 1.0, 0.5, -0.8, np.array([1.0, 0, 0]))
         with pytest.raises(ValueError):

@@ -174,6 +174,16 @@ def test_chi2_sampler_batch_scale_moments():
     assert abs(4.0 * draws.mean() - 20.0) < 0.08
 
 
+@pytest.mark.parametrize("field", ["seed", "stream_id"])
+def test_rng_stream_rejects_keys_outside_64_bits(field):
+    # A 64-bit mask would make -1 draw 2**64 - 1's numbers and 2**64 draw 0's.
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=field):
+            sm.RngStream(**{"seed": 0, field: bad})
+    top = sm.RngStream(**{"seed": 0, field: 2 ** 64 - 1}).generator().random(4)
+    assert not np.array_equal(top, sm.RngStream(0, 0).generator().random(4))
+
+
 _KERNEL_ARGS = dict(a=st.floats(0.5, 300.0), b=st.floats(0.5, 50.0), x=st.floats(0.01, 0.99))
 
 

@@ -257,29 +257,23 @@ class TestMatrixEstimates:
     def test_xi_band_invariant(self, pp_consts):
         # Each emitted xi respects the admissibility band: the recovered
         # xi from l_perp never exceeds 1/(n g1) and never undercuts the
-        # n+p+2 lower cap bound by more than the truncation convention gap.
+        # lower bound set by the printed n+p+1 cap.
         w = np.geomspace(1e-3, 50.0, 500)
         gf = sm.g_functions(PP, DIMS)
         g1 = np.asarray(gf.g1(w))
         for kind in (MK.XI0_ETA0, MK.XI1_TR_ETA1, MK.XI2_TR_ETA2):
-            l_perp, _ = sm.matrix_eigen_parts(kind, w, PP, DIMS, pp_consts,
-                                              cap_denominator=DIMS.n + DIMS.p + 2)
+            l_perp, _ = sm.matrix_eigen_parts(kind, w, PP, DIMS, pp_consts)
             xi = (1.0 / DIMS.n - l_perp) / g1
             upper = 1.0 / (DIMS.n * g1)
-            lower = (1.0 / DIMS.n - (1.0 + w) / (DIMS.n + DIMS.p + 2.0)) / g1
+            lower = (1.0 / DIMS.n - (1.0 + w) / (DIMS.n + DIMS.p + 1.0)) / g1
             assert np.all(xi <= upper + 1e-12)
             assert np.all(xi >= lower - 1e-12)
 
-    def test_cap_denominator_configurable(self, pp_consts):
-        # The printed truncations use n+p+1 and the band uses n+p+2; at
-        # small W the truncated kinds sit exactly on (1+W)/denominator,
-        # which must shift with the configured constant.
+    def test_truncated_cap_uses_printed_denominator(self, pp_consts):
+        # At small W the truncated kinds sit exactly on (1+W)/(n+p+1).
         w = 0.01
-        l1_printed, _ = sm.matrix_eigen_parts(MK.XI1_TR_ETA1, w, PP, DIMS, pp_consts)
-        l1_band, _ = sm.matrix_eigen_parts(MK.XI1_TR_ETA1, w, PP, DIMS, pp_consts,
-                                           cap_denominator=DIMS.n + DIMS.p + 2)
-        assert float(l1_printed) == pytest.approx((1.0 + w) / 11.0, rel=1e-12)
-        assert float(l1_band) == pytest.approx((1.0 + w) / 12.0, rel=1e-12)
+        l1, _ = sm.matrix_eigen_parts(MK.XI1_TR_ETA1, w, PP, DIMS, pp_consts)
+        assert float(l1) == pytest.approx((1.0 + w) / 11.0, rel=1e-12)
 
     def test_missing_constants_raise(self):
         obs = sm.Observation([1.0, 0, 0, 0, 0], 1.0)

@@ -196,3 +196,19 @@ def test_family_from_name_aliases():
     assert sm.family_from_name("js-plus", dims).kind is sm.FamilyKind.POSITIVE_PART
     with pytest.raises(ValueError):
         sm.family_from_name("ridge", dims)
+
+
+@pytest.mark.parametrize("make", [sm.ShrinkageFamily.james_stein,
+                                  sm.ShrinkageFamily.positive_part])
+def test_built_in_family_rejects_other_dims(make):
+    # A (5,5) rule used with (10,5) would mix its phi with the closed forms
+    # of the (10,5) rule.
+    fam, other = make(sm.ProblemDims(5, 5)), sm.ProblemDims(10, 5)
+    obs = sm.Observation(np.linspace(-1.0, 1.0, 10), 2.0)
+    calls = (lambda: sm.g_functions(fam, other), lambda: sm.alpha_pn(fam, other),
+             lambda: sm.solve_w_pn(fam, other, 1.0), lambda: sm.beta_j(1, fam, other, 0),
+             lambda: sm.true_risk(fam, other, 3.0), lambda: sm.true_mse_matrix(fam, other, 3.0),
+             lambda: sm.umvue_mse(obs, fam, other))
+    for call in calls:
+        with pytest.raises(ValueError, match="built for"):
+            call()

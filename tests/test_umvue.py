@@ -30,7 +30,7 @@ class TestAxialMatrix:
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(dense)),
                                    np.sort(m.eigenvalues()), rtol=1e-12)
         assert m.trace() == pytest.approx(np.trace(dense), rel=1e-12)
-        assert m.det() == pytest.approx(np.linalg.det(dense), rel=1e-10)
+        assert m.logdet() == pytest.approx(np.linalg.slogdet(dense)[1], rel=1e-10)
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
@@ -56,11 +56,6 @@ class TestGTransform:
             got = sm.g_transform(lambda t: c / t, DIMS, w)
             want = 2.0 * c / ((DIMS.n + 2.0) * w)
             assert got == pytest.approx(want, rel=1e-8)
-
-    def test_branch_constant_term(self):
-        val0 = sm.g_transform(lambda t: 1.0 / t, DIMS, 2.0, c0=0.0)
-        val1 = sm.g_transform(lambda t: 1.0 / t, DIMS, 2.0, c0=0.25)
-        assert val1 - val0 == pytest.approx(0.25 * 2.0 ** (0.5 * DIMS.n), rel=1e-12)
 
     def test_js_g1_closed_form(self):
         k = DIMS.shrink_constant
