@@ -64,29 +64,24 @@ def _check_args(args) -> None:
         raise UsageError("--seed must lie in [0, 2**64)")
 
 
-def _read_column(path: str) -> np.ndarray:
-    """Single-column CSV, one number per line."""
-    try:
-        with open(path) as fh:
-            values = [float(line.split(",")[0]) for line in fh if line.strip()]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"{path} is not a single-column numeric CSV: {exc}") from exc
-    if not values:
-        raise UsageError(f"{path} is empty")
-    return np.array(values)
-
-
-def _read_matrix(path: str) -> np.ndarray:
+def _read_csv(path: str, column: bool) -> np.ndarray:
+    """Numeric CSV, one row per nonblank line, as a matrix, or as a vector
+    when ``column`` asks for a single-column file. Rows of unequal length
+    are a usage error."""
     try:
         with open(path) as fh:
             rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise UsageError(f"{path} is not a numeric CSV matrix: {exc}") from exc
-    return np.array(rows)
+        raise UsageError(f"{path} is not a numeric CSV: {exc}") from exc
+    if not rows:
+        raise UsageError(f"{path} is empty")
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1 or (column and widths != [1]):
+        shape = "a single column" if column else "rows of equal length"
+        raise UsageError(f"{path} has rows of {widths} values; expected {shape}")
+    return np.array(rows)[:, 0] if column else np.array(rows)
 
 
 def _spec_or_usage(name: str, level: float) -> ConfidenceSpec:
@@ -138,7 +133,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_estimate(args) -> int:
     dims = ProblemDims(args.p, args.n)
-    x = _read_column(args.x)
+    x = _read_csv(args.x, column=True)
     if x.shape != (dims.p,):
         raise UsageError(f"data vector has length {x.shape[0]}, expected p={dims.p}")
     fam = family_from_name(args.family, dims)
@@ -192,20 +187,31 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _emit_tables(tables: dict, out: str | None, metadata: dict) -> None:
+    """Write each table as <name>.csv, with metadata.json and the plot
+    script, under ``out``, or print its rows to stdout, under a ``# name``
+    line when there are several tables."""
+    if out:
+        write_tables(tables, out, metadata)
+        write_plot_script(out)
+        if len(tables) == 1:
+            print(f"wrote {os.path.join(out, next(iter(tables)) + '.csv')}")
+        else:
+            print(f"wrote {len(tables)} tables to {out}")
+        return
+    for name, table in tables.items():
+        if len(tables) > 1:
+            print(f"# {name}")
+        print(",".join(table.header))
+        for row in table.rows:
+            print(",".join(str(v) for v in row))
+
+
 def _cmd_constants(args) -> int:
     dims_list = _parse_dims_list(args.dims)
     tables = reproduce_tables(dims_list, families=args.families.split(","), j_max=args.j_max)
     meta = {"dims": args.dims, "families": args.families, "j_max": args.j_max}
-    if args.out:
-        write_tables(tables, args.out, meta)
-        write_plot_script(args.out)
-        print(f"wrote {len(tables)} tables to {args.out}")
-    else:
-        for name, table in tables.items():
-            print(f"# {name}")
-            print(",".join(table.header))
-            for row in table.rows:
-                print(",".join(str(v) for v in row))
+    _emit_tables(tables, args.out, meta)
     return 0
 
 
@@ -222,20 +228,6 @@ def _make_config(args, dims, kinds=None, matrix_kinds=None) -> ExperimentConfig:
     if matrix_kinds is not None:
         kwargs["matrix_kinds"] = matrix_kinds
     return ExperimentConfig(**kwargs)
-
-
-def _write_curve(table, out: str | None, name: str) -> None:
-    """Write a curve table as <name>.csv with metadata.json and the plot
-    script under ``out``, or print its rows to stdout."""
-    csv_table = table.to_csv_table(name)
-    if out:
-        write_tables({name: csv_table}, out, table.metadata)
-        write_plot_script(out)
-        print(f"wrote {os.path.join(out, name + '.csv')}")
-    else:
-        print(",".join(csv_table.header))
-        for row in csv_table.rows:
-            print(",".join(str(v) for v in row))
 
 
 def _cmd_risk_curve(args) -> int:
@@ -257,7 +249,7 @@ def _cmd_risk_curve(args) -> int:
         cfg = _make_config(args, dims, matrix_kinds=kinds)
         loss = "matrix" if args.loss == "mse" else args.loss
         table = run_matrix_risk_curve(cfg, loss=loss)
-    _write_curve(table, args.out, f"risk_curve_{args.target}")
+    _emit_tables({f"risk_curve_{args.target}": table}, args.out, table.metadata)
     return 0
 
 
@@ -265,13 +257,14 @@ def _cmd_coverage(args) -> int:
     dims = ProblemDims(args.p, args.n)
     cfg = _make_config(args, dims)
     variants = tuple(_spec_or_usage(v, args.level) for v in args.variants.split(","))
-    _write_curve(run_coverage_curve(cfg, variants), args.out, "coverage_curve")
+    table = run_coverage_curve(cfg, variants)
+    _emit_tables({"coverage_curve": table}, args.out, table.metadata)
     return 0
 
 
 def _cmd_canonicalize(args) -> int:
-    design = _read_matrix(args.design)
-    response = _read_column(args.response)
+    design = _read_csv(args.design, column=False)
+    response = _read_csv(args.response, column=True)
     try:
         obs, dims, basis = canonicalize_regression(design, response)
     except ValueError as exc:

@@ -205,10 +205,11 @@ def ratio_partial_moments(k: int, n: int, c: float):
     E[W; W < c] = B_x(a+1, b-1)/B(a, b). The first two share one continued
     fraction through I_x(a-1, b+1) = I_x(a, b) + x^{a-1} (1-x)^b / (b B(a, b)).
     For n > 2 the third is a/(b-1) I_x(a+1, b-1). For n = 1 and n = 2,
-    where b - 1 <= 0, it is the series
-    x^{a+1} 2F1(a+1, 2-b; a+2; x) / ((a+1) B(a, b)), summed term by term;
-    with b < 2 every term is positive, so nothing cancels. Cached, since
-    both moment curves ask for the same (k, n, c) at every j.
+    where b - 1 <= 0 and I_x(a+1, b-1) is undefined, the unregularized
+    B_x(a+1, b-1) = x^{a+1} (1-x)^{b-1} / (a+1) * CF still holds, with CF
+    the same continued fraction (DLMF §8.17(v)), so one incomplete-beta
+    algorithm serves every n. Cached, since both moment curves ask for the
+    same (k, n, c) at every j.
     """
     k = _check_df(k)
     n = _check_df(n, "n")
@@ -237,15 +238,8 @@ def ratio_partial_moments(k: int, n: int, c: float):
     if n > 2:
         front_next = front * x * (b - 1.0) / ((1.0 - x) * a)
         return below, inv_above, a / (b - 1.0) * _betainc_split(a + 1.0, b - 1.0, x, front_next)[0]
-    # x^{a+1} / ((a+1) B(a, b)) times the 2F1 series; the terms' ratio tends
-    # to x, so the tail after a term t is below about t x / (1 - x).
-    term = total = 1.0
-    for m in range(_MAX_TERMS):
-        term *= (a + 1.0 + m) * (2.0 - b + m) / ((a + 2.0 + m) * (m + 1.0)) * x
-        total += term
-        if term <= 1e-17 * (1.0 - x) * total:
-            return below, inv_above, front * x / ((a + 1.0) * (1.0 - x) ** b) * total
-    raise RuntimeError(f"E[W; W < c] series did not converge (k={k}, n={n}, c={c})")
+    below_moment = front * x / ((1.0 - x) * (a + 1.0)) * _beta_fraction(a + 1.0, b - 1.0, x)
+    return below, inv_above, below_moment
 
 
 def ratio_inverse_square_above(k: int, n: int, c: float) -> float:

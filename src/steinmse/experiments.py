@@ -102,6 +102,7 @@ class ExperimentConfig:
             raise ValueError("noncentrality values must be finite and nonnegative")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        RngStream(self.seed)  # the seed must name a stream: an integer in [0, 2**64)
 
     def metadata(self) -> dict:
         return {
@@ -133,13 +134,18 @@ def _fmt_cell(v) -> str:
 
 @dataclass
 class CsvTable:
-    """A named table with a header row; writes 10-significant-digit CSV."""
+    """A named table with a header row; writes 10-significant-digit CSV.
+
+    ``metadata`` describes the run behind the rows; ``write_tables`` writes
+    it next to the CSV. The constants tables leave it empty.
+    """
 
     name: str
     header: tuple
     rows: list
+    metadata: dict = field(default_factory=dict)
 
-    def write(self, path: str) -> None:
+    def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.header)
@@ -147,29 +153,18 @@ class CsvTable:
                 writer.writerow([_fmt_cell(v) for v in row])
 
 
-@dataclass
-class RiskTable:
-    loss: str
-    rows: list
-    metadata: dict = field(default_factory=dict)
+class RiskTable(CsvTable):
+    """A risk curve: ``RiskRow``s, with the run's configuration and loss in
+    ``metadata``."""
 
-    def to_csv_table(self, name: str = "risk_curve") -> CsvTable:
-        return CsvTable(name, RiskRow._fields, self.rows)
-
-    def write_csv(self, path: str) -> None:
-        self.to_csv_table().write(path)
+    @property
+    def loss(self) -> str:
+        return self.metadata["loss"]
 
 
-@dataclass
-class CoverageTable:
-    rows: list
-    metadata: dict = field(default_factory=dict)
-
-    def to_csv_table(self, name: str = "coverage_curve") -> CsvTable:
-        return CsvTable(name, CoverageRow._fields, self.rows)
-
-    def write_csv(self, path: str) -> None:
-        self.to_csv_table().write(path)
+class CoverageTable(CsvTable):
+    """A coverage curve: ``CoverageRow``s, with the run's configuration and
+    confidence variants in ``metadata``."""
 
 
 def _stream(seed: int, domain: int, fam_idx: int = 0, dims_idx: int = 0,
@@ -322,7 +317,7 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
     meta = cfg.metadata()
     meta["loss"] = loss
-    return RiskTable(loss, rows, meta)
+    return RiskTable("risk_curve", RiskRow._fields, rows, meta)
 
 
 def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
@@ -385,7 +380,7 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
         _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
     meta = cfg.metadata()
     meta["loss"] = loss
-    return RiskTable(loss, rows, meta)
+    return RiskTable("risk_curve", RiskRow._fields, rows, meta)
 
 
 def default_confidence_variants() -> tuple:
@@ -430,7 +425,7 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     meta = cfg.metadata()
     meta["variants"] = [v.variant.value for v in variants]
     meta["levels"] = [v.level for v in variants]
-    return CoverageTable(rows, meta)
+    return CoverageTable("coverage_curve", CoverageRow._fields, rows, meta)
 
 
 def reproduce_tables(dims_list, families=("james-stein", "positive-part"),
@@ -482,7 +477,7 @@ def write_tables(tables: dict, out_dir: str, metadata: dict) -> list:
     written = []
     for name, table in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        table.write(path)
+        table.write_csv(path)
         written.append(path)
     meta_path = os.path.join(out_dir, "metadata.json")
     with open(meta_path, "w") as fh:

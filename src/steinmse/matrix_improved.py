@@ -15,9 +15,10 @@ positive definite under certificates driven by the moment constant beta2.
 cap (1+W)/(n+p+1), the denominator printed in the truncation formulas.
 
 The moment curves behind beta1 and beta2 are closed forms (incomplete
-beta and hypergeometric functions) for the built-in James-Stein and
-positive-part rules, and one-dimensional quadratures over the Beta law of
-W/(1+W) for custom families. No constant involves random draws.
+beta functions, all from one continued fraction) for the built-in
+James-Stein and positive-part rules, and one-dimensional quadratures over
+the Beta law of W/(1+W) for custom families. No constant involves random
+draws.
 """
 
 from __future__ import annotations

@@ -220,6 +220,30 @@ def test_bad_flag_values_are_usage_errors(x_csv, tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command,bad_flag,text", [
+    ("canonicalize", "--design", "1,2\n3\n4,5\n"),
+    ("canonicalize", "--design", "1,2,3\n4,5,6\n\n7,8\n"),
+    ("canonicalize", "--response", "1,2\n3,4\n5,6\n7,8\n9,1\n2,3\n"),
+    ("estimate", "--x", "1.5,0\n0.3,0\n-0.2,0\n0.8,0\n2.0,0\n"),
+], ids=["ragged-design", "ragged-design-after-blank-line", "two-column-response",
+        "two-column-x"])
+def test_ragged_or_multi_column_csv_is_usage_error(tmp_path, capsys, command, bad_flag, text):
+    # Every other input is valid, so only the shape of the bad file fails.
+    good = {"--design": "1,0\n0,1\n1,1\n2,1\n1,3\n0,2\n",
+            "--response": "1\n2\n3\n4\n5\n6\n",
+            "--x": "1.5\n0.3\n-0.2\n0.8\n2.0\n"}
+    paths = {}
+    for flag, content in good.items():
+        paths[flag] = tmp_path / f"{flag[2:]}.csv"
+        paths[flag].write_text(text if flag == bad_flag else content)
+    flags = {"canonicalize": ["--design", str(paths["--design"]),
+                              "--response", str(paths["--response"])],
+             "estimate": ["--p", "5", "--n", "5", "--x", str(paths["--x"]), "--s", "4.0"]}
+    assert main([command, *flags[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths[bad_flag]) in err
+
+
 def test_mse_target_rejects_matrix_loss(capsys):
     code = main(["risk-curve", "--p", "5", "--n", "5", "--target", "mse", "--loss", "matrix",
                  "--lambdas", "0", "--reps", "10", "--seed", "1"])

@@ -252,14 +252,23 @@ def test_partial_moment_below_cut_at_large_odd_n():
     assert ratio_partial_moments(k, n, c)[2] == pytest.approx(float(ref), rel=1e-14)
 
 
-def test_fraction_and_series_that_do_not_converge_raise():
+@pytest.mark.parametrize("k,n,c", [(3, 1, 3e3), (5, 1, 1e4), (5, 2, 1e4), (41, 2, 1e4)])
+def test_partial_moment_below_cut_at_n_le_2_and_large_cut_matches_mpmath(k, n, c):
+    # E[W; W < c] at n <= 2, where b - 1 <= 0 and the fraction runs for the
+    # unregularized B_x(a+1, b-1), at cuts far above the bulk of W. Forming
+    # x = c/(1+c) in double already costs up to c 2**-53 relative here.
+    ref = ratio_moments_mpmath(k, n, c)[2]
+    assert ratio_partial_moments(k, n, c)[2] == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_fractions_that_do_not_converge_raise():
     # At a = b = 1e15 the fraction needs far more steps than it may take,
-    # and at x = c/(1+c) = 1 - 1e-6 so does the n <= 2 series for
-    # E[W; W < c], whose terms shrink by a factor of about x.
+    # and so does the n <= 2 fraction for E[W; W < c] at
+    # x = c/(1+c) = 1 - 1e-12, far above its switch point.
     with pytest.raises(RuntimeError, match="did not converge"):
         _beta_fraction(1e15, 1e15, 0.5)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        ratio_partial_moments(5, 1, 1e6)
+    with pytest.raises(RuntimeError, match="incomplete beta fraction did not converge"):
+        ratio_partial_moments(5, 1, 1e12)
 
 
 @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])

@@ -29,6 +29,11 @@ def test_config_validation():
             sm.ExperimentConfig(dims_list=(DIMS,), lambda_grid=(0.0, bad))
     with pytest.raises(ValueError):
         sm.ExperimentConfig(dims_list=(DIMS,), threads=0)
+    # The seed is checked when the configuration is built, before any
+    # constants are made, by the rule every stream key obeys.
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sm.ExperimentConfig(dims_list=(DIMS,), seed=seed)
 
 
 def test_mse_curve_paired_identity_and_dominance():
