@@ -60,6 +60,9 @@ def _check_args(args) -> None:
         raise UsageError("--j-max must be at least 10")
     if flags.get("reps", 1) < 1:
         raise UsageError("--reps must be at least 1")
+    variants = [_VARIANTS.get(v.strip().lower(), v) for v in flags.get("variants", "").split(",")]
+    if len(set(variants)) < len(variants):
+        raise UsageError("--variants names a confidence variant more than once")
     if args.command in ("risk-curve", "coverage") and not 0 <= args.seed < 1 << 64:
         raise UsageError("--seed must lie in [0, 2**64)")
 

@@ -8,9 +8,10 @@ shrinkage estimate; ``C1`` / ``C2`` reshape it with the positive-definite
 MSE-matrix estimates; the starred variants rescale the threshold so their
 volume equals C0's exactly while keeping the estimated shape.
 
-``_set_geometry`` computes the sets for a block of m observations; the
+``_set_geometry`` computes the sets of a tuple of specs for a block of m
+observations, each distinct shape (one per matrix kind) once; the
 coverage engine in ``experiments`` calls it per block of draws, and
-``build_confidence_set`` is its m = 1 case.
+``build_confidence_set`` is its m = 1, one-spec case.
 
 Volumes include the p^{p/2} factor coming from the "/p" inside the Q
 statistics; it is common to every variant, so volume ratios are
@@ -27,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import f_quantile
-from .matrix_improved import MatrixConstants, MatrixEstimatorKind, matrix_eigen_parts
+from .matrix_improved import (MatrixConstants, MatrixEstimatorKind, _clamp_eigen_parts,
+                              matrix_eigen_parts)
 from .shrinkage import Observation, ProblemDims, ShrinkageFamily, apply_estimator
 from .umvue import AxialMatrix
 
@@ -135,51 +137,67 @@ def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
     return float(np.exp(_log_volume(m.logdet(), c, m.dim)))
 
 
-_SetGeometry = namedtuple("_SetGeometry",
-                          ["center", "l_perp", "l_axis", "radius", "log_volume", "covered"])
+_SetGeometry = namedtuple("_SetGeometry", ["center", "l_perp", "l_axis", "logdet", "quantile",
+                                           "radius", "log_volume", "covered"])
 
 
-def _set_geometry(x, s, w, delta, cspec: ConfidenceSpec, fam: ShrinkageFamily,
-                  dims: ProblemDims, consts: MatrixConstants | None = None,
-                  theta=None) -> _SetGeometry:
-    """The sets of ``cspec`` for x (m, p), s and w (m,), and the shrinkage
-    estimates delta (m, p), which center every variant but C0.
+def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
+                  consts: MatrixConstants | None = None, theta=None) -> list:
+    """The sets of each spec in ``specs`` for x (m, p), s and w (m,), and the
+    shrinkage estimates delta (m, p), which center every variant but C0.
 
-    Returns the centers, the shapes' eigenvalue factors, the thresholds,
-    the log-volumes and, given ``theta``, whether each set contains it. The
-    threshold is the F quantile c at the requested level; the starred
-    variants use (S/n) c / |M|^{1/p}, which makes their volume C0's.
+    Returns one geometry per spec: the center, the shape's eigenvalue
+    factors and log-determinant, the F quantile c at its level, the
+    threshold (c, or (S/n) c / |M|^{1/p} for the starred variants, which
+    makes their volume C0's), the log-volume and, given ``theta``, whether
+    the set contains it. A spec reuses the shape and quantile of an earlier
+    spec of the same matrix kind or level.
     """
     p, n = dims.p, dims.n
-    c = f_quantile(cspec.level, p, n)
-    variant = cspec.variant
-    center = x if variant is ConfidenceVariant.C0 else delta
-    if cspec.matrix_kind is None:
-        # M = (S/n) I: the quadratic form and log-determinant in closed form.
-        l_perp = l_axis = np.full_like(s, 1.0 / n)
-        logdet = p * np.log(s / n)
-    else:
-        if not np.all(w > 0):
-            raise ValueError(f"variant {variant.value}: W must be positive")
-        l_perp, l_axis = matrix_eigen_parts(cspec.matrix_kind, w, fam, dims, consts)
-        if np.any(l_perp <= 0) or np.any(l_axis <= 0):
-            raise ValueError(f"variant {variant.value}: matrix estimate lost positive "
-                             "definiteness; check the certificates for these dimensions")
-        logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
-    if variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
-        radius = (s / n) * c * np.exp(-logdet / p)
-    else:
-        radius = np.full_like(s, c)
-    covered = None
-    if theta is not None:
-        d = center - theta
-        dd = np.einsum("ij,ij->i", d, d)
-        if cspec.matrix_kind is None:
-            covered = dd * n / (p * s) <= c
+    if theta is not None:  # d'd per center; u'd at delta, where every matrix shape sits
+        d = x - theta
+        dd_x = np.einsum("ij,ij->i", d, d)
+        d = delta - theta
+        dd_delta = np.einsum("ij,ij->i", d, d)
+        t = np.einsum("ij,ij->i", d, x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None])
+        del d  # an (m, p) array, freed before the per-spec arrays are made
+    unbiased, out = None, []
+    for spec in specs:
+        kind = spec.matrix_kind
+        twin = c = None
+        if out:  # the first spec has no earlier one to borrow from
+            twin = next((g for prev, g in zip(specs, out) if prev.matrix_kind is kind), None)
+            c = next((g.quantile for prev, g in zip(specs, out) if prev.level == spec.level), None)
+        if twin is not None:
+            l_perp, l_axis, logdet = twin.l_perp, twin.l_axis, twin.logdet
+        elif kind is None:
+            # M = (S/n) I: the quadratic form and log-determinant in closed form.
+            l_perp = l_axis = np.full_like(s, 1.0 / n)
+            logdet = p * np.log(s / n)
         else:
-            u = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-            covered = _inv_quad(dd, np.einsum("ij,ij->i", d, u), l_perp, l_axis, s) / p <= radius
-    return _SetGeometry(center, l_perp, l_axis, radius, _log_volume(logdet, radius, p), covered)
+            if unbiased is None:
+                if not np.all(w > 0):
+                    raise ValueError(f"variant {spec.variant.value}: W must be positive")
+                unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, fam, dims)
+            l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, dims, consts)
+            if np.any(l_perp <= 0) or np.any(l_axis <= 0):
+                raise ValueError(f"variant {spec.variant.value}: matrix estimate lost positive "
+                                 "definiteness; check the certificates for these dimensions")
+            logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
+        c = f_quantile(spec.level, p, n) if c is None else c
+        if spec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
+            radius = (s / n) * c * np.exp(-logdet / p)
+        else:
+            radius = np.full_like(s, c)
+        c0 = spec.variant is ConfidenceVariant.C0
+        covered = None
+        if theta is not None and kind is None:
+            covered = (dd_x if c0 else dd_delta) * n / (p * s) <= c
+        elif theta is not None:
+            covered = _inv_quad(dd_delta, t, l_perp, l_axis, s) / p <= radius
+        out.append(_SetGeometry(x if c0 else delta, l_perp, l_axis, logdet, c, radius,
+                                _log_volume(logdet, radius, p), covered))
+    return out
 
 
 def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: ShrinkageFamily,
@@ -194,8 +212,8 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
     """
     delta = (None if cspec.variant is ConfidenceVariant.C0
              else apply_estimator(obs, fam, dims)[None])
-    g = _set_geometry(obs.x[None], np.array([obs.s]), np.array([obs.w]), delta, cspec, fam,
-                      dims, consts)
+    g, = _set_geometry(obs.x[None], np.array([obs.s]), np.array([obs.w]), delta, (cspec,),
+                       fam, dims, consts)
     norm_x = float(np.linalg.norm(obs.x))
     axis = obs.x / norm_x if norm_x > 0 else np.eye(dims.p)[0]
     l_perp, l_axis = float(g.l_perp[0]), float(g.l_axis[0])

@@ -10,8 +10,9 @@ modest replication counts. The risk curves score them against the exact
 truth, ``true_risk`` and ``true_mse_matrix``, which involve no random
 draws, so the diff columns hold estimator noise alone.
 
-Coverage curves take every confidence-set quantity from the batch core in
-``confidence``; they only score each block and sum the results.
+Each block evaluates the unbiased kernels once, and every estimator kind
+is a clamp of them. Coverage curves take every confidence-set quantity
+from the batch core in ``confidence``, once per block for all variants.
 
 Tables serialize to CSV with a header row and 10-significant-digit
 numbers; ``write_tables`` also drops a metadata JSON and a plot script
@@ -31,8 +32,9 @@ import numpy as np
 
 from .confidence import ConfidenceSpec, ConfidenceVariant, _set_geometry
 from .distributions import RngStream
-from .matrix_improved import (MatrixEstimatorKind, matrix_constants, matrix_eigen_parts)
-from .mse_improved import MseEstimatorKind, estimate_mse_at, shrinkage_constants
+from .matrix_improved import (MatrixEstimatorKind, _clamp_eigen_parts, matrix_constants,
+                              matrix_eigen_parts)
+from .mse_improved import MseEstimatorKind, _clamp_mse, estimate_mse_at, shrinkage_constants
 from .shrinkage import (ProblemDims, family_from_name, shrink_factors, true_mse_matrix,
                         true_risk)
 
@@ -306,9 +308,10 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         target = r_true if loss == "mse" else p - r_true
 
         def score(x, s, w):
+            base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
             losses = []
             for kind in kinds:
-                est = np.asarray(estimate_mse_at(kind, w, s, pt.fam, pt.dims, pt.consts))
+                est = _clamp_mse(kind, base, w, s, pt.dims, pt.consts)
                 if loss == "reduction":
                     est = p * s / n - est
                 losses.append((est - target) ** 2)
@@ -369,9 +372,10 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
         def score(x, s, w):
             x_theta = x @ theta
             u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
+            unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
             losses = []
             for kind in kinds:
-                l_perp, l_axis = matrix_eigen_parts(kind, w, pt.fam, pt.dims, pt.consts)
+                l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, pt.dims, pt.consts)
                 if loss == "reduction":
                     l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
                 losses.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
@@ -394,9 +398,14 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
 
     Rows carry the empirical coverage (with binomial stderr), the mean
     volume, and the mean-volume ratio against C0 at the same grid point
-    (nan when C0 is not among the variants).
+    (nan when C0 is not among the variants). Rows carry no level, so a
+    variant may appear only once.
     """
     variants = default_confidence_variants() if variants is None else tuple(variants)
+    listed = [spec.variant for spec in variants]
+    if len(set(listed)) < len(listed):
+        raise ValueError("each confidence variant may appear only once: rows carry no level")
+    c0_idx = listed.index(ConfidenceVariant.C0) if ConfidenceVariant.C0 in listed else None
     constants = (_matrix_constants_from(consts_map)
                  if any(v.matrix_kind is not None for v in variants) else None)
     rows: list = []
@@ -404,21 +413,15 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
 
         def score(x, s, w):
             delta = shrink_factors(pt.fam, w)[:, None] * x
-            out = np.empty((len(variants), 2))
-            for vi, spec in enumerate(variants):
-                geo = _set_geometry(x, s, w, delta, spec, pt.fam, pt.dims, pt.consts, pt.theta)
-                out[vi, 0] = geo.covered.sum()
-                out[vi, 1] = np.exp(geo.log_volume).sum()
-            return out
+            geos = _set_geometry(x, s, w, delta, variants, pt.fam, pt.dims, pt.consts, pt.theta)
+            return np.array([(g.covered.sum(), np.exp(g.log_volume).sum()) for g in geos])
 
         agg = pt.block_sum(score)
-        mean_vols = {variants[vi].variant: agg[vi, 1] / cfg.reps
-                     for vi in range(len(variants))}
-        c0_vol = mean_vols.get(ConfidenceVariant.C0)
+        c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
         for vi, spec in enumerate(variants):
             cov = agg[vi, 0] / cfg.reps
             se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
-            vol = mean_vols[spec.variant]
+            vol = agg[vi, 1] / cfg.reps
             ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
             rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
                                     spec.variant.value, cov, se, vol, ratio))

@@ -264,56 +264,57 @@ def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
     return MatrixConstants(beta, w_xi, w_eta, gamma_xi, gamma_eta)
 
 
+def _clamp_eigen_parts(kind: MatrixEstimatorKind, l_perp, l_axis, w, dims: ProblemDims,
+                       consts: MatrixConstants | None = None):
+    """The eigenvalue factors of ``kind`` from the unbiased ones,
+    l_perp = 1/n - g1 and l_axis = (1/n - g1) + g3.
+
+    The xi/eta min/max definitions are applied directly to the eigenvalue
+    factors, which is algebraically identical and makes the clamp values
+    (0 for the nonnegative construction, the positive floors for the
+    others) exact in floating point. The truncated kinds cap l_perp at
+    (1+W)/(n+p+1), the constant printed in the truncation formulas.
+    """
+    if kind is MatrixEstimatorKind.UMVUE:
+        return l_perp, l_axis
+    p, n = dims.p, dims.n
+    upper_cap = (1.0 + w) / (n + p + 1.0)  # l_perp value forced by the xi truncation
+    if kind is MatrixEstimatorKind.XI0_ETA0:
+        # xi0 = max(min(1, 1/(n g1)), cap) and eta0 = min(1, (1/n + g3)/g1)
+        # turn into exact clamps of the eigenvalue factors.
+        return np.minimum(np.maximum(l_perp, 0.0), upper_cap), np.maximum(l_axis, 0.0)
+    if consts is None:
+        raise ValueError(f"{kind.value} requires precomputed matrix constants")
+    beta2 = consts.beta.beta2
+    if kind in (MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI1_TR_ETA1):
+        if consts.w_xi is not None:
+            q = (1.0 + consts.w_xi) * beta2 / (n + p + 2.0)
+            l_perp = np.maximum(l_perp, 1.0 / n - q)
+        if consts.w_eta is not None:
+            q_eta = (1.0 + consts.w_eta) * beta2 / (n + p + 2.0)
+            l_axis = np.maximum(l_axis, 1.0 / n - q_eta)
+    else:
+        q = beta2 / (n + 2.0)
+        l_perp = np.maximum(l_perp, 1.0 / n - q)
+        l_axis = np.maximum(l_axis, 1.0 / n - q)
+    if kind in (MatrixEstimatorKind.XI1_TR_ETA1, MatrixEstimatorKind.XI2_TR_ETA2):
+        l_perp = np.minimum(l_perp, upper_cap)
+    return l_perp, l_axis
+
+
 def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims: ProblemDims,
                        consts: MatrixConstants | None = None):
     """Eigenvalue factors (l_perp, l_axis) of the chosen matrix estimate.
 
     The estimate is S (l_perp I + (l_axis - l_perp) u u'): l_perp has
-    multiplicity p-1 and l_axis sits on the observed direction. The
-    xi/eta min/max definitions are applied directly to the eigenvalue
-    factors (1/n - g1 xi resp. 1/n - g1 eta + g3), which is algebraically
-    identical and makes the clamp values (0 for the nonnegative
-    construction, the positive floors for the others) exact in floating
-    point. The truncated kinds cap l_perp at (1+W)/(n+p+1), the constant
-    printed in the truncation formulas.
+    multiplicity p-1 and l_axis sits on the observed direction. Every kind
+    is a clamp of the unbiased factors 1/n - g1 and 1/n - g1 + g3.
     """
     w = np.asarray(w, dtype=float)
-    p, n = dims.p, dims.n
     gf = g_functions(fam, dims)
-    g1 = np.asarray(gf.g1(w), dtype=float)
-    g3 = np.asarray(gf.g3(w), dtype=float)
-    upper_cap = (1.0 + w) / (n + p + 1.0)  # l_perp value forced by the xi truncation
-
-    if kind is MatrixEstimatorKind.UMVUE:
-        l_perp = 1.0 / n - g1
-        l_axis = 1.0 / n - g1 + g3
-    elif kind is MatrixEstimatorKind.XI0_ETA0:
-        # xi0 = max(min(1, 1/(n g1)), cap) and eta0 = min(1, (1/n + g3)/g1)
-        # turn into exact clamps of the eigenvalue factors.
-        l_perp = np.minimum(np.maximum(1.0 / n - g1, 0.0), upper_cap)
-        l_axis = np.maximum(1.0 / n - g1 + g3, 0.0)
-    elif kind.needs_constants:
-        if consts is None:
-            raise ValueError(f"{kind.value} requires precomputed matrix constants")
-        beta2 = consts.beta.beta2
-        if kind in (MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI1_TR_ETA1):
-            if consts.w_xi is None:
-                l_perp = 1.0 / n - g1
-            else:
-                q = (1.0 + consts.w_xi) * beta2 / (n + p + 2.0)
-                l_perp = np.maximum(1.0 / n - g1, 1.0 / n - q)
-            if consts.w_eta is None:
-                l_axis = 1.0 / n - g1 + g3
-            else:
-                q_eta = (1.0 + consts.w_eta) * beta2 / (n + p + 2.0)
-                l_axis = np.maximum(1.0 / n - g1 + g3, 1.0 / n - q_eta)
-        else:
-            q = beta2 / (n + 2.0)
-            l_perp = np.maximum(1.0 / n - g1, 1.0 / n - q)
-            l_axis = np.maximum(1.0 / n - g1 + g3, 1.0 / n - q)
-        if kind in (MatrixEstimatorKind.XI1_TR_ETA1, MatrixEstimatorKind.XI2_TR_ETA2):
-            l_perp = np.minimum(l_perp, upper_cap)
-    return l_perp, l_axis
+    l_perp = 1.0 / dims.n - np.asarray(gf.g1(w), dtype=float)
+    l_axis = l_perp + np.asarray(gf.g3(w), dtype=float)
+    return _clamp_eigen_parts(kind, l_perp, l_axis, w, dims, consts)
 
 
 def estimate_mse_matrix(kind: MatrixEstimatorKind, obs: Observation, fam: ShrinkageFamily,

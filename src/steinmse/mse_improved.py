@@ -145,17 +145,14 @@ def shrinkage_constants(fam: ShrinkageFamily, dims: ProblemDims, reps=None,
     return ShrinkageConstants(alpha, w, gamma_pn(dims, w), provenance)
 
 
-def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: ProblemDims,
-                    consts: ShrinkageConstants | None = None):
-    """Vectorized core: scalar MSE estimates from (W, S) arrays."""
-    w = np.asarray(w, dtype=float)
-    s = np.asarray(s, dtype=float)
-    p, n = dims.p, dims.n
-    base = p * s / n * (1.0 - np.asarray(a_of_w(fam, dims, w), dtype=float))
+def _clamp_mse(kind: MseEstimatorKind, base, w, s, dims: ProblemDims,
+               consts: ShrinkageConstants | None = None):
+    """The estimate of ``kind`` from the unbiased one, ``base``, at (W, S)."""
     if kind is MseEstimatorKind.UMVUE:
         return base
     if kind is MseEstimatorKind.TRUNCATED_ZERO:
         return np.maximum(base, 0.0)
+    p, n = dims.p, dims.n
     cap = p * s * (1.0 + w) / (n + p + 2.0)
     if kind is MseEstimatorKind.PSI0:
         return np.minimum(np.maximum(base, 0.0), cap)
@@ -169,6 +166,15 @@ def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: Pr
     if kind in (MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR):
         out = np.minimum(out, cap)
     return out
+
+
+def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: ProblemDims,
+                    consts: ShrinkageConstants | None = None):
+    """Vectorized core: scalar MSE estimates from (W, S) arrays."""
+    w = np.asarray(w, dtype=float)
+    s = np.asarray(s, dtype=float)
+    base = dims.p * s / dims.n * (1.0 - np.asarray(a_of_w(fam, dims, w), dtype=float))
+    return _clamp_mse(kind, base, w, s, dims, consts)
 
 
 def estimate_mse(kind: MseEstimatorKind, obs: Observation, fam: ShrinkageFamily,

@@ -205,6 +205,7 @@ def test_curve_metadata_has_no_runtime_threads(tmp_path, monkeypatch, command):
     ["estimate", "--family", "ridge"], ["risk-curve", "--family", "ridge"],
     ["coverage", "--family", "ridge"], ["constants", "--families", "js,ridge"],
     ["constants", "--j-max", "5"], ["estimate", "--j-max", "5", "--mse", "psi1"],
+    ["coverage", "--variants", "c0,c0"], ["coverage", "--variants", "c1*,c3,c1star"],
 ])
 def test_bad_flag_values_are_usage_errors(x_csv, tmp_path, capsys, argv):
     command, *flags = argv

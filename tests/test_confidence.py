@@ -173,3 +173,31 @@ class TestBuildConfidenceSet:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             sm.ConfidenceSpec(CV.C0, level=1.0)
+
+
+@pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+@pytest.mark.parametrize("with_theta", [False, True], ids=["no-theta", "theta"])
+def test_shared_geometry_equals_single_spec_calls(fam_name, with_theta):
+    # Specs that share a shape, level or center share its computation; each
+    # set must still be exactly the one its spec gets alone.
+    from steinmse.confidence import _set_geometry
+
+    fam = sm.family_from_name(fam_name, DIMS)
+    consts = sm.matrix_constants(fam, DIMS)
+    rng = np.random.default_rng(61)
+    theta = np.full(DIMS.p, 0.7)
+    x = theta + rng.standard_normal((500, DIMS.p))
+    s = rng.chisquare(DIMS.n, 500)
+    w = np.einsum("ij,ij->i", x, x) / s
+    delta = sm.shrink_factors(fam, w)[:, None] * x
+    levels = {CV.C0: 0.95, CV.C1: 0.9, CV.C2: 0.95, CV.C3: 0.8, CV.C1_STAR: 0.95,
+              CV.C2_STAR: 0.9}
+    specs = tuple(sm.ConfidenceSpec(v, levels[v]) for v in CV)
+    truth = theta if with_theta else None
+    shared = _set_geometry(x, s, w, delta, specs, fam, DIMS, consts, truth)
+    assert len(shared) == len(specs)
+    for spec, geo in zip(specs, shared):
+        single, = _set_geometry(x, s, w, delta, (spec,), fam, DIMS, consts, truth)
+        for field, got, want in zip(geo._fields, geo, single):
+            same = got is None and want is None or np.array_equal(got, want)
+            assert same, (spec.variant, field)

@@ -291,3 +291,49 @@ def test_stream_ids_distinct_at_largest_indices():
     ids = {_stream(1, 5).stream_id, _stream(1, 5, **largest).stream_id}
     ids |= {_stream(1, 5, **{k: v}).stream_id for k, v in largest.items()}
     assert len(ids) == 6
+
+
+def test_coverage_rejects_a_repeated_variant():
+    # Rows carry no level, so two rows of one variant could not be told
+    # apart, and the C0 volume ratio would have no single C0 row.
+    twice = (sm.ConfidenceSpec(sm.ConfidenceVariant.C0, 0.5),
+             sm.ConfidenceSpec(sm.ConfidenceVariant.C0, 0.95))
+    with pytest.raises(ValueError, match="only once"):
+        sm.run_coverage_curve(_small_cfg(reps=10), twice)
+
+
+def _count_calls(monkeypatch, counts, name, *modules):
+    """Replace ``name`` in each module with a wrapper that counts its calls."""
+    for mod in modules:
+        fn = getattr(mod, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+
+def test_each_block_is_scored_once(monkeypatch):
+    # One unbiased kernel call per block, whatever the number of kinds or
+    # variants; every kind or variant is a clamp of it. The coverage path
+    # reaches matrix_eigen_parts through the confidence module.
+    import steinmse.confidence as confidence
+    import steinmse.experiments as experiments
+
+    counts = {}
+    for name in ("estimate_mse_at", "_set_geometry"):
+        _count_calls(monkeypatch, counts, name, experiments)
+    _count_calls(monkeypatch, counts, "matrix_eigen_parts", experiments, confidence)
+    cfg = _small_cfg(lambda_grid=(1.0,), reps=2 * experiments.BLOCK + 7, estimator_kinds=tuple(K),
+                     matrix_kinds=tuple(MK))
+    blocks = 3
+
+    sm.run_coverage_curve(cfg)
+    assert counts == {"_set_geometry": blocks, "matrix_eigen_parts": blocks}
+    counts.clear()
+    sm.run_mse_risk_curve(cfg)
+    assert counts == {"estimate_mse_at": blocks}
+    counts.clear()
+    sm.run_matrix_risk_curve(cfg, loss="reduction")
+    assert counts == {"matrix_eigen_parts": blocks}

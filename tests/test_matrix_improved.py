@@ -303,3 +303,49 @@ def test_reported_constants_match_printed_values(pp_consts, js_matrix_consts):
     assert pp_consts.gamma_xi == pytest.approx(0.4963, abs=0.03)
     assert pp_consts.gamma_eta == pytest.approx(0.2708, abs=0.03)
     assert js_matrix_consts.w_eta is None and js_matrix_consts.gamma_eta is None
+
+
+def _written_out(kind, w, fam, dims, consts):
+    """Each kind's eigenvalue factors in the expressions they had before
+    the kinds became clamps of the unbiased factors."""
+    p, n = dims.p, dims.n
+    gf = sm.g_functions(fam, dims)
+    g1, g3 = gf.g1(w), gf.g3(w)
+    perp, axis = 1.0 / n - g1, 1.0 / n - g1 + g3
+    cap = (1.0 + w) / (n + p + 1.0)
+    beta2 = consts.beta.beta2
+    xi1 = [perp, axis]
+    if consts.w_xi is not None:
+        xi1[0] = np.maximum(perp, 1.0 / n - (1.0 + consts.w_xi) * beta2 / (n + p + 2.0))
+    if consts.w_eta is not None:
+        xi1[1] = np.maximum(axis, 1.0 / n - (1.0 + consts.w_eta) * beta2 / (n + p + 2.0))
+    q2 = beta2 / (n + 2.0)
+    xi2 = [np.maximum(perp, 1.0 / n - q2), np.maximum(axis, 1.0 / n - q2)]
+    return {MK.UMVUE: (perp, axis),
+            MK.XI0_ETA0: (np.minimum(np.maximum(perp, 0.0), cap), np.maximum(axis, 0.0)),
+            MK.XI1_ETA1: xi1, MK.XI2_ETA2: xi2,
+            MK.XI1_TR_ETA1: (np.minimum(xi1[0], cap), xi1[1]),
+            MK.XI2_TR_ETA2: (np.minimum(xi2[0], cap), xi2[1])}[kind]
+
+
+@pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+@pytest.mark.parametrize("p,n", [(5, 5), (3, 1)])
+def test_every_kind_is_a_clamp_of_the_unbiased_factors(fam_name, p, n):
+    # The risk curves and confidence sets take each block's unbiased
+    # factors once and clamp them per kind; that must equal the public
+    # per-kind call bit for bit, on both sides of the positive-part kink
+    # and of the roots w_xi and w_eta.
+    from steinmse.matrix_improved import _clamp_eigen_parts
+
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    consts = sm.matrix_constants(fam, dims)
+    roots = [c for c in (dims.shrink_constant, consts.w_xi, consts.w_eta) if c is not None]
+    w = np.concatenate([np.geomspace(1e-4, 1e3, 400),
+                        *(np.nextafter(c, [0.0, c, np.inf]) for c in roots)])
+    unbiased = sm.matrix_eigen_parts(MK.UMVUE, w, fam, dims)
+    for kind in MK:
+        public = sm.matrix_eigen_parts(kind, w, fam, dims, consts)
+        for got in (_clamp_eigen_parts(kind, *unbiased, w, dims, consts),
+                    _written_out(kind, w, fam, dims, consts)):
+            assert np.array_equal(got[0], public[0]) and np.array_equal(got[1], public[1]), kind

@@ -233,3 +233,40 @@ def test_constants_builder_provenance():
     sc_custom = sm.shrinkage_constants(_pp_clone_as_custom(), DIMS)
     assert sc_custom.provenance == "quadrature"
     assert sc_custom.alpha == pytest.approx(sc_pp.alpha, rel=1e-8)
+
+
+def _written_out(kind, w, s, fam, dims, consts):
+    """Each kind's estimate in the expressions it had before the kinds
+    became clamps of one unbiased estimate."""
+    p, n = dims.p, dims.n
+    base = p * s / n * (1.0 - sm.a_of_w(fam, dims, w))
+    cap = p * s * (1.0 + w) / (n + p + 2.0)
+    floor1 = (p * s / n) * (1.0 - consts.gamma * consts.alpha / p)
+    floor2 = (p * s / n) * (1.0 - consts.alpha / p)
+    return {K.UMVUE: base, K.TRUNCATED_ZERO: np.maximum(base, 0.0),
+            K.PSI0: np.minimum(np.maximum(base, 0.0), cap),
+            K.PSI1: np.maximum(base, floor1), K.PSI2: np.maximum(base, floor2),
+            K.PSI1_TR: np.minimum(np.maximum(base, floor1), cap),
+            K.PSI2_TR: np.minimum(np.maximum(base, floor2), cap)}[kind]
+
+
+@pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+@pytest.mark.parametrize("p,n", [(5, 5), (3, 1)])
+def test_every_kind_is_a_clamp_of_the_unbiased_estimate(fam_name, p, n):
+    # The risk curves score each block's unbiased estimate once and clamp
+    # it per kind; that must equal the public per-kind call bit for bit,
+    # on both sides of the positive-part kink and of the root w_pn.
+    from steinmse.mse_improved import _clamp_mse
+
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    consts = sm.shrinkage_constants(fam, dims)
+    w = np.concatenate([np.geomspace(1e-4, 1e3, 400),
+                        *(np.nextafter(c, [0.0, c, np.inf])
+                          for c in (dims.shrink_constant, consts.w_pn))])
+    s = np.linspace(0.2, 5.0, w.size)
+    base = sm.estimate_mse_at(K.UMVUE, w, s, fam, dims)
+    for kind in K:
+        public = sm.estimate_mse_at(kind, w, s, fam, dims, consts)
+        assert np.array_equal(_clamp_mse(kind, base, w, s, dims, consts), public), kind
+        assert np.array_equal(_written_out(kind, w, s, fam, dims, consts), public), kind
