@@ -138,7 +138,7 @@ def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
 
 
 _SetGeometry = namedtuple("_SetGeometry", ["center", "l_perp", "l_axis", "logdet", "quantile",
-                                           "radius", "log_volume", "covered"])
+                                           "radius", "log_volume", "q", "covered"])
 
 
 def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
@@ -148,10 +148,10 @@ def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: Prob
 
     Returns one geometry per spec: the center, the shape's eigenvalue
     factors and log-determinant, the F quantile c at its level, the
-    threshold (c, or (S/n) c / |M|^{1/p} for the starred variants, which
-    makes their volume C0's), the log-volume and, given ``theta``, whether
-    the set contains it. A spec reuses the shape and quantile of an earlier
-    spec of the same matrix kind or level.
+    threshold (scalar c, or (S/n) c / |M|^{1/p} for the starred variants,
+    which makes their volume C0's), the log-volume and, given ``theta``, a
+    matrix shape's quadratic form q and whether the set contains it. A spec
+    reuses the shape, q and quantile of an earlier spec of its kind or level.
     """
     p, n = dims.p, dims.n
     if theta is not None:  # d'd per center; u'd at delta, where every matrix shape sits
@@ -188,15 +188,16 @@ def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: Prob
         if spec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
             radius = (s / n) * c * np.exp(-logdet / p)
         else:
-            radius = np.full_like(s, c)
+            radius = c
         c0 = spec.variant is ConfidenceVariant.C0
-        covered = None
+        covered = q = None
         if theta is not None and kind is None:
             covered = (dd_x if c0 else dd_delta) * n / (p * s) <= c
         elif theta is not None:
-            covered = _inv_quad(dd_delta, t, l_perp, l_axis, s) / p <= radius
+            q = twin.q if twin is not None else _inv_quad(dd_delta, t, l_perp, l_axis, s) / p
+            covered = q <= radius
         out.append(_SetGeometry(x if c0 else delta, l_perp, l_axis, logdet, c, radius,
-                                _log_volume(logdet, radius, p), covered))
+                                _log_volume(logdet, radius, p), q, covered))
     return out
 
 
@@ -218,7 +219,7 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
     axis = obs.x / norm_x if norm_x > 0 else np.eye(dims.p)[0]
     l_perp, l_axis = float(g.l_perp[0]), float(g.l_axis[0])
     shape = AxialMatrix(dims.p, obs.s, l_perp, l_axis - l_perp, axis)
-    radius = float(g.radius[0])
+    radius = float(np.ravel(g.radius)[0])
     result = ConfidenceResult(g.center[0].copy(), radius, shape,
                               ellipsoid_volume(shape, radius), None)
     return result if theta is None else replace(result, contains_truth=result.contains(theta))

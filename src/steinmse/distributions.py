@@ -6,10 +6,10 @@ moments of a chi-square ratio in closed form (``ratio_partial_moments``,
 ``ratio_inverse_square_above``) and the mean of any function of that ratio
 as a Beta-weighted quadrature (``ratio_expectation``). A noncentral
 chi-square is a Poisson mixture of central ones; ``poisson_weights`` gives
-the mixture weights. The incomplete beta and log-beta kernels are the
-module's own (``_betainc_pair``, ``_log_beta``), built on ``math.lgamma``
-and a continued fraction, so the closed forms need no scipy; only the
-quadrature imports it, lazily. All random draws come from counter-based
+the mixture weights. Every kernel is the module's own, on numpy alone: the
+incomplete beta and log-beta (``_betainc_pair``, ``_log_beta``) from
+``math.lgamma`` and a continued fraction, and the package's one quadrature,
+adaptive tanh-sinh (``_integrate``). All random draws come from counter-based
 Philox streams keyed by (seed, stream_id): the same key always reproduces
 the same draws, no matter which thread or process asks for them, so
 experiments can be sharded arbitrarily without changing a single number.
@@ -283,34 +283,63 @@ def poisson_weights(mean: float):
     return int(j[keep[0]]), w / w.sum()
 
 
+# Tanh-sinh nodes x = 1/(1 + e^{-pi sinh t}) at t = i/16, |t| <= 4 (Takahasi & Mori
+# 1974), with 1 - x formed on its own so an end singularity keeps its relative
+# accuracy. The rows of _TS_WEIGHTS are the rule at steps 1/16, 1/8 and 1/4.
+_TS_T = np.arange(-64, 65) / 16.0
+_TS_X, _TS_Y = 1.0 / (1.0 + np.exp(np.multiply.outer([-np.pi, np.pi], np.sinh(_TS_T))))
+_TS_WEIGHTS = (np.pi * np.cosh(_TS_T) * _TS_X * _TS_Y / np.array([[16.0], [8.0], [4.0]])
+               * (np.arange(129) % np.array([[1], [2], [4]]) == 0))
+
+
+def _integrate(f, m: int, rel: float, abs_tol: float) -> np.ndarray:
+    """Integrals over (0, 1) of m integrands at once, by adaptive tanh-sinh.
+
+    ``f(rows, x, y)`` gives the integrands of integrals ``rows`` (shape (P,))
+    at the nodes x (P, 129) of P pieces, with y = 1 - x exact. A piece's
+    error is the larger change between the steps 1/4, 1/8 and 1/16. While an
+    integral's error sum exceeds max(abs_tol, rel |I|), its pieces with more
+    than an equal share of that are halved, which finds undeclared kinks and
+    jumps. More than 64 pieces for one integral or one narrower than 2**-52,
+    where 1 - x stops being exact (a divergent integrand), or a non-finite
+    value raises RuntimeError.
+    """
+    new, done = np.column_stack([np.arange(m), np.zeros(m), np.ones(m)]), np.zeros((0, 5))
+    while True:  # new: (integral, lo, width); done adds (value, error)
+        lo, width = new[:, 1:2], new[:, 2:3]
+        levels = width * (f(new[:, 0].astype(int), lo + width * _TS_X,
+                            (1.0 - lo - width) + width * _TS_Y) @ _TS_WEIGHTS.T)
+        error = np.max(abs(np.diff(levels, axis=1)), axis=1)
+        if not np.all(np.isfinite(error)):
+            raise RuntimeError("quadrature met a non-finite integrand value")
+        pieces = np.vstack([done, np.column_stack([new, levels[:, 0], error])])
+        rows = pieces[:, 0].astype(int)
+        total, error_sum, count = (np.bincount(rows, v, m)
+                                   for v in (pieces[:, 3], pieces[:, 4], None))
+        target = np.maximum(abs_tol, rel * abs(total))
+        split = (pieces[:, 4] * count[rows] > target[rows]) & (error_sum > target)[rows]
+        if not split.any():
+            return total
+        if (count + np.bincount(rows[split], None, m)).max() > 64 or \
+                pieces[split, 2].min() <= 2.0 ** -51:
+            raise RuntimeError("quadrature did not converge; the integral may diverge")
+        done, new = pieces[~split], np.repeat(pieces[split, :3], 2, axis=0)
+        new[:, 2] *= 0.5
+        new[1::2, 1] += new[1::2, 2]
+
+
 def ratio_expectation(f, k: int, n: int) -> float:
     """E[f(W)] for W = U/V, with U ~ chi^2_k and V ~ chi^2_n independent.
 
     T = W/(1+W) is Beta(k/2, n/2), so the mean is one integral over
-    t in (0, 1) of f(t/(1-t)) against t^{k/2-1} (1-t)^{n/2-1}, divided by
-    B(k/2, n/2), to a relative 1e-10 or an absolute 1e-13, whichever is
-    looser. The algebraic weight is left to the quadrature rule, which
-    absorbs the endpoint singularities; adaptive subdivision handles kinks
-    and jumps of f. ``f`` takes one float W > 0 and returns a number. The
-    rule also samples the endpoints, W = 0 and W = infinity, where f need
-    not be defined; they count as 0.
+    t in (0, 1) of f(t/(1-t)) against the Beta(k/2, n/2) density, to a
+    relative 1e-10 or an absolute 1e-13, whichever is looser (``_integrate``,
+    which finds kinks and jumps of f). ``f`` takes an array of W > 0 and
+    returns an array of the same shape. A divergent mean raises RuntimeError.
     """
-    # Imported here: only custom families reach the quadrature, and
-    # scipy.integrate is about half the import cost of the package.
-    from scipy.integrate import quad
+    a, b = 0.5 * _check_df(k), 0.5 * _check_df(n, "n")
 
-    k = _check_df(k)
-    n = _check_df(n, "n")
-    a, b = 0.5 * k, 0.5 * n
+    def integrand(rows, t, s):
+        return f(t / s) * np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log(s) - _log_beta(a, b))
 
-    def integrand(t: float) -> float:
-        if not 0.0 < t < 1.0:
-            return 0.0
-        return float(f(t / (1.0 - t)))
-
-    norm = math.exp(_log_beta(a, b))
-    result = quad(integrand, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0),
-                  epsabs=1e-13 * norm, epsrel=1e-10, limit=200, full_output=1)
-    if len(result) > 3:
-        raise RuntimeError(f"ratio expectation did not converge (k={k}, n={n}): {result[3]}")
-    return result[0] / norm
+    return float(_integrate(integrand, 1, 1e-10, 1e-13)[0])

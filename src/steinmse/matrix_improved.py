@@ -16,9 +16,9 @@ cap (1+W)/(n+p+1), the denominator printed in the truncation formulas.
 
 The moment curves behind beta1 and beta2 are closed forms (incomplete
 beta functions, all from one continued fraction) for the built-in
-James-Stein and positive-part rules, and one-dimensional quadratures over
-the Beta law of W/(1+W) for custom families. No constant involves random
-draws.
+James-Stein and positive-part rules, and for custom families one
+tanh-sinh quadrature each over the Beta law of W/(1+W), whose kernel takes
+the whole node array at once. No constant involves random draws.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ def beta_j(order: int, fam: ShrinkageFamily, dims: ProblemDims, j: int) -> float
     b_weight = (k - 1.0) / k if order == 1 else 1.0 / k
     phi_weight = 2.0 * (p - 1.0) if order == 1 else 2.0
 
-    def kernel(w: float) -> float:
-        phi_over_w = float(np.asarray(fam.phi(w), dtype=float)) / w
-        return phi_weight * phi_over_w - b_weight * float(b_of_w(fam, dims, w))
+    def kernel(w):
+        phi_over_w = np.asarray(fam.phi(w), dtype=float) / w
+        return phi_weight * phi_over_w - b_weight * b_of_w(fam, dims, w)
 
     return ratio_expectation(kernel, k, dims.n)
 

@@ -99,9 +99,9 @@ class Observation:
 class ShrinkageFamily:
     """A member of the shrinkage class: phi and its derivative in W.
 
-    Both callables must stay finite on W >= 0; the built-in constructors
-    return vectorized callables and custom ones should accept numpy arrays
-    too. ``phi_continuous`` declares what the unbiased-estimation
+    Both callables must stay finite on W >= 0 and accept numpy arrays: the
+    built-in ones are vectorized, and the quadrature calls custom ones on
+    whole node arrays. ``phi_continuous`` declares what the unbiased-estimation
     machinery may rely on: the general (quadrature) path requires a
     continuous phi, while the built-in positive-part rule carries its own
     branch constants for the kink.

@@ -308,6 +308,26 @@ def test_estimate_with_every_constant_kind_leaves_out_scipy(x_csv):
     assert _scipy(loaded) == []
 
 
+def test_custom_family_quadrature_runs_without_scipy():
+    # A None entry in sys.modules makes any scipy import raise ImportError,
+    # so the run fails if the quadrature still reaches for scipy.
+    code = """import sys
+sys.modules["scipy"] = None
+import warnings
+import numpy as np
+import steinmse as sm
+warnings.simplefilter("ignore", RuntimeWarning)  # custom scans warn at their boundary
+dims = sm.ProblemDims(5, 5)
+k = dims.shrink_constant
+fam = sm.ShrinkageFamily.custom(lambda w: k * w / (w + k), lambda w: k * k / (w + k) ** 2)
+sm.shrinkage_constants(fam, dims)
+sm.matrix_constants(fam, dims, j_max=10)
+sm.umvue_mse(sm.Observation([1.0, -0.5, 0.3, 0.8, 0.2], 2.0), fam, dims)
+assert sm.g_transform(lambda t: k / t, dims, np.array([0.5, 2.0])).shape == (2,)
+"""
+    _modules_after(code)  # asserts that the interpreter exits cleanly
+
+
 def test_import_leaves_out_the_thread_pool():
     assert [m for m in _modules_after("import steinmse.cli") if m.startswith("concurrent")] == []
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -12,7 +13,8 @@ import steinmse as sm
 from _oracles import (chi2_cdf_df4_quad, chi2_pdf, f_quantile_by_quadrature,
                       ratio_chi2_density, ratio_moments_mpmath)
 from steinmse.distributions import (_beta_fraction, _betainc_pair, poisson_weights,
-                                    ratio_inverse_square_above, ratio_partial_moments)
+                                    ratio_expectation, ratio_inverse_square_above,
+                                    ratio_partial_moments)
 
 
 def test_chi2_pdf_exponential_case():
@@ -282,3 +284,36 @@ def test_partial_moments_reject_bad_cut(c):
 def test_partial_moments_reject_cut_where_x_rounds_to_one():
     with pytest.raises(ValueError):
         ratio_partial_moments(5, 5, 2.0 ** 53)
+
+
+@pytest.mark.parametrize("k,n", [(3, 1), (5, 1), (5, 2), (405, 5)])
+def test_ratio_expectation_of_one_is_one(k, n):
+    # End singularities t^{-1/2} and (1-t)^{-1/2}, and at (405, 5) a peak
+    # of width about 1/200 against the end t = 1.
+    assert ratio_expectation(np.ones_like, k, n) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("k,n", [(3, 3), (5, 5), (7, 3), (405, 5)])
+def test_ratio_expectation_of_w_is_the_mean(k, n):
+    assert ratio_expectation(lambda w: w, k, n) == pytest.approx(k / (n - 2.0), rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(3, 60), n=st.integers(1, 30), c=st.floats(0.01, 100.0))
+def test_ratio_expectation_finds_an_undeclared_jump(k, n, c):
+    # The mean of the step W < c is P(W < c), to the quadrature's target:
+    # a relative 1e-10 or an absolute 1e-13, whichever is looser.
+    got = ratio_expectation(lambda w: w < c, k, n)
+    assert got == pytest.approx(ratio_partial_moments(k, n, c)[0], rel=1e-10, abs=1e-13)
+
+
+@pytest.mark.parametrize("mean", [
+    lambda: ratio_expectation(lambda w: 1.0 / w, 2, 5),  # E[1/W] needs k > 2
+    lambda: ratio_expectation(lambda w: w, 5, 2),  # E[W] needs n > 2
+    lambda: sm.g_transform(lambda t: t, sm.ProblemDims(5, 1), 1.0),
+], ids=["inverse-k2", "mean-n2", "g-transform"])
+def test_divergent_integrals_raise_quickly(mean):
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError):
+        mean()
+    assert time.perf_counter() - start < 1.0

@@ -203,6 +203,16 @@ class TestTruncationBand:
         d = sm.ProblemDims(10, 10)
         assert not sm.truncation_band_nonempty(sm.ShrinkageFamily.james_stein(d), d)
 
+    @pytest.mark.parametrize("p,n", [(5, 5), (10, 5), (5, 10), (10, 10)])
+    @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
+    def test_custom_clone_band_matches_built_in(self, name, p, n):
+        # The clone's g-kernels come from quadrature; the positive-part
+        # clone's integrands have an undeclared kink and jump at W = k.
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(name, dims)
+        clone = sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
+        assert sm.truncation_band_nonempty(clone, dims) == sm.truncation_band_nonempty(fam, dims)
+
     def test_psi0_beats_plain_truncation_when_band_nonempty(self):
         # Paired Monte Carlo: on the nonempty band the double truncation
         # dominates max(0, unbiased) as well.

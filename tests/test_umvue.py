@@ -93,6 +93,29 @@ class TestGFunctions:
         np.testing.assert_allclose(gf_q.g3(w), gf_c.g3(w), rtol=1e-8)
         np.testing.assert_allclose(gf_q.g(w), gf_c.g(w), rtol=1e-8)
 
+    @pytest.mark.parametrize("p,n", [(5, 5), (10, 5), (5, 10), (10, 10)])
+    @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
+    def test_custom_clone_kernels_match_closed_forms_across_the_kink(self, name, p, n):
+        # The grid straddles the positive-part kink at W = k, which no one
+        # declares to the quadrature. atol covers g2 near W = 0.02, where it
+        # falls to about 1e-8 at (10, 10) and the 1e-14 absolute target is
+        # the looser one.
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(name, dims)
+        clone = sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
+        gf_q, gf_c = sm.g_functions(clone, dims), sm.g_functions(fam, dims)
+        w = np.geomspace(0.02, 50.0, 400)
+        for kernel in ("g1", "g2", "g3"):
+            np.testing.assert_allclose(getattr(gf_q, kernel)(w), getattr(gf_c, kernel)(w),
+                                       rtol=1e-8, atol=1e-13, err_msg=kernel)
+
+    def test_g_transform_takes_arrays(self):
+        c = (DIMS.p - 2.0) ** 2 / (DIMS.n + 2.0)
+        w = np.array([[0.3, 1.0], [4.0, 9.0]])
+        got = sm.g_transform(lambda t: c / t, DIMS, w)
+        assert got.shape == w.shape
+        np.testing.assert_allclose(got, 2.0 * c / ((DIMS.n + 2.0) * w), rtol=1e-10)
+
     def test_discontinuous_custom_rejected(self):
         step = lambda w: np.where(np.asarray(w) < 1.0, 0.0, 0.3) if np.ndim(w) \
             else (0.0 if w < 1.0 else 0.3)
