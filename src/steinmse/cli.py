@@ -233,22 +233,26 @@ def _make_config(args, dims, kinds=None, matrix_kinds=None) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _kinds_or_usage(text: str | None, table: dict, what: str):
+    """The estimator kinds named in ``text``, or None for the library's."""
+    if text is None:
+        return None
+    try:
+        return tuple(table[k] for k in text.split(","))
+    except KeyError as exc:
+        raise UsageError(f"unknown {what} estimator kind {exc.args[0]!r}") from exc
+
+
 def _cmd_risk_curve(args) -> int:
     dims = ProblemDims(args.p, args.n)
     if args.target == "mse":
         if args.loss == "matrix":
             raise UsageError("--loss matrix needs --target matrix")
-        try:
-            kinds = tuple(_MSE_KINDS[k] for k in args.kinds.split(","))
-        except KeyError as exc:
-            raise UsageError(f"unknown MSE estimator kind {exc.args[0]!r}") from exc
+        kinds = _kinds_or_usage(args.kinds, _MSE_KINDS, "MSE")
         cfg = _make_config(args, dims, kinds=kinds)
         table = run_mse_risk_curve(cfg, loss=args.loss)
     else:
-        try:
-            kinds = tuple(_MATRIX_KINDS[k] for k in args.kinds.split(","))
-        except KeyError as exc:
-            raise UsageError(f"unknown matrix estimator kind {exc.args[0]!r}") from exc
+        kinds = _kinds_or_usage(args.kinds, _MATRIX_KINDS, "matrix")
         cfg = _make_config(args, dims, matrix_kinds=kinds)
         loss = "matrix" if args.loss == "mse" else args.loss
         table = run_matrix_risk_curve(cfg, loss=loss)
@@ -322,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--n", type=int, required=True)
     risk.add_argument("--family", default="js-plus")
     risk.add_argument("--target", default="mse", choices=("mse", "matrix"))
-    risk.add_argument("--kinds", default="umvue,psi0,psi1-tr,psi2-tr")
+    mse_kinds, matrix_kinds = (",".join(k.value for k in kinds) for kinds in (
+        ExperimentConfig.estimator_kinds, ExperimentConfig.matrix_kinds))
+    risk.add_argument("--kinds", default=None,
+                      help=f"comma list (default: {mse_kinds} for --target mse, "
+                           f"{matrix_kinds} for --target matrix)")
     risk.add_argument("--loss", default="mse", choices=("mse", "matrix", "reduction"))
     risk.add_argument("--lambdas", default="0:30:1")
     risk.add_argument("--reps", type=int, default=100_000)

@@ -1,14 +1,16 @@
 """Monte Carlo drivers for risk and coverage curves, and the constants tables.
 
 All three curves walk one grid, ``_grid``: dims x family x noncentrality,
-with replications drawn serially in fixed-size blocks, each block from its
-own counter-based stream, and block partials summed in block order. The
-block layout depends only on the configuration, so a rerun yields
-bit-identical tables. Competing estimators are always evaluated on the
-same draws (paired design), which makes dominance comparisons sharp at
-modest replication counts. The risk curves score them against the exact
-truth, ``true_risk`` and ``true_mse_matrix``, which involve no random
-draws, so the diff columns hold estimator noise alone.
+with replications in fixed-size blocks, each block from its own
+counter-based stream. One worker thread draws the blocks up to two ahead;
+the calling thread scores them serially and sums the block partials in
+block order. The block layout depends only on the configuration, and the
+worker changes no number, so a rerun yields bit-identical tables.
+Competing estimators are always evaluated on the same draws (paired
+design), which makes dominance comparisons sharp at modest replication
+counts. The risk curves score them against the exact truth, ``true_risk``
+and ``true_mse_matrix``, which involve no random draws, so the diff
+columns hold estimator noise alone.
 
 Each block evaluates the unbiased kernels once, and every estimator kind
 is a clamp of them. Coverage curves take every confidence-set quantity
@@ -25,7 +27,9 @@ import csv
 import json
 import math
 import os
-from collections import namedtuple
+import threading
+from collections import deque, namedtuple
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +80,9 @@ class ExperimentConfig:
     coordinates, "first-axis" puts it all on the first one, or pass an
     explicit vector. Risks depend on theta only through the noncentrality,
     which the direction-invariance test exploits. threads and const_reps
-    are ignored: blocks run serially, and the shrinkage and matrix
-    constants involve no random draws. Both are still accepted for
+    are ignored: blocks are drawn up to two ahead on one worker thread,
+    scored serially and summed in block order, and the shrinkage and
+    matrix constants involve no random draws. Both are still accepted for
     configurations written when they mattered.
     """
 
@@ -206,12 +211,78 @@ def _block_sizes(reps: int):
     return [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
 
 
-def _draw_block(stream: RngStream, m: int, theta: np.ndarray, n: int):
-    g = stream.generator()
+def _draw(g: np.random.Generator, m: int, theta: np.ndarray, n: int):
     x = theta + g.standard_normal((m, theta.shape[0]))
     s = g.chisquare(n, m)
     w = np.einsum("ij,ij->i", x, x) / s
     return x, s, w
+
+
+def _draw_block(stream: RngStream, m: int, theta: np.ndarray, n: int):
+    """One block drawn directly on the calling thread, as ``_grid`` hands it out."""
+    return _draw(stream.generator(), m, theta, n)
+
+
+# Blocks the worker may draw ahead of the one being scored.
+_AHEAD = 2
+
+
+class _Lookahead:
+    """Draws blocks on one worker thread, up to ``_AHEAD`` ahead of ``take``.
+
+    ``jobs`` yields the ``_draw`` arguments of each block in the order the
+    blocks are taken. It runs on the calling thread, generators included,
+    so the worker runs only numpy's array fills, which release the GIL.
+    A draw that raises raises from the ``take`` of its block.
+    """
+
+    def __init__(self, jobs):
+        self._jobs = iter(jobs)
+        self._queue = deque()    # (args, out, done) for the worker; None stops it
+        self._ready = threading.Semaphore(0)
+        self._pending = deque()  # (out, done) of the blocks not yet taken, in order
+        self.taken = 0
+        for _ in range(_AHEAD):
+            self._submit()
+        self._thread = threading.Thread(target=self._work, name="steinmse-draw", daemon=True)
+        self._thread.start()
+
+    def _submit(self) -> None:
+        args = next(self._jobs, None)
+        if args is not None:
+            out, done = [], threading.Event()
+            self._pending.append((out, done))
+            self._queue.append((args, out, done))
+            self._ready.release()
+
+    def _work(self) -> None:
+        while True:
+            self._ready.acquire()
+            job = self._queue.popleft()
+            if job is None:
+                return
+            args, out, done = job
+            try:
+                out.append(_draw(*args))
+            except BaseException as exc:  # re-raised on the caller's thread by take
+                out.append(exc)
+            done.set()
+
+    def take(self):
+        """The next block, (x, s, w)."""
+        self._submit()
+        out, done = self._pending.popleft()
+        done.wait()
+        self.taken += 1
+        if isinstance(out[0], BaseException):
+            raise out[0]
+        return out[0]
+
+    def close(self) -> None:
+        """Stop the worker after its current draw and wait for it."""
+        self._queue.appendleft(None)
+        self._ready.release()
+        self._thread.join()
 
 
 _GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam", "theta",
@@ -224,25 +295,36 @@ def _grid(cfg: ExperimentConfig, domain: int, constants=None):
     ``constants(family_name, fam, dims)``, when given, supplies the
     constants once per (dims, family). Each point carries ``block_sum(fn)``:
     the sum of fn(x, s, w) over the point's blocks, each drawn from its own
-    stream of ``domain``, run serially and summed in block order.
+    stream of ``domain``, scored serially and summed in block order. The
+    blocks of the whole walk come from one ``_Lookahead``, so each point's
+    ``block_sum`` must be called once, in walk order; any other call raises.
+    Closing the walk stops the worker thread.
     """
     sizes = _block_sizes(cfg.reps)
-    for di, dims in enumerate(cfg.dims_list):
-        for fi, fam_name in enumerate(cfg.families):
-            fam = family_from_name(fam_name, dims)
-            consts = None if constants is None else constants(fam_name, fam, dims)
-            direction = _direction(cfg, dims.p)
-            for li, lam in enumerate(cfg.lambda_grid):
-                theta = math.sqrt(lam) * direction
+    directions = [_direction(cfg, dims.p) for dims in cfg.dims_list]
+    thetas = [[math.sqrt(lam) * d for lam in cfg.lambda_grid] for d in directions]
+    blocks = _Lookahead(
+        (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, thetas[di][li], dims.n)
+        for di, dims in enumerate(cfg.dims_list) for fi in range(len(cfg.families))
+        for li in range(len(cfg.lambda_grid)) for bi, m in enumerate(sizes))
+    first = 0
+    try:
+        for di, dims in enumerate(cfg.dims_list):
+            for fam_name in cfg.families:
+                fam = family_from_name(fam_name, dims)
+                consts = None if constants is None else constants(fam_name, fam, dims)
+                for lam, theta in zip(cfg.lambda_grid, thetas[di]):
 
-                # The defaults pin this point's stream key and theta, so the
-                # function stays right after the walk moves on.
-                def block_sum(fn, key=(fi, di, li), theta=theta, n=dims.n):
-                    return np.sum(np.stack([
-                        fn(*_draw_block(_stream(cfg.seed, domain, *key, bi), m, theta, n))
-                        for bi, m in enumerate(sizes)]), axis=0)
+                    def block_sum(fn, first=first):
+                        if blocks.taken != first:
+                            raise RuntimeError("block_sum takes each grid point's blocks once, "
+                                               "in walk order")
+                        return np.sum(np.stack([fn(*blocks.take()) for _ in sizes]), axis=0)
 
-                yield _GridPoint(dims, fam_name, fam, consts, lam, theta, block_sum)
+                    yield _GridPoint(dims, fam_name, fam, consts, lam, theta, block_sum)
+                    first += len(sizes)
+    finally:
+        blocks.close()
 
 
 def _mean_and_stderr(total: float, total_sq: float, m: int):
@@ -302,22 +384,23 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
     constants = ((lambda _name, fam, dims: shrinkage_constants(fam, dims))
                  if any(k.needs_constants for k in kinds) else None)
     rows: list = []
-    for pt in _grid(cfg, _DOMAIN_MSE_CURVE, constants):
-        p, n = pt.dims.p, pt.dims.n
-        r_true = true_risk(pt.fam, pt.dims, pt.lam)
-        target = r_true if loss == "mse" else p - r_true
+    with closing(_grid(cfg, _DOMAIN_MSE_CURVE, constants)) as walk:
+        for pt in walk:
+            p, n = pt.dims.p, pt.dims.n
+            r_true = true_risk(pt.fam, pt.dims, pt.lam)
+            target = r_true if loss == "mse" else p - r_true
 
-        def score(x, s, w):
-            base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
-            losses = []
-            for kind in kinds:
-                est = _clamp_mse(kind, base, w, s, pt.dims, pt.consts)
-                if loss == "reduction":
-                    est = p * s / n - est
-                losses.append((est - target) ** 2)
-            return _loss_stats(losses, base_idx)
+            def score(x, s, w):
+                base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
+                losses = []
+                for kind in kinds:
+                    est = _clamp_mse(kind, base, w, s, pt.dims, pt.consts)
+                    if loss == "reduction":
+                        est = p * s / n - est
+                    losses.append((est - target) ** 2)
+                return _loss_stats(losses, base_idx)
 
-        _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
+            _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
     meta = cfg.metadata()
     meta["loss"] = loss
     return RiskTable("risk_curve", RiskRow._fields, rows, meta)
@@ -361,27 +444,28 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     constants = (_matrix_constants_from(consts_map)
                  if any(k.needs_constants for k in kinds) else None)
     rows: list = []
-    for pt in _grid(cfg, _DOMAIN_MATRIX_CURVE, constants):
-        p, n, lam, theta = pt.dims.p, pt.dims.n, pt.lam, pt.theta
-        a, b = true_mse_matrix(pt.fam, pt.dims, lam)
-        if loss == "reduction":
-            a, b = 1.0 - a, -b
-        tr_m = p * a + b * lam
-        tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
+    with closing(_grid(cfg, _DOMAIN_MATRIX_CURVE, constants)) as walk:
+        for pt in walk:
+            p, n, lam, theta = pt.dims.p, pt.dims.n, pt.lam, pt.theta
+            a, b = true_mse_matrix(pt.fam, pt.dims, lam)
+            if loss == "reduction":
+                a, b = 1.0 - a, -b
+            tr_m = p * a + b * lam
+            tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
 
-        def score(x, s, w):
-            x_theta = x @ theta
-            u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
-            unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
-            losses = []
-            for kind in kinds:
-                l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, pt.dims, pt.consts)
-                if loss == "reduction":
-                    l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
-                losses.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
-            return _loss_stats(losses, base_idx)
+            def score(x, s, w):
+                x_theta = x @ theta
+                u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
+                unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
+                losses = []
+                for kind in kinds:
+                    l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, pt.dims, pt.consts)
+                    if loss == "reduction":
+                        l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
+                    losses.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
+                return _loss_stats(losses, base_idx)
 
-        _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
+            _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
     meta = cfg.metadata()
     meta["loss"] = loss
     return RiskTable("risk_curve", RiskRow._fields, rows, meta)
@@ -409,22 +493,23 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     constants = (_matrix_constants_from(consts_map)
                  if any(v.matrix_kind is not None for v in variants) else None)
     rows: list = []
-    for pt in _grid(cfg, _DOMAIN_COVERAGE, constants):
+    with closing(_grid(cfg, _DOMAIN_COVERAGE, constants)) as walk:
+        for pt in walk:
 
-        def score(x, s, w):
-            delta = shrink_factors(pt.fam, w)[:, None] * x
-            geos = _set_geometry(x, s, w, delta, variants, pt.fam, pt.dims, pt.consts, pt.theta)
-            return np.array([(g.covered.sum(), np.exp(g.log_volume).sum()) for g in geos])
+            def score(x, s, w):
+                delta = shrink_factors(pt.fam, w)[:, None] * x
+                geos = _set_geometry(x, s, w, delta, variants, pt.fam, pt.dims, pt.consts, pt.theta)
+                return np.array([(g.covered.sum(), np.exp(g.log_volume).sum()) for g in geos])
 
-        agg = pt.block_sum(score)
-        c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
-        for vi, spec in enumerate(variants):
-            cov = agg[vi, 0] / cfg.reps
-            se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
-            vol = agg[vi, 1] / cfg.reps
-            ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
-            rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
-                                    spec.variant.value, cov, se, vol, ratio))
+            agg = pt.block_sum(score)
+            c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
+            for vi, spec in enumerate(variants):
+                cov = agg[vi, 0] / cfg.reps
+                se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
+                vol = agg[vi, 1] / cfg.reps
+                ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
+                rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
+                                        spec.variant.value, cov, se, vol, ratio))
     meta = cfg.metadata()
     meta["variants"] = [v.variant.value for v in variants]
     meta["levels"] = [v.level for v in variants]

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -112,6 +113,16 @@ def test_matrix_risk_curve_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "xi0" in out
+
+
+def test_matrix_risk_curve_defaults_to_the_matrix_kinds(tmp_path):
+    out = tmp_path / "risk"
+    code = main(["risk-curve", "--p", "5", "--n", "5", "--target", "matrix", "--lambdas", "0,2",
+                 "--reps", "500", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    with open(out / "risk_curve_matrix.csv") as fh:
+        kinds = [row["kind"] for row in csv.DictReader(fh)]
+    assert kinds == ["umvue", "xi0", "xi1-tr", "xi2-tr"] * 2
 
 
 def test_coverage_smoke(capsys):

@@ -1,4 +1,5 @@
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -337,3 +338,108 @@ def test_each_block_is_scored_once(monkeypatch):
     counts.clear()
     sm.run_matrix_risk_curve(cfg, loss="reduction")
     assert counts == {"matrix_eigen_parts": blocks}
+
+
+def _lookahead_cfg():
+    import steinmse.experiments as experiments
+    return _small_cfg(dims_list=(DIMS, sm.ProblemDims(3, 2)),
+                      families=("james-stein", "positive-part"), lambda_grid=(0.0, 2.5, 9.0),
+                      reps=2 * experiments.BLOCK + 7)
+
+
+def test_lookahead_hands_each_point_its_own_blocks():
+    from steinmse.experiments import _DOMAIN_COVERAGE, _block_sizes, _draw_block, _grid, _stream
+
+    cfg = _lookahead_cfg()
+    sizes = _block_sizes(cfg.reps)
+    assert len(sizes) == 3
+    keys = [(fi, di, li) for di in range(2) for fi in range(2) for li in range(3)]
+    before = threading.active_count()
+    walk = _grid(cfg, _DOMAIN_COVERAGE)
+    for key, pt in zip(keys, walk, strict=True):
+        got = []
+
+        def record(x, s, w, got=got):
+            assert threading.active_count() == before + 1  # one worker, no more
+            got.append((x.copy(), s.copy(), w.copy()))
+            return np.zeros(1)
+
+        pt.block_sum(record)
+        assert len(got) == len(sizes)
+        for bi, (block, m) in enumerate(zip(got, sizes)):
+            want = _draw_block(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi), m, pt.theta,
+                               pt.dims.n)
+            assert all(np.array_equal(a, b) for a, b in zip(block, want))
+        with pytest.raises(RuntimeError, match="once, in walk order"):
+            pt.block_sum(record)
+    assert threading.active_count() == before
+
+
+def test_lookahead_refuses_a_skipped_point():
+    from steinmse.experiments import _DOMAIN_COVERAGE, _grid
+
+    walk = _grid(_lookahead_cfg(), _DOMAIN_COVERAGE)
+    next(walk)
+    with pytest.raises(RuntimeError, match="once, in walk order"):
+        next(walk).block_sum(lambda x, s, w: np.zeros(1))
+    walk.close()
+
+
+def test_failed_draw_raises_from_the_curve_and_stops_the_worker(monkeypatch):
+    import steinmse.experiments as experiments
+
+    boom = FloatingPointError("third block")
+    calls = []
+    draw = experiments._draw
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise boom
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "_draw", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as info:
+        sm.run_coverage_curve(_lookahead_cfg())
+    assert info.value is boom
+    assert threading.active_count() == before
+
+
+def test_failed_score_propagates_and_stops_the_worker(monkeypatch):
+    import steinmse.experiments as experiments
+
+    def failing(*args):
+        raise ZeroDivisionError("first point")
+
+    monkeypatch.setattr(experiments, "_set_geometry", failing)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="first point"):
+        sm.run_coverage_curve(_lookahead_cfg())
+    assert threading.active_count() == before
+
+
+def test_walk_closed_after_its_first_point_stops_the_worker(monkeypatch):
+    import steinmse.experiments as experiments
+
+    drawn = []
+    draw = experiments._draw
+
+    def counted(*args):
+        drawn.append(1)
+        return draw(*args)
+
+    def score(x, s, w):
+        taken.append(1)
+        assert len(drawn) <= len(taken) + 2  # at most two blocks ahead
+        return np.zeros(1)
+
+    monkeypatch.setattr(experiments, "_draw", counted)
+    taken = []
+    before = threading.active_count()
+    walk = experiments._grid(_lookahead_cfg(), experiments._DOMAIN_MSE_CURVE)
+    next(walk).block_sum(score)
+    assert threading.active_count() == before + 1
+    walk.close()
+    assert threading.active_count() == before
+    assert len(taken) == 3 and len(drawn) <= 5
