@@ -230,7 +230,10 @@ def _make_config(args, dims, kinds=None, matrix_kinds=None) -> ExperimentConfig:
         kwargs["estimator_kinds"] = kinds
     if matrix_kinds is not None:
         kwargs["matrix_kinds"] = matrix_kinds
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _kinds_or_usage(text: str | None, table: dict, what: str):

@@ -2,15 +2,15 @@
 
 All three curves walk one grid, ``_grid``: dims x family x noncentrality,
 with replications in fixed-size blocks, each block from its own
-counter-based stream. One worker thread draws the blocks up to two ahead;
-the calling thread scores them serially and sums the block partials in
-block order. The block layout depends only on the configuration, and the
-worker changes no number, so a rerun yields bit-identical tables.
-Competing estimators are always evaluated on the same draws (paired
-design), which makes dominance comparisons sharp at modest replication
-counts. The risk curves score them against the exact truth, ``true_risk``
-and ``true_mse_matrix``, which involve no random draws, so the diff
-columns hold estimator noise alone.
+counter-based stream. One executor worker draws the blocks up to two
+ahead; the calling thread scores them serially and sums the block
+partials in block order. The block layout depends only on the
+configuration, and the worker changes no number, so a rerun yields
+bit-identical tables. Competing estimators are always evaluated on the
+same draws (paired design), which makes dominance comparisons sharp at
+modest replication counts. The risk curves score them against the exact
+truth, ``true_risk`` and ``true_mse_matrix``, which involve no random
+draws, so the diff columns hold estimator noise alone.
 
 Each block evaluates the unbiased kernels once, and every estimator kind
 is a clamp of them. Coverage curves take every confidence-set quantity
@@ -27,9 +27,7 @@ import csv
 import json
 import math
 import os
-import threading
 from collections import deque, namedtuple
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +60,9 @@ __all__ = [
 # Replications per stream; fixed so outputs depend only on the configuration.
 BLOCK = 4096
 
+# Fields of the 64-bit stream id below the 4-bit domain: (name, bits, shift).
+_STREAM_FIELDS = (("family", 4, 56), ("dims", 8, 48), ("lambda", 16, 32), ("block", 32, 0))
+
 _DOMAIN_MSE_CURVE = 3
 _DOMAIN_MATRIX_CURVE = 4
 _DOMAIN_COVERAGE = 5
@@ -80,10 +81,12 @@ class ExperimentConfig:
     coordinates, "first-axis" puts it all on the first one, or pass an
     explicit vector. Risks depend on theta only through the noncentrality,
     which the direction-invariance test exploits. threads and const_reps
-    are ignored: blocks are drawn up to two ahead on one worker thread,
+    are ignored: blocks are drawn up to two ahead by one executor worker,
     scored serially and summed in block order, and the shrinkage and
     matrix constants involve no random draws. Both are still accepted for
-    configurations written when they mattered.
+    configurations written when they mattered. Building a configuration
+    checks the theta direction for every dims and that the grid and block
+    counts fit the stream-id fields.
     """
 
     dims_list: tuple = (ProblemDims(5, 5),)
@@ -98,11 +101,9 @@ class ExperimentConfig:
     const_reps: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "dims_list", tuple(self.dims_list))
+        for name in ("dims_list", "families", "estimator_kinds", "matrix_kinds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "estimator_kinds", tuple(self.estimator_kinds))
-        object.__setattr__(self, "matrix_kinds", tuple(self.matrix_kinds))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
@@ -110,6 +111,14 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         RngStream(self.seed)  # the seed must name a stream: an integer in [0, 2**64)
+        counts = (len(self.families), len(self.dims_list), len(self.lambda_grid),
+                  len(range(0, self.reps, BLOCK)))
+        for (name, bits, _), count in zip(_STREAM_FIELDS, counts):
+            if count > 1 << bits:
+                raise ValueError(f"{count} {name} indices exceed the {bits}-bit stream field "
+                                 f"(at most {1 << bits})")
+        for dims in self.dims_list:
+            _direction(self, dims.p)
 
     def metadata(self) -> dict:
         return {
@@ -179,8 +188,7 @@ def _stream(seed: int, domain: int, fam_idx: int = 0, dims_idx: int = 0,
     """Pack the experiment coordinates into one 64-bit stream id; an index
     too wide for its field raises rather than reuse another's stream."""
     sid = domain << 60
-    for name, idx, bits, shift in (("family", fam_idx, 4, 56), ("dims", dims_idx, 8, 48),
-                                   ("lambda", lam_idx, 16, 32), ("block", block, 32, 0)):
+    for (name, bits, shift), idx in zip(_STREAM_FIELDS, (fam_idx, dims_idx, lam_idx, block)):
         if not 0 <= idx < 1 << bits:
             raise ValueError(f"{name} index {idx} does not fit its {bits}-bit stream field")
         sid |= idx << shift
@@ -200,6 +208,8 @@ def _direction(cfg: ExperimentConfig, p: int) -> np.ndarray:
     vec = np.asarray(d, dtype=float).reshape(-1)
     if vec.shape != (p,):
         raise ValueError(f"theta direction must have length {p}")
+    if not np.isfinite(vec).all():
+        raise ValueError("theta direction must be finite")
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("theta direction must be nonzero")
@@ -207,8 +217,7 @@ def _direction(cfg: ExperimentConfig, p: int) -> np.ndarray:
 
 
 def _block_sizes(reps: int):
-    nblocks = (reps + BLOCK - 1) // BLOCK
-    return [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
+    return [min(BLOCK, reps - start) for start in range(0, reps, BLOCK)]
 
 
 def _draw(g: np.random.Generator, m: int, theta: np.ndarray, n: int):
@@ -218,113 +227,60 @@ def _draw(g: np.random.Generator, m: int, theta: np.ndarray, n: int):
     return x, s, w
 
 
-def _draw_block(stream: RngStream, m: int, theta: np.ndarray, n: int):
-    """One block drawn directly on the calling thread, as ``_grid`` hands it out."""
-    return _draw(stream.generator(), m, theta, n)
+def _drawn(jobs):
+    """Yield ``_draw(*args)`` for each ``args`` of ``jobs``, in order, drawn
+    by one executor worker at most two blocks ahead. ``jobs`` runs on
+    the calling thread, so the worker runs only numpy's array fills, which
+    release the GIL. A failed draw raises at its turn; closing the generator
+    cancels the draws not yet started and joins the worker."""
+    # Imported here, since it loads logging, which the CLI's import avoids.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1, thread_name_prefix="steinmse-draw")
+    try:
+        ahead = deque()
+        for args in jobs:
+            ahead.append(pool.submit(_draw, *args))
+            if len(ahead) > 2:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-# Blocks the worker may draw ahead of the one being scored.
-_AHEAD = 2
+_GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam", "theta"])
 
 
-class _Lookahead:
-    """Draws blocks on one worker thread, up to ``_AHEAD`` ahead of ``take``.
+def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
+    """[(point, total)] over the dims x family x noncentrality grid of ``cfg``.
 
-    ``jobs`` yields the ``_draw`` arguments of each block in the order the
-    blocks are taken. It runs on the calling thread, generators included,
-    so the worker runs only numpy's array fills, which release the GIL.
-    A draw that raises raises from the ``take`` of its block.
-    """
-
-    def __init__(self, jobs):
-        self._jobs = iter(jobs)
-        self._queue = deque()    # (args, out, done) for the worker; None stops it
-        self._ready = threading.Semaphore(0)
-        self._pending = deque()  # (out, done) of the blocks not yet taken, in order
-        self.taken = 0
-        for _ in range(_AHEAD):
-            self._submit()
-        self._thread = threading.Thread(target=self._work, name="steinmse-draw", daemon=True)
-        self._thread.start()
-
-    def _submit(self) -> None:
-        args = next(self._jobs, None)
-        if args is not None:
-            out, done = [], threading.Event()
-            self._pending.append((out, done))
-            self._queue.append((args, out, done))
-            self._ready.release()
-
-    def _work(self) -> None:
-        while True:
-            self._ready.acquire()
-            job = self._queue.popleft()
-            if job is None:
-                return
-            args, out, done = job
-            try:
-                out.append(_draw(*args))
-            except BaseException as exc:  # re-raised on the caller's thread by take
-                out.append(exc)
-            done.set()
-
-    def take(self):
-        """The next block, (x, s, w)."""
-        self._submit()
-        out, done = self._pending.popleft()
-        done.wait()
-        self.taken += 1
-        if isinstance(out[0], BaseException):
-            raise out[0]
-        return out[0]
-
-    def close(self) -> None:
-        """Stop the worker after its current draw and wait for it."""
-        self._queue.appendleft(None)
-        self._ready.release()
-        self._thread.join()
-
-
-_GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam", "theta",
-                                       "block_sum"])
-
-
-def _grid(cfg: ExperimentConfig, domain: int, constants=None):
-    """Walk the dims x family x noncentrality grid of ``cfg`` in order.
-
-    ``constants(family_name, fam, dims)``, when given, supplies the
-    constants once per (dims, family). Each point carries ``block_sum(fn)``:
-    the sum of fn(x, s, w) over the point's blocks, each drawn from its own
-    stream of ``domain``, scored serially and summed in block order. The
-    blocks of the whole walk come from one ``_Lookahead``, so each point's
-    ``block_sum`` must be called once, in walk order; any other call raises.
-    Closing the walk stops the worker thread.
+    ``constants(family_name, fam, dims)``, when not None, supplies the
+    constants once per (dims, family); ``scorer(point)`` returns the block
+    score fn(x, s, w). Each block comes from its own stream of ``domain``
+    (``_drawn``); the scores are summed in block order.
     """
     sizes = _block_sizes(cfg.reps)
     directions = [_direction(cfg, dims.p) for dims in cfg.dims_list]
     thetas = [[math.sqrt(lam) * d for lam in cfg.lambda_grid] for d in directions]
-    blocks = _Lookahead(
+    blocks = _drawn(
         (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, thetas[di][li], dims.n)
         for di, dims in enumerate(cfg.dims_list) for fi in range(len(cfg.families))
         for li in range(len(cfg.lambda_grid)) for bi, m in enumerate(sizes))
-    first = 0
+    totals = []
     try:
         for di, dims in enumerate(cfg.dims_list):
             for fam_name in cfg.families:
                 fam = family_from_name(fam_name, dims)
                 consts = None if constants is None else constants(fam_name, fam, dims)
                 for lam, theta in zip(cfg.lambda_grid, thetas[di]):
-
-                    def block_sum(fn, first=first):
-                        if blocks.taken != first:
-                            raise RuntimeError("block_sum takes each grid point's blocks once, "
-                                               "in walk order")
-                        return np.sum(np.stack([fn(*blocks.take()) for _ in sizes]), axis=0)
-
-                    yield _GridPoint(dims, fam_name, fam, consts, lam, theta, block_sum)
-                    first += len(sizes)
+                    pt = _GridPoint(dims, fam_name, fam, consts, lam, theta)
+                    score = scorer(pt)
+                    totals.append((pt, np.sum(np.stack([score(*next(blocks)) for _ in sizes]),
+                                              axis=0)))
     finally:
         blocks.close()
+    return totals
 
 
 def _mean_and_stderr(total: float, total_sq: float, m: int):
@@ -337,30 +293,40 @@ def _mean_and_stderr(total: float, total_sq: float, m: int):
 
 def _loss_stats(losses: list, base_idx):
     """Reduce per-kind loss arrays into (sum, sum^2, dsum, dsum^2) rows."""
-    out = np.empty((len(losses), 4))
-    base = losses[base_idx] if base_idx is not None else None
+    out = np.full((len(losses), 4), np.nan)
     for ki, lvals in enumerate(losses):
         out[ki, 0] = lvals.sum()
         out[ki, 1] = (lvals * lvals).sum()
-        if base is None:
-            out[ki, 2] = np.nan
-            out[ki, 3] = np.nan
-        else:
-            d = lvals - base
+        if base_idx is not None:
+            d = lvals - losses[base_idx]
             out[ki, 2] = d.sum()
             out[ki, 3] = (d * d).sum()
     return out
 
 
-def _rows_from_stats(agg: np.ndarray, reps: int, kinds, pt: _GridPoint, rows: list):
-    for ki, kind in enumerate(kinds):
-        risk, stderr = _mean_and_stderr(agg[ki, 0], agg[ki, 1], reps)
-        if np.isnan(agg[ki, 2]):
-            dmean, dse = float("nan"), float("nan")
-        else:
-            dmean, dse = _mean_and_stderr(agg[ki, 2], agg[ki, 3], reps)
-        rows.append(RiskRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam, kind.value, risk, stderr,
-                            dmean, dse))
+def _risk_curve(cfg: ExperimentConfig, domain: int, kinds: tuple, umvue, constants, loss: str,
+                losses_at) -> RiskTable:
+    """One risk curve of ``kinds``: ``losses_at(point)`` returns fn(x, s, w),
+    a block's per-kind loss arrays. The diff columns pair each kind with the
+    ``umvue`` kind, nan when it is not in the run."""
+    base_idx = kinds.index(umvue) if umvue in kinds else None
+    if not any(k.needs_constants for k in kinds):
+        constants = None
+
+    def scorer(pt):
+        losses = losses_at(pt)
+        return lambda x, s, w: _loss_stats(losses(x, s, w), base_idx)
+
+    rows = []
+    for pt, agg in _grid(cfg, domain, constants, scorer):
+        for ki, kind in enumerate(kinds):
+            risk, stderr = _mean_and_stderr(agg[ki, 0], agg[ki, 1], cfg.reps)
+            dmean, dse = _mean_and_stderr(agg[ki, 2], agg[ki, 3], cfg.reps)
+            rows.append(RiskRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam, kind.value, risk,
+                                stderr, dmean, dse))
+    meta = cfg.metadata()
+    meta["loss"] = loss
+    return RiskTable("risk_curve", RiskRow._fields, rows, meta)
 
 
 def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
@@ -376,34 +342,26 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
     """
     if loss not in ("mse", "reduction"):
         raise ValueError("loss must be 'mse' or 'reduction'")
-    kinds = cfg.estimator_kinds
-    try:
-        base_idx = kinds.index(MseEstimatorKind.UMVUE)
-    except ValueError:
-        base_idx = None
-    constants = ((lambda _name, fam, dims: shrinkage_constants(fam, dims))
-                 if any(k.needs_constants for k in kinds) else None)
-    rows: list = []
-    with closing(_grid(cfg, _DOMAIN_MSE_CURVE, constants)) as walk:
-        for pt in walk:
-            p, n = pt.dims.p, pt.dims.n
-            r_true = true_risk(pt.fam, pt.dims, pt.lam)
-            target = r_true if loss == "mse" else p - r_true
 
-            def score(x, s, w):
-                base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
-                losses = []
-                for kind in kinds:
-                    est = _clamp_mse(kind, base, w, s, pt.dims, pt.consts)
-                    if loss == "reduction":
-                        est = p * s / n - est
-                    losses.append((est - target) ** 2)
-                return _loss_stats(losses, base_idx)
+    def losses_at(pt):
+        p, n = pt.dims.p, pt.dims.n
+        r_true = true_risk(pt.fam, pt.dims, pt.lam)
+        target = r_true if loss == "mse" else p - r_true
 
-            _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
-    meta = cfg.metadata()
-    meta["loss"] = loss
-    return RiskTable("risk_curve", RiskRow._fields, rows, meta)
+        def losses(x, s, w):
+            base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
+            out = []
+            for kind in cfg.estimator_kinds:
+                est = _clamp_mse(kind, base, w, s, pt.dims, pt.consts)
+                if loss == "reduction":
+                    est = p * s / n - est
+                out.append((est - target) ** 2)
+            return out
+
+        return losses
+
+    return _risk_curve(cfg, _DOMAIN_MSE_CURVE, cfg.estimator_kinds, MseEstimatorKind.UMVUE,
+                       lambda _name, fam, dims: shrinkage_constants(fam, dims), loss, losses_at)
 
 
 def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
@@ -416,9 +374,8 @@ def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
 def _matrix_constants_from(consts_map: dict | None):
     """The ``_grid`` constants hook: the precomputed entry when given."""
     def constants(fam_name, fam, dims):
-        if consts_map is not None and (fam_name, dims) in consts_map:
-            return consts_map[(fam_name, dims)]
-        return matrix_constants(fam, dims)
+        found = (consts_map or {}).get((fam_name, dims))
+        return matrix_constants(fam, dims) if found is None else found
     return constants
 
 
@@ -436,39 +393,31 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     """
     if loss not in ("matrix", "reduction"):
         raise ValueError("loss must be 'matrix' or 'reduction'")
-    kinds = cfg.matrix_kinds
-    try:
-        base_idx = kinds.index(MatrixEstimatorKind.UMVUE)
-    except ValueError:
-        base_idx = None
-    constants = (_matrix_constants_from(consts_map)
-                 if any(k.needs_constants for k in kinds) else None)
-    rows: list = []
-    with closing(_grid(cfg, _DOMAIN_MATRIX_CURVE, constants)) as walk:
-        for pt in walk:
-            p, n, lam, theta = pt.dims.p, pt.dims.n, pt.lam, pt.theta
-            a, b = true_mse_matrix(pt.fam, pt.dims, lam)
-            if loss == "reduction":
-                a, b = 1.0 - a, -b
-            tr_m = p * a + b * lam
-            tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
 
-            def score(x, s, w):
-                x_theta = x @ theta
-                u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
-                unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
-                losses = []
-                for kind in kinds:
-                    l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, pt.dims, pt.consts)
-                    if loss == "reduction":
-                        l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
-                    losses.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
-                return _loss_stats(losses, base_idx)
+    def losses_at(pt):
+        p, n, lam, theta = pt.dims.p, pt.dims.n, pt.lam, pt.theta
+        a, b = true_mse_matrix(pt.fam, pt.dims, lam)
+        if loss == "reduction":
+            a, b = 1.0 - a, -b
+        tr_m = p * a + b * lam
+        tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
 
-            _rows_from_stats(pt.block_sum(score), cfg.reps, kinds, pt, rows)
-    meta = cfg.metadata()
-    meta["loss"] = loss
-    return RiskTable("risk_curve", RiskRow._fields, rows, meta)
+        def losses(x, s, w):
+            x_theta = x @ theta
+            u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
+            unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
+            out = []
+            for kind in cfg.matrix_kinds:
+                l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, pt.dims, pt.consts)
+                if loss == "reduction":
+                    l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
+                out.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
+            return out
+
+        return losses
+
+    return _risk_curve(cfg, _DOMAIN_MATRIX_CURVE, cfg.matrix_kinds, MatrixEstimatorKind.UMVUE,
+                       _matrix_constants_from(consts_map), loss, losses_at)
 
 
 def default_confidence_variants() -> tuple:
@@ -492,24 +441,24 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     c0_idx = listed.index(ConfidenceVariant.C0) if ConfidenceVariant.C0 in listed else None
     constants = (_matrix_constants_from(consts_map)
                  if any(v.matrix_kind is not None for v in variants) else None)
-    rows: list = []
-    with closing(_grid(cfg, _DOMAIN_COVERAGE, constants)) as walk:
-        for pt in walk:
 
-            def score(x, s, w):
-                delta = shrink_factors(pt.fam, w)[:, None] * x
-                geos = _set_geometry(x, s, w, delta, variants, pt.fam, pt.dims, pt.consts, pt.theta)
-                return np.array([(g.covered.sum(), np.exp(g.log_volume).sum()) for g in geos])
+    def scorer(pt):
+        def score(x, s, w):
+            delta = shrink_factors(pt.fam, w)[:, None] * x
+            geos = _set_geometry(x, s, w, delta, variants, pt.fam, pt.dims, pt.consts, pt.theta)
+            return np.array([(g.covered.sum(), np.exp(g.log_volume).sum()) for g in geos])
+        return score
 
-            agg = pt.block_sum(score)
-            c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
-            for vi, spec in enumerate(variants):
-                cov = agg[vi, 0] / cfg.reps
-                se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
-                vol = agg[vi, 1] / cfg.reps
-                ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
-                rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
-                                        spec.variant.value, cov, se, vol, ratio))
+    rows = []
+    for pt, agg in _grid(cfg, _DOMAIN_COVERAGE, constants, scorer):
+        c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
+        for vi, spec in enumerate(variants):
+            cov = agg[vi, 0] / cfg.reps
+            se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
+            vol = agg[vi, 1] / cfg.reps
+            ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
+            rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
+                                    spec.variant.value, cov, se, vol, ratio))
     meta = cfg.metadata()
     meta["variants"] = [v.variant.value for v in variants]
     meta["levels"] = [v.level for v in variants]

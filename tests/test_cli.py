@@ -190,6 +190,22 @@ def test_bad_lambdas_are_usage_errors(capsys, command, lambdas):
 
 
 @pytest.mark.parametrize("command", ["risk-curve", "coverage"])
+def test_lambda_grid_wider_than_its_stream_field_is_usage_error(capsys, monkeypatch, command):
+    # Refused when the configuration is built, before any curve work starts.
+    import steinmse.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the curve ran")
+
+    for name in ("run_mse_risk_curve", "run_coverage_curve"):
+        monkeypatch.setattr(cli, name, never)
+    code = main([command, "--p", "5", "--n", "5", "--lambdas", "0:65536:1", "--reps", "1",
+                 "--seed", "1"])
+    assert code == 2
+    assert "65537 lambda indices exceed the 16-bit stream field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["risk-curve", "coverage"])
 def test_threads_flag_is_gone(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--p", "5", "--n", "5", "--lambdas", "0", "--reps", "10",
@@ -311,12 +327,14 @@ def test_import_leaves_out_scipy():
 
 def test_estimate_with_every_constant_kind_leaves_out_scipy(x_csv):
     # The closed-form constants, the F quantile and the volume all run on
-    # the library's own kernels.
+    # the library's own kernels, and only the Monte Carlo curves start the
+    # block-drawing thread pool.
     code = "from steinmse.cli import main\nif main() != 0: raise SystemExit(1)"
     loaded = _modules_after(code, "estimate", "--p", "5", "--n", "5", "--x", x_csv,
                             "--s", "4.0", "--family", "js-plus", "--mse", "psi2-tr",
                             "--matrix", "xi2-tr", "--confidence", "c2star")
     assert _scipy(loaded) == []
+    assert [m for m in loaded if m.startswith("concurrent")] == []
 
 
 def test_custom_family_quadrature_runs_without_scipy():

@@ -130,7 +130,7 @@ def test_matrix_reduction_loss_dominance():
 def test_matrix_curve_axial_algebra_matches_dense(loss):
     # Replays the curve's one block and scores each estimate against the
     # exact truth with dense p x p matrices: ||Mhat - M||_F^2 per draw.
-    from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _draw_block, _stream
+    from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _draw, _stream
 
     lam, reps, p, n = 6.0, 3000, DIMS.p, DIMS.n
     cfg = _small_cfg(lambda_grid=(lam,), reps=reps, theta_direction=[1.0, 2.0, 0.0, -1.0, 0.5])
@@ -139,7 +139,7 @@ def test_matrix_curve_axial_algebra_matches_dense(loss):
     consts = sm.matrix_constants(fam, DIMS)
     direction = np.array([1.0, 2.0, 0.0, -1.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.0, -1.0, 0.5])
     theta = np.sqrt(lam) * direction
-    x, s, w = _draw_block(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE), reps, theta, n)
+    x, s, w = _draw(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE).generator(), reps, theta, n)
     a, b = sm.true_mse_matrix(fam, DIMS, lam)
     truth = a * np.eye(p) + b * np.outer(theta, theta)
     u = x / np.linalg.norm(x, axis=1)[:, None]
@@ -215,8 +215,8 @@ def test_coverage_matches_scalar_construction():
     covered = {v: 0 for v in ("c0", "c1", "c2", "c3", "c1*", "c2*")}
     theta = np.sqrt(2.0 / DIMS.p) * np.ones(DIMS.p)
     # Rebuild the same draws the engine used (single block, stream layout).
-    from steinmse.experiments import _draw_block, _stream
-    x, s, w = _draw_block(_stream(cfg.seed, 5, 0, 0, 0, 0), 64, theta, DIMS.n)
+    from steinmse.experiments import _draw, _stream
+    x, s, w = _draw(_stream(cfg.seed, 5, 0, 0, 0, 0).generator(), 64, theta, DIMS.n)
     for i in range(64):
         obs = sm.Observation(x[i], float(s[i]))
         for variant in covered:
@@ -348,41 +348,35 @@ def _lookahead_cfg():
 
 
 def test_lookahead_hands_each_point_its_own_blocks():
-    from steinmse.experiments import _DOMAIN_COVERAGE, _block_sizes, _draw_block, _grid, _stream
+    from steinmse.experiments import _DOMAIN_COVERAGE, _block_sizes, _draw, _grid, _stream
 
     cfg = _lookahead_cfg()
     sizes = _block_sizes(cfg.reps)
     assert len(sizes) == 3
     keys = [(fi, di, li) for di in range(2) for fi in range(2) for li in range(3)]
     before = threading.active_count()
-    walk = _grid(cfg, _DOMAIN_COVERAGE)
-    for key, pt in zip(keys, walk, strict=True):
-        got = []
+    got = []
 
-        def record(x, s, w, got=got):
+    def scorer(pt):
+        def record(x, s, w):
             assert threading.active_count() == before + 1  # one worker, no more
-            got.append((x.copy(), s.copy(), w.copy()))
-            return np.zeros(1)
+            got.append((pt, x.copy(), s.copy(), w.copy()))
+            return np.ones(1)
+        return record
 
-        pt.block_sum(record)
-        assert len(got) == len(sizes)
-        for bi, (block, m) in enumerate(zip(got, sizes)):
-            want = _draw_block(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi), m, pt.theta,
-                               pt.dims.n)
-            assert all(np.array_equal(a, b) for a, b in zip(block, want))
-        with pytest.raises(RuntimeError, match="once, in walk order"):
-            pt.block_sum(record)
+    walked = _grid(cfg, _DOMAIN_COVERAGE, None, scorer)
     assert threading.active_count() == before
-
-
-def test_lookahead_refuses_a_skipped_point():
-    from steinmse.experiments import _DOMAIN_COVERAGE, _grid
-
-    walk = _grid(_lookahead_cfg(), _DOMAIN_COVERAGE)
-    next(walk)
-    with pytest.raises(RuntimeError, match="once, in walk order"):
-        next(walk).block_sum(lambda x, s, w: np.zeros(1))
-    walk.close()
+    assert len(walked) == len(keys) and len(got) == len(keys) * len(sizes)
+    for (fi, di, li), (pt, total) in zip(keys, walked):
+        assert (pt.fam_name, pt.dims, pt.lam) == (cfg.families[fi], cfg.dims_list[di],
+                                                  cfg.lambda_grid[li])
+        assert total.tolist() == [len(sizes)]
+    for i, (pt, *block) in enumerate(got):
+        key, bi = keys[i // len(sizes)], i % len(sizes)
+        assert pt is walked[i // len(sizes)][0]
+        want = _draw(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi).generator(), sizes[bi],
+                     pt.theta, pt.dims.n)
+        assert all(np.array_equal(a, b) for a, b in zip(block, want))
 
 
 def test_failed_draw_raises_from_the_curve_and_stops_the_worker(monkeypatch):
@@ -419,10 +413,10 @@ def test_failed_score_propagates_and_stops_the_worker(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_walk_closed_after_its_first_point_stops_the_worker(monkeypatch):
+def test_failed_score_after_the_first_point_joins_the_worker(monkeypatch):
     import steinmse.experiments as experiments
 
-    drawn = []
+    drawn, taken = [], []
     draw = experiments._draw
 
     def counted(*args):
@@ -432,14 +426,65 @@ def test_walk_closed_after_its_first_point_stops_the_worker(monkeypatch):
     def score(x, s, w):
         taken.append(1)
         assert len(drawn) <= len(taken) + 2  # at most two blocks ahead
+        if len(taken) > 3:
+            raise ZeroDivisionError("second point")
         return np.zeros(1)
 
     monkeypatch.setattr(experiments, "_draw", counted)
-    taken = []
     before = threading.active_count()
-    walk = experiments._grid(_lookahead_cfg(), experiments._DOMAIN_MSE_CURVE)
-    next(walk).block_sum(score)
-    assert threading.active_count() == before + 1
-    walk.close()
+    with pytest.raises(ZeroDivisionError, match="second point"):
+        experiments._grid(_lookahead_cfg(), experiments._DOMAIN_MSE_CURVE, None,
+                          lambda pt: score)
     assert threading.active_count() == before
-    assert len(taken) == 3 and len(drawn) <= 5
+    assert len(taken) == 4 and len(drawn) <= 6
+
+
+@pytest.mark.parametrize("field, one, limit", [("families", "james-stein", 16),
+                                               ("dims_list", DIMS, 256),
+                                               ("lambda_grid", 1.0, 65536)])
+def test_config_rejects_a_grid_wider_than_its_stream_field(field, one, limit):
+    # Found when the configuration is built, not when the walk reaches
+    # the first index that does not fit.
+    sm.ExperimentConfig(**{field: (one,) * limit})
+    with pytest.raises(ValueError, match=f"{limit + 1} .* stream field"):
+        sm.ExperimentConfig(**{field: (one,) * (limit + 1)})
+
+
+def test_config_rejects_more_blocks_than_the_block_field():
+    import steinmse.experiments as experiments
+
+    sm.ExperimentConfig(reps=2 ** 32 * experiments.BLOCK)
+    with pytest.raises(ValueError, match="block indices exceed the 32-bit stream field"):
+        sm.ExperimentConfig(reps=2 ** 32 * experiments.BLOCK + 1)
+
+
+@pytest.mark.parametrize("direction, message", [
+    ([1.0, float("nan"), 0.0, 0.0, 0.0], "must be finite"),
+    ([1.0, float("inf"), 0.0, 0.0, 0.0], "must be finite"),
+    ([0.0] * 5, "must be nonzero"),
+    ([1.0, 2.0], "must have length 5"),
+    ("diagonal", "unknown theta direction")])
+def test_config_rejects_a_bad_theta_direction(direction, message):
+    with pytest.raises(ValueError, match=message):
+        _small_cfg(theta_direction=direction)
+
+
+def test_config_checks_the_theta_direction_for_every_dims():
+    _small_cfg(theta_direction=[1.0] * 5)
+    with pytest.raises(ValueError, match="must have length 3"):
+        _small_cfg(dims_list=(DIMS, sm.ProblemDims(3, 2)), theta_direction=[1.0] * 5)
+
+
+@pytest.mark.parametrize("target, loss", [("mse", "mse"), ("mse", "reduction"),
+                                          ("matrix", "matrix"), ("matrix", "reduction")])
+def test_risk_curve_without_the_unbiased_kind_writes_nan_diffs(tmp_path, target, loss):
+    cfg = _small_cfg(reps=500, estimator_kinds=(K.PSI0, K.PSI2_TR),
+                     matrix_kinds=(MK.XI0_ETA0, MK.XI2_TR_ETA2))
+    run = sm.run_mse_risk_curve if target == "mse" else sm.run_matrix_risk_curve
+    table = run(cfg, loss=loss)
+    table.write_csv(str(tmp_path / "risk.csv"))
+    lines = (tmp_path / "risk.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(table.rows) == 4
+    for row, line in zip(table.rows, lines):
+        assert np.isfinite(row.risk) and np.isfinite(row.stderr) and row.stderr > 0
+        assert line.split(",")[-2:] == ["nan", "nan"]
