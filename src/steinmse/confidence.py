@@ -31,7 +31,7 @@ from .distributions import f_quantile
 from .matrix_improved import (MatrixConstants, MatrixEstimatorKind, _clamp_eigen_parts,
                               matrix_eigen_parts)
 from .shrinkage import Observation, ProblemDims, ShrinkageFamily, apply_estimator
-from .umvue import AxialMatrix
+from .umvue import AxialMatrix, _axial_estimate, _positive_w, _unbiased_matrix_parts
 
 __all__ = [
     "ConfidenceVariant",
@@ -142,7 +142,7 @@ _SetGeometry = namedtuple("_SetGeometry", ["center", "l_perp", "l_axis", "logdet
 
 
 def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
-                  consts: MatrixConstants | None = None, theta=None) -> list:
+                  consts: MatrixConstants | None = None, theta=None, unbiased=None) -> list:
     """The sets of each spec in ``specs`` for x (m, p), s and w (m,), and the
     shrinkage estimates delta (m, p), which center every variant but C0.
 
@@ -152,6 +152,8 @@ def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: Prob
     which makes their volume C0's), the log-volume and, given ``theta``, a
     matrix shape's quadratic form q and whether the set contains it. A spec
     reuses the shape, q and quantile of an earlier spec of its kind or level.
+    Every matrix shape clamps ``unbiased``, the unbiased eigenvalue factors
+    (l_perp, l_axis) at w, which are computed here unless given.
     """
     p, n = dims.p, dims.n
     if theta is not None:  # d'd per center; u'd at delta, where every matrix shape sits
@@ -161,7 +163,7 @@ def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: Prob
         dd_delta = np.einsum("ij,ij->i", d, d)
         t = np.einsum("ij,ij->i", d, x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None])
         del d  # an (m, p) array, freed before the per-spec arrays are made
-    unbiased, out = None, []
+    out = []
     for spec in specs:
         kind = spec.matrix_kind
         twin = c = None
@@ -213,12 +215,14 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
     """
     delta = (None if cspec.variant is ConfidenceVariant.C0
              else apply_estimator(obs, fam, dims)[None])
+    if cspec.matrix_kind is None:  # the (S/n) I shape
+        iso, g3, unbiased = 1.0 / dims.n, 0.0, None
+    else:
+        iso, g3 = _unbiased_matrix_parts(_positive_w(obs), fam, dims)
+        unbiased = (np.array([iso]), np.array([iso + g3]))
     g, = _set_geometry(obs.x[None], np.array([obs.s]), np.array([obs.w]), delta, (cspec,),
-                       fam, dims, consts)
-    norm_x = float(np.linalg.norm(obs.x))
-    axis = obs.x / norm_x if norm_x > 0 else np.eye(dims.p)[0]
-    l_perp, l_axis = float(g.l_perp[0]), float(g.l_axis[0])
-    shape = AxialMatrix(dims.p, obs.s, l_perp, l_axis - l_perp, axis)
+                       fam, dims, consts, unbiased=unbiased)
+    shape = _axial_estimate(obs.x, obs.s, iso, g3, g.l_perp[0], g.l_axis[0])
     radius = float(np.ravel(g.radius)[0])
     result = ConfidenceResult(g.center[0].copy(), radius, shape,
                               ellipsoid_volume(shape, radius), None)

@@ -37,8 +37,8 @@ from .distributions import RngStream
 from .matrix_improved import (MatrixEstimatorKind, _clamp_eigen_parts, matrix_constants,
                               matrix_eigen_parts)
 from .mse_improved import MseEstimatorKind, _clamp_mse, estimate_mse_at, shrinkage_constants
-from .shrinkage import (ProblemDims, family_from_name, shrink_factors, true_mse_matrix,
-                        true_risk)
+from .shrinkage import (ProblemDims, _family_kind, family_from_name, shrink_factors,
+                        true_mse_matrix, true_risk)
 
 __all__ = [
     "BLOCK",
@@ -85,8 +85,8 @@ class ExperimentConfig:
     scored serially and summed in block order, and the shrinkage and
     matrix constants involve no random draws. Both are still accepted for
     configurations written when they mattered. Building a configuration
-    checks the theta direction for every dims and that the grid and block
-    counts fit the stream-id fields.
+    checks the family names, the theta direction for every dims and that
+    the grid and block counts fit the stream-id fields.
     """
 
     dims_list: tuple = (ProblemDims(5, 5),)
@@ -111,6 +111,8 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         RngStream(self.seed)  # the seed must name a stream: an integer in [0, 2**64)
+        for name in self.families:
+            _family_kind(name)
         counts = (len(self.families), len(self.dims_list), len(self.lambda_grid),
                   len(range(0, self.reps, BLOCK)))
         for (name, bits, _), count in zip(_STREAM_FIELDS, counts):

@@ -32,7 +32,8 @@ import numpy as np
 from ._rootfind import bracketed_bisect
 from .distributions import ratio_expectation, ratio_partial_moments
 from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _require_dims_match
-from .umvue import AxialMatrix, g_functions
+from .umvue import (AxialMatrix, _axial_estimate, _positive_w, _unbiased_matrix_parts,
+                    g_functions)
 
 __all__ = [
     "MatrixEstimatorKind",
@@ -311,23 +312,17 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
     is a clamp of the unbiased factors 1/n - g1 and 1/n - g1 + g3.
     """
     w = np.asarray(w, dtype=float)
-    gf = g_functions(fam, dims)
-    l_perp = 1.0 / dims.n - np.asarray(gf.g1(w), dtype=float)
-    l_axis = l_perp + np.asarray(gf.g3(w), dtype=float)
-    return _clamp_eigen_parts(kind, l_perp, l_axis, w, dims, consts)
+    l_perp, g3 = _unbiased_matrix_parts(w, fam, dims)
+    return _clamp_eigen_parts(kind, l_perp, l_perp + g3, w, dims, consts)
 
 
 def estimate_mse_matrix(kind: MatrixEstimatorKind, obs: Observation, fam: ShrinkageFamily,
                         dims: ProblemDims, consts: MatrixConstants | None = None) -> AxialMatrix:
     """MSE-matrix estimate of the requested kind as an AxialMatrix."""
-    w = obs.w
-    if not w > 0:
-        raise ValueError("W must be positive")
-    l_perp, l_axis = matrix_eigen_parts(kind, w, fam, dims, consts)
-    l_perp = float(l_perp)
-    l_axis = float(l_axis)
-    axis = obs.x / np.linalg.norm(obs.x)
-    return AxialMatrix(dims.p, obs.s, l_perp, l_axis - l_perp, axis)
+    w = _positive_w(obs)
+    iso, g3 = _unbiased_matrix_parts(w, fam, dims)
+    return _axial_estimate(obs.x, obs.s, iso, g3,
+                           *_clamp_eigen_parts(kind, iso, iso + g3, w, dims, consts))
 
 
 def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,

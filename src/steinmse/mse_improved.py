@@ -24,7 +24,7 @@ import numpy as np
 from ._rootfind import bracketed_bisect
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean,
                         _require_dims_match)
-from .umvue import g_functions
+from .umvue import _positive_w, _unbiased_mse, a_of_w
 
 __all__ = [
     "MseEstimatorKind",
@@ -73,18 +73,6 @@ class ShrinkageConstants:
     w_pn: float
     gamma: float
     provenance: str
-
-
-def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
-    """Scaled risk-reduction kernel a(W) = (n/p)(g(W) - phi^2(W)/W).
-
-    The unbiased risk estimate is pS(1 - a(W))/n, so a(W) carries the whole
-    data-dependence of the estimate beyond the pS/n baseline.
-    """
-    gf = g_functions(fam, dims)
-    w = np.asarray(w, dtype=float)
-    phi = np.asarray(fam.phi(w), dtype=float)
-    return (dims.n / dims.p) * (np.asarray(gf.g(w), dtype=float) - phi * phi / w)
 
 
 def alpha_pn(fam: ShrinkageFamily, dims: ProblemDims) -> float:
@@ -173,17 +161,13 @@ def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: Pr
     """Vectorized core: scalar MSE estimates from (W, S) arrays."""
     w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
-    base = dims.p * s / dims.n * (1.0 - np.asarray(a_of_w(fam, dims, w), dtype=float))
-    return _clamp_mse(kind, base, w, s, dims, consts)
+    return _clamp_mse(kind, _unbiased_mse(w, s, fam, dims), w, s, dims, consts)
 
 
 def estimate_mse(kind: MseEstimatorKind, obs: Observation, fam: ShrinkageFamily,
                  dims: ProblemDims, consts: ShrinkageConstants | None = None) -> float:
     """Scalar MSE estimate of the requested kind for one observation."""
-    w = obs.w
-    if not w > 0:
-        raise ValueError("W must be positive")
-    return float(estimate_mse_at(kind, w, obs.s, fam, dims, consts))
+    return float(estimate_mse_at(kind, _positive_w(obs), obs.s, fam, dims, consts))
 
 
 def psi1_positive_certified(consts: ShrinkageConstants, dims: ProblemDims) -> bool:

@@ -14,9 +14,9 @@ tail integral for a whole array of W from one tanh-sinh quadrature.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
 
 import numpy as np
 
@@ -98,19 +98,10 @@ class AxialMatrix:
         return self.scale * (self.iso * np.eye(self.dim) + self.axial * np.outer(u, u))
 
 
-@dataclass(frozen=True, eq=False)
-class GFunctions:
-    """The four scalar kernels entering the unbiased risk formulas.
-
-    All are callables of W > 0, vectorized over numpy arrays, satisfying
-    g3 = g2 + phi^2/W and g = p*g1 - g2 identically (the latter makes the
-    trace of the matrix estimate agree with the scalar estimate exactly).
-    """
-
-    g1: Callable
-    g2: Callable
-    g3: Callable
-    g: Callable
+# The four scalar kernels of the unbiased risk formulas: callables of W > 0,
+# vectorized over numpy arrays, with g3 = g2 + phi^2/W and g = p*g1 - g2, so
+# the trace of the matrix estimate is the scalar estimate.
+GFunctions = namedtuple("GFunctions", ["g1", "g2", "g3", "g"])
 
 
 def g_transform(h, dims: ProblemDims, w):
@@ -210,34 +201,61 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
 def _positive_w(obs: Observation) -> float:
     w = obs.w
     if not w > 0:
-        raise ValueError("the statistic W = ||x||^2 / s must be positive here")
+        raise ValueError("the statistic W = ||x||^2 / s must be positive")
     return w
 
 
+def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
+    """Scaled risk-reduction kernel a(W) = (n/p)(g(W) - phi^2(W)/W).
+
+    The unbiased risk estimate is pS(1 - a(W))/n, so a(W) carries the whole
+    data-dependence of the estimate beyond the pS/n baseline.
+    """
+    gf = g_functions(fam, dims)
+    w = np.asarray(w, dtype=float)
+    phi = np.asarray(fam.phi(w), dtype=float)
+    return (dims.n / dims.p) * (np.asarray(gf.g(w), dtype=float) - phi * phi / w)
+
+
+def _unbiased_mse(w, s, fam: ShrinkageFamily, dims: ProblemDims):
+    """pS(1 - a(W))/n for (W, S) arrays; every scalar estimate clamps it."""
+    return dims.p * s / dims.n * (1.0 - a_of_w(fam, dims, w))
+
+
+def _unbiased_matrix_parts(w, fam: ShrinkageFamily, dims: ProblemDims):
+    """(1/n - g1(W), g3(W)) for an array of W: the isotropic and axial parts
+    of the unbiased matrix estimate, whose factors are iso and iso + g3."""
+    gf = g_functions(fam, dims)
+    return 1.0 / dims.n - np.asarray(gf.g1(w), dtype=float), np.asarray(gf.g3(w), dtype=float)
+
+
+def _axial_estimate(x, s: float, iso, g3, l_perp, l_axis) -> AxialMatrix:
+    """S (l_perp I + axial u u') on u = x/||x|| (e1 at x = 0), for factors
+    (l_perp, l_axis) clamped from the unbiased (iso, iso + g3). Unclamped,
+    axial is g3 itself, which l_axis - l_perp loses to cancellation when
+    g3 << iso; clamped, it is l_axis - l_perp, so a factor clamped to 0
+    leaves an eigenvalue of exactly 0."""
+    iso, g3, l_perp, l_axis = float(iso), float(g3), float(l_perp), float(l_axis)
+    axial = g3 if l_perp == iso and l_axis == iso + g3 else l_axis - l_perp
+    norm = float(np.linalg.norm(x))
+    return AxialMatrix(x.size, s, l_perp, axial, x / norm if norm > 0 else np.eye(x.size)[0])
+
+
 def umvue_mse(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> float:
-    """Unbiased estimate of the rule's risk, pS/n - S g(W) + S phi^2(W)/W.
+    """Unbiased estimate of the rule's risk, pS(1 - a(W))/n.
 
     Negative values are possible for small W; repairing that without
-    giving up risk is exactly what the improved estimators are for.
-    ``estimate_mse_at`` with the UMVUE kind gives the same estimate for
-    arrays of (W, S) values.
+    giving up risk is exactly what the improved estimators, each a clamp
+    of this estimate, are for.
     """
-    w = np.asarray(_positive_w(obs), dtype=float)
-    gf = g_functions(fam, dims)
-    s = np.asarray(obs.s, dtype=float)
-    phi = np.asarray(fam.phi(w), dtype=float)
-    return float(dims.p * s / dims.n - s * np.asarray(gf.g(w), dtype=float) + s * phi * phi / w)
+    return float(_unbiased_mse(_positive_w(obs), obs.s, fam, dims))
 
 
 def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> AxialMatrix:
     """Unbiased estimate of the MSE matrix as an AxialMatrix.
 
     Components: scale S, isotropic part 1/n - g1(W), axial part g3(W) on
-    u = x/||x||. Its trace equals ``umvue_mse`` identically.
+    u = x/||x||. Its trace equals ``umvue_mse`` up to rounding.
     """
-    w = _positive_w(obs)
-    gf = g_functions(fam, dims)
-    iso = 1.0 / dims.n - float(np.asarray(gf.g1(w), dtype=float))
-    axial = float(np.asarray(gf.g3(w), dtype=float))
-    axis = obs.x / np.linalg.norm(obs.x)
-    return AxialMatrix(dims.p, obs.s, iso, axial, axis)
+    iso, g3 = _unbiased_matrix_parts(_positive_w(obs), fam, dims)
+    return _axial_estimate(obs.x, obs.s, iso, g3, iso, iso + g3)

@@ -262,3 +262,25 @@ def quadratic_root(c):
 def dense_quad_form(matrix, d):
     """d' M^{-1} d via a dense solve."""
     return float(d @ np.linalg.solve(matrix, d))
+
+
+def g3_above_kink(p, n, w):
+    """g3(w) of either built-in rule for w above the kink, to 40 digits.
+
+    There phi is the constant c = (p-2)/(n+2) on all of [w, inf), so
+    g2(w) = w^{n/2} int_w^inf t^{-n/2-1} 2c/t dt, which t = w/v turns into
+    (2c/w) int_0^1 v^{n/2} dv, by mpmath quadrature; g3 = g2 + c^2/w.
+    Returns an mpmath number.
+    """
+    with mpmath.workdps(40):
+        c = mpmath.mpf(p - 2) / (n + 2)
+        w = mpmath.mpf(w)
+        tail = mpmath.quad(lambda v: v ** (mpmath.mpf(n) / 2), [0, 1])
+        return (2 * c * tail + c * c) / w
+
+
+def observation_draws(rng, p, n, count):
+    """``count`` pairs (x, S), x of length p and S ~ chi^2_n, whose W = ||x||^2/S
+    spans about five decades."""
+    return [(rng.standard_normal(p) * np.exp(rng.uniform(-3.0, 2.0)), float(rng.chisquare(n)))
+            for _ in range(count)]

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import steinmse as sm
+from steinmse.mse_improved import alpha_pn, gamma_pn, solve_w_pn
+from steinmse.umvue import g_functions
 from _oracles import quadratic_root
 
 K = sm.MseEstimatorKind
@@ -73,8 +75,8 @@ def test_criterion_01_table2_roots_analytic():
     roots = []
     for dims in DIMS4:
         fam = sm.ShrinkageFamily.james_stein(dims)
-        alpha = sm.alpha_pn(fam, dims)
-        roots.append(sm.solve_w_pn(fam, dims, alpha))
+        alpha = alpha_pn(fam, dims)
+        roots.append(solve_w_pn(fam, dims, alpha))
     elapsed = time.time() - t0
     errs = [abs(w - want) for w, want in zip(roots, TABLE2_W_JS)]
     # The printed 1.533 at (10, 5) is a truncated display: the companion
@@ -91,8 +93,8 @@ def test_criterion_02_table1_gamma():
     js_gamma = []
     for dims in DIMS4:
         fam = sm.ShrinkageFamily.james_stein(dims)
-        alpha = sm.alpha_pn(fam, dims)
-        js_gamma.append(sm.gamma_pn(dims, sm.solve_w_pn(fam, dims, alpha)))
+        alpha = alpha_pn(fam, dims)
+        js_gamma.append(gamma_pn(dims, solve_w_pn(fam, dims, alpha)))
     js_elapsed = time.time() - t0
     js_err = max(abs(g - want) for g, want in zip(js_gamma, TABLE1_GAMMA_JS))
 
@@ -246,7 +248,7 @@ def test_criterion_09_branch_continuity():
     worst = 0.0
     for dims in DIMS4:
         fam = sm.ShrinkageFamily.positive_part(dims)
-        gf = sm.g_functions(fam, dims)
+        gf = g_functions(fam, dims)
         k = dims.shrink_constant
         right = np.nextafter(k, np.inf)
         for fn in (gf.g1, gf.g3, gf.g):
@@ -268,7 +270,7 @@ def test_criterion_10_oracle_equivalence():
     for dims in (D55,):
         for fam in (sm.ShrinkageFamily.james_stein(dims),
                     sm.ShrinkageFamily.positive_part(dims)):
-            gf = sm.g_functions(fam, dims)
+            gf = g_functions(fam, dims)
 
             def h1(t):
                 return np.asarray(fam.phi(t)) / t

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from steinmse.cli import main
+from _oracles import g3_above_kink
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +51,19 @@ def test_estimate_umvue_needs_no_seed(x_csv, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["mse"]["kind"] == "umvue"
+
+
+def test_estimate_umvue_axial_keeps_its_digits(tmp_path, capsys):
+    # At W = 1e8 the axial part g3 is about 1e-9 of the isotropic part;
+    # the JSON carries g3 itself, not a cancelling difference of the two.
+    path = tmp_path / "x.csv"
+    path.write_text("10000.0\n0.0\n0.0\n0.0\n0.0\n")
+    code = main(["estimate", "--p", "5", "--n", "5", "--x", str(path), "--s", "1.0",
+                 "--family", "js", "--mse", "umvue", "--matrix", "umvue"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = g3_above_kink(5, 5, payload["w"])
+    assert abs(payload["mse_matrix"]["axial"] - want) <= 1e-15 * want
 
 
 def test_estimate_output_does_not_depend_on_seed(x_csv, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import dense_quad_form
+from _oracles import dense_quad_form, observation_draws
 
 CV = sm.ConfidenceVariant
 DIMS = sm.ProblemDims(5, 5)
@@ -201,3 +201,23 @@ def test_shared_geometry_equals_single_spec_calls(fam_name, with_theta):
         for field, got, want in zip(geo._fields, geo, single):
             same = got is None and want is None or np.array_equal(got, want)
             assert same, (spec.variant, field)
+
+
+@pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+def test_matrix_shape_is_the_matrix_estimate(fam_name):
+    # C1 and C1* take the shape of xi1-tr, C2 and C2* that of xi2-tr: the
+    # same AxialMatrix, field for field, that estimate_mse_matrix builds.
+    rng = np.random.default_rng(62)
+    for p, n in [(5, 5), (10, 5), (5, 10)]:
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(fam_name, dims)
+        consts = sm.matrix_constants(fam, dims)
+        for x, s in observation_draws(rng, p, n, 40):
+            obs = sm.Observation(x, s)
+            for variant in (CV.C1, CV.C2, CV.C1_STAR, CV.C2_STAR):
+                spec = sm.ConfidenceSpec(variant)
+                got = sm.build_confidence_set(spec, obs, fam, dims, consts).shape
+                want = sm.estimate_mse_matrix(spec.matrix_kind, obs, fam, dims, consts)
+                assert (got.dim, got.scale, got.iso, got.axial) == \
+                    (want.dim, want.scale, want.iso, want.axial), variant
+                assert np.array_equal(got.axis, want.axis)

@@ -35,6 +35,10 @@ def test_config_validation():
     for seed in (-1, 2 ** 64, 1.5):
         with pytest.raises(ValueError, match="seed must be an integer"):
             sm.ExperimentConfig(dims_list=(DIMS,), seed=seed)
+    # So are the family names: a bad one no longer waits until every point
+    # of the families before it has been scored.
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        sm.ExperimentConfig(dims_list=(DIMS,), families=("james-stein", "bogus"))
 
 
 def test_mse_curve_paired_identity_and_dominance():

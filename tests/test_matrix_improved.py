@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import (js_beta_moment_exact, js_plus_beta_moment_quad, moment_curve_kernel,
-                      quadratic_root, ratio_mean_monte_carlo)
+from steinmse.matrix_improved import b_of_w, beta_j, gamma_xi_eta, solve_w_xi_eta
+from steinmse.umvue import g_functions
+from _oracles import (g3_above_kink, js_beta_moment_exact, js_plus_beta_moment_quad,
+                      moment_curve_kernel, observation_draws, quadratic_root,
+                      ratio_mean_monte_carlo)
 
 MK = sm.MatrixEstimatorKind
 DIMS = sm.ProblemDims(5, 5)
@@ -29,16 +32,16 @@ class TestBOfW:
     def test_zero_phi(self):
         zero = lambda w: np.zeros(np.shape(w)) if np.ndim(w) else 0.0
         fam = sm.ShrinkageFamily.custom(zero, zero)
-        assert float(sm.b_of_w(fam, DIMS, 1.3)) == 0.0
+        assert float(b_of_w(fam, DIMS, 1.3)) == 0.0
 
     def test_js_value(self):
         # 4k/W + (n+2)k^2/W with k=3/7 at W=1: 12/7 + 9/7 = 3.
-        assert float(sm.b_of_w(JS, DIMS, 1.0)) == pytest.approx(3.0, rel=1e-13)
+        assert float(b_of_w(JS, DIMS, 1.0)) == pytest.approx(3.0, rel=1e-13)
 
     def test_positive_part_below_kink(self):
         # phi=W, phi'=1 there: 4 + (n+2)W - 4 - 4W = (n-2)W.
         for w in (0.05, 0.2, 0.4):
-            assert float(sm.b_of_w(PP, DIMS, w)) == pytest.approx((DIMS.n - 2.0) * w,
+            assert float(b_of_w(PP, DIMS, w)) == pytest.approx((DIMS.n - 2.0) * w,
                                                                   rel=1e-12)
 
 
@@ -46,11 +49,11 @@ class TestBetaJ:
     def test_zero_phi_is_degenerate(self):
         zero = lambda w: np.zeros(np.shape(w)) if np.ndim(w) else 0.0
         fam = sm.ShrinkageFamily.custom(zero, zero)
-        assert sm.beta_j(2, fam, DIMS, 3) == 0.0
+        assert beta_j(2, fam, DIMS, 3) == 0.0
 
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5), (1, 50), (1, 200)])
     def test_js_matches_exact_moments(self, order, j):
-        value = sm.beta_j(order, JS, DIMS, j)
+        value = beta_j(order, JS, DIMS, j)
         assert value == pytest.approx(js_beta_moment_exact(order, 5, 5, j), rel=1e-12)
 
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5)])
@@ -66,7 +69,7 @@ class TestBetaJ:
         fam = sm.ShrinkageFamily.positive_part(dims)
         for order in (1, 2):
             for j in (0, 1, 3, 50, 200):
-                value = sm.beta_j(order, fam, dims, j)
+                value = beta_j(order, fam, dims, j)
                 assert value == pytest.approx(js_plus_beta_moment_quad(order, p, n, j),
                                               rel=1e-9)
 
@@ -74,7 +77,7 @@ class TestBetaJ:
     def test_positive_part_monte_carlo_matches_closed_form(self, order, j):
         kernel = moment_curve_kernel(order, PP.phi, PP.phi_prime, 5, 5, j)
         value, stderr = ratio_mean_monte_carlo(kernel, 5 + 2 * j, 5, 10**6, seed=54 + j)
-        assert abs(value - sm.beta_j(order, PP, DIMS, j)) < 4.0 * stderr
+        assert abs(value - beta_j(order, PP, DIMS, j)) < 4.0 * stderr
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 1), (5, 2), (5, 5), (10, 10)])
     def test_quadrature_matches_closed_forms_on_custom_clones(self, p, n):
@@ -85,8 +88,8 @@ class TestBetaJ:
                 for j in (0, 1, 3, 50, 200):
                     # abs 1e-12 only matters where the exact value is 0: the
                     # James-Stein first curve at (3, 5), j = 1.
-                    assert sm.beta_j(order, clone, dims, j) == pytest.approx(
-                        sm.beta_j(order, fam, dims, j), rel=1e-8, abs=1e-12)
+                    assert beta_j(order, clone, dims, j) == pytest.approx(
+                        beta_j(order, fam, dims, j), rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (1, 3), (2, 3)])
     def test_quadrature_matches_monte_carlo_on_smooth_rule(self, order, j):
@@ -97,13 +100,13 @@ class TestBetaJ:
         fam = sm.ShrinkageFamily.custom(phi, dphi, label="smooth")
         kernel = moment_curve_kernel(order, phi, dphi, 5, 5, j)
         value, stderr = ratio_mean_monte_carlo(kernel, 5 + 2 * j, 5, 400_000, seed=60 + j)
-        assert abs(sm.beta_j(order, fam, DIMS, j) - value) < 4.0 * stderr
+        assert abs(beta_j(order, fam, DIMS, j) - value) < 4.0 * stderr
 
     def test_large_j_limit_drops_second_kernel(self):
         # The b-term scales as 1/(p+2j); at j=200 the curve is within 2% of
         # the first term alone, 2 k n / (p+2j-2).
         j = 200
-        value = sm.beta_j(2, JS, DIMS, j)
+        value = beta_j(2, JS, DIMS, j)
         first_term = 2.0 * (3.0 / 7.0) * 5.0 / (5.0 + 2.0 * j - 2.0)
         assert abs(value - first_term) < first_term * 0.02
 
@@ -184,24 +187,24 @@ class TestRoots:
     def test_js_xi_root_against_quadratic(self):
         # With the exact beta2 the xi equation reduces to
         # W(1+W) = 2p(n+p+2)/(n(n+2)).
-        w_xi, w_eta = sm.solve_w_xi_eta(JS, DIMS, JS_BETA2_EXACT)
+        w_xi, w_eta = solve_w_xi_eta(JS, DIMS, JS_BETA2_EXACT)
         want = quadratic_root(2.0 * 5.0 * 12.0 / (5.0 * 7.0))
         assert w_xi == pytest.approx(want, abs=1e-9)
         assert w_eta is None  # g3/g1 = (p+2)/2 > 1 for the constant rule
 
     def test_gamma_certificates(self):
-        w_xi, w_eta = sm.solve_w_xi_eta(JS, DIMS, JS_BETA2_EXACT)
-        g_xi, g_eta = sm.gamma_xi_eta(DIMS, w_xi, w_eta, JS_BETA2_EXACT)
+        w_xi, w_eta = solve_w_xi_eta(JS, DIMS, JS_BETA2_EXACT)
+        g_xi, g_eta = gamma_xi_eta(DIMS, w_xi, w_eta, JS_BETA2_EXACT)
         assert g_xi == pytest.approx(5.0 * (1.0 + w_xi) * JS_BETA2_EXACT / 12.0, rel=1e-14)
         assert g_eta is None
         assert g_xi < 1.0
 
     def test_positive_part_has_eta_root(self):
-        w_xi, w_eta = sm.solve_w_xi_eta(PP, DIMS, 0.5332)
+        w_xi, w_eta = solve_w_xi_eta(PP, DIMS, 0.5332)
         assert w_xi is not None and w_xi > 0
         assert w_eta is not None and 0 < w_eta < DIMS.shrink_constant
         # Both roots satisfy their defining equations.
-        gf = sm.g_functions(PP, DIMS)
+        gf = g_functions(PP, DIMS)
         c = 0.5332 / 12.0
         assert (1.0 + w_xi) * c / float(gf.g1(w_xi)) == pytest.approx(1.0, abs=1e-9)
         lhs = (float(gf.g3(w_eta)) + (1.0 + w_eta) * c) / float(gf.g1(w_eta))
@@ -209,7 +212,7 @@ class TestRoots:
 
     def test_beta2_must_be_positive(self):
         with pytest.raises(ValueError):
-            sm.solve_w_xi_eta(JS, DIMS, 0.0)
+            solve_w_xi_eta(JS, DIMS, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -224,10 +227,57 @@ def js_matrix_consts():
 
 class TestMatrixEstimates:
     def test_umvue_kind_reproduces_unbiased_matrix(self):
-        obs = sm.Observation([1.2, -0.4, 0.3, 0.8, 0.05], 1.9)
-        a = sm.estimate_mse_matrix(MK.UMVUE, obs, PP, DIMS)
-        b = sm.umvue_mse_matrix(obs, PP, DIMS)
-        assert a.iso == b.iso and a.axial == b.axial and a.scale == b.scale
+        # One unbiased matrix estimate: field for field, at every (p, n),
+        # family and W drawn.
+        rng = np.random.default_rng(72)
+        for p, n in [(5, 5), (10, 5), (3, 1), (5, 10)]:
+            dims = sm.ProblemDims(p, n)
+            for name in ("james-stein", "positive-part"):
+                fam = sm.family_from_name(name, dims)
+                for x, s in observation_draws(rng, p, n, 200):
+                    obs = sm.Observation(x, s)
+                    a = sm.estimate_mse_matrix(MK.UMVUE, obs, fam, dims)
+                    b = sm.umvue_mse_matrix(obs, fam, dims)
+                    assert (a.dim, a.scale, a.iso, a.axial) == (b.dim, b.scale, b.iso, b.axial)
+                    assert np.array_equal(a.axis, b.axis)
+
+    @pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+    def test_axial_part_is_g3_to_the_last_bits(self, fam_name):
+        # No clamp binds at these W, so every kind's axial part is g3
+        # itself. Taken as l_axis - l_perp it would lose about log10(W)
+        # digits to cancellation (5e-10 relative at W = 1e8).
+        for p, n in [(5, 5), (10, 5), (3, 1), (5, 10)]:
+            dims = sm.ProblemDims(p, n)
+            fam = sm.family_from_name(fam_name, dims)
+            consts = sm.matrix_constants(fam, dims)
+            for w in (1e2, 1e4, 1e6, 1e8):
+                obs = sm.Observation(np.sqrt(w) * np.eye(p)[0], 1.0)
+                want = g3_above_kink(p, n, obs.w)
+                for kind in MK:
+                    axial = sm.estimate_mse_matrix(kind, obs, fam, dims, consts).axial
+                    assert abs(axial - want) <= 1e-15 * want, (p, n, w, kind)
+
+    @pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+    def test_xi0_assembled_matrix_nonnegative_definite(self, fam_name):
+        # Where the clamp binds, the AxialMatrix keeps the clamped factor:
+        # an axis eigenvalue clamped to zero is exactly zero, never a tiny
+        # negative number.
+        rng = np.random.default_rng(73)
+        fam = sm.family_from_name(fam_name, DIMS)
+        floors = 0
+        for w in np.geomspace(1e-4, 1e3, 3001):
+            s = float(rng.uniform(0.2, 5.0))
+            u = rng.standard_normal(DIMS.p)
+            obs = sm.Observation(np.sqrt(w * s) * u / np.linalg.norm(u), s)
+            m = sm.estimate_mse_matrix(MK.XI0_ETA0, obs, fam, DIMS)
+            axis_eig = m.scale * (m.iso + m.axial)
+            assert m.scale * m.iso >= 0.0 and axis_eig >= 0.0, obs.w
+            if sm.matrix_eigen_parts(MK.XI0_ETA0, obs.w, fam, DIMS)[1] == 0.0:
+                floors += 1
+                assert axis_eig == 0.0, obs.w
+        # The positive-part rule's axis factor goes below zero at small W,
+        # so the grid reaches the floor; the James-Stein one never does.
+        assert floors > 0 or fam_name == "james-stein"
 
     def test_xi0_nonnegative_definite_everywhere(self):
         rng = np.random.default_rng(50)
@@ -259,7 +309,7 @@ class TestMatrixEstimates:
         # xi from l_perp never exceeds 1/(n g1) and never undercuts the
         # lower bound set by the printed n+p+1 cap.
         w = np.geomspace(1e-3, 50.0, 500)
-        gf = sm.g_functions(PP, DIMS)
+        gf = g_functions(PP, DIMS)
         g1 = np.asarray(gf.g1(w))
         for kind in (MK.XI0_ETA0, MK.XI1_TR_ETA1, MK.XI2_TR_ETA2):
             l_perp, _ = sm.matrix_eigen_parts(kind, w, PP, DIMS, pp_consts)
@@ -309,7 +359,7 @@ def _written_out(kind, w, fam, dims, consts):
     """Each kind's eigenvalue factors in the expressions they had before
     the kinds became clamps of the unbiased factors."""
     p, n = dims.p, dims.n
-    gf = sm.g_functions(fam, dims)
+    gf = g_functions(fam, dims)
     g1, g3 = gf.g1(w), gf.g3(w)
     perp, axis = 1.0 / n - g1, 1.0 / n - g1 + g3
     cap = (1.0 + w) / (n + p + 1.0)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import steinmse as sm
-from _oracles import (js_plus_alpha_quad, quadratic_root, ratio_mean_monte_carlo,
-                      true_risk_monte_carlo)
+from steinmse.mse_improved import alpha_pn, gamma_pn, solve_w_pn
+from steinmse.umvue import a_of_w
+from _oracles import (js_plus_alpha_quad, observation_draws, quadratic_root,
+                      ratio_mean_monte_carlo, true_risk_monte_carlo)
 
 K = sm.MseEstimatorKind
 DIMS = sm.ProblemDims(5, 5)
@@ -25,39 +27,39 @@ def _pp_clone_as_custom():
 class TestAOfW:
     def test_js_closed_form(self):
         # n(p-2)^2 / (p(n+2)^2 W) = 9/49 at (5,5), W=1.
-        assert float(sm.a_of_w(JS, DIMS, 1.0)) == pytest.approx(9.0 / 49.0, rel=1e-13)
+        assert float(a_of_w(JS, DIMS, 1.0)) == pytest.approx(9.0 / 49.0, rel=1e-13)
 
     def test_zero_phi(self):
         zero = lambda w: np.zeros(np.shape(w)) if np.ndim(w) else 0.0
         fam = sm.ShrinkageFamily.custom(zero, zero)
-        assert float(sm.a_of_w(fam, DIMS, 0.7)) == pytest.approx(0.0, abs=1e-12)
+        assert float(a_of_w(fam, DIMS, 0.7)) == pytest.approx(0.0, abs=1e-12)
 
     def test_unbiased_estimate_identity(self):
         rng = np.random.default_rng(1)
         for fam in (JS, PP):
             for _ in range(8):
                 obs = sm.Observation(rng.standard_normal(5), float(rng.uniform(0.2, 5.0)))
-                lhs = DIMS.p * obs.s * (1.0 - float(sm.a_of_w(fam, DIMS, obs.w))) / DIMS.n
+                lhs = DIMS.p * obs.s * (1.0 - float(a_of_w(fam, DIMS, obs.w))) / DIMS.n
                 assert lhs == pytest.approx(sm.umvue_mse(obs, fam, DIMS), rel=1e-10)
 
 
 class TestAlpha:
     def test_js_closed_forms(self):
-        assert sm.alpha_pn(JS, DIMS) == pytest.approx(15.0 / 7.0, rel=1e-14)
+        assert alpha_pn(JS, DIMS) == pytest.approx(15.0 / 7.0, rel=1e-14)
         d10 = sm.ProblemDims(10, 10)
-        assert sm.alpha_pn(sm.ShrinkageFamily.james_stein(d10), d10) == pytest.approx(
+        assert alpha_pn(sm.ShrinkageFamily.james_stein(d10), d10) == pytest.approx(
             20.0 / 3.0, rel=1e-14)
 
     def test_positive_part_beats_js_at_zero_signal(self):
-        assert sm.alpha_pn(PP, DIMS) > 15.0 / 7.0
+        assert alpha_pn(PP, DIMS) > 15.0 / 7.0
 
     def test_positive_part_matches_quadrature_oracle(self):
-        assert sm.alpha_pn(PP, DIMS) == pytest.approx(js_plus_alpha_quad(5, 5), rel=1e-9)
+        assert alpha_pn(PP, DIMS) == pytest.approx(js_plus_alpha_quad(5, 5), rel=1e-9)
 
     @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (10, 5), (5, 10), (10, 10)])
     def test_positive_part_matches_quadrature_oracle_across_dims(self, p, n):
         dims = sm.ProblemDims(p, n)
-        alpha = sm.alpha_pn(sm.ShrinkageFamily.positive_part(dims), dims)
+        alpha = alpha_pn(sm.ShrinkageFamily.positive_part(dims), dims)
         assert alpha == pytest.approx(js_plus_alpha_quad(p, n), rel=1e-9)
 
     def test_monte_carlo_matches_quadrature_oracle(self):
@@ -70,7 +72,7 @@ class TestAlpha:
         dims = sm.ProblemDims(p, n)
         for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
             clone = sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
-            assert sm.alpha_pn(clone, dims) == pytest.approx(sm.alpha_pn(fam, dims), rel=1e-8)
+            assert alpha_pn(clone, dims) == pytest.approx(alpha_pn(fam, dims), rel=1e-8)
 
     def test_quadrature_matches_monte_carlo_on_smooth_rule(self):
         c = DIMS.shrink_constant
@@ -79,7 +81,7 @@ class TestAlpha:
         fam = sm.ShrinkageFamily.custom(phi, dphi, label="smooth")
         value, stderr = ratio_mean_monte_carlo(
             lambda w: sm.risk_reduction_integrand(fam, DIMS, w), 5, 5, 400_000, seed=37)
-        assert abs(sm.alpha_pn(fam, DIMS) - value) < 4.0 * stderr
+        assert abs(alpha_pn(fam, DIMS) - value) < 4.0 * stderr
 
 
 class TestRoots:
@@ -87,38 +89,38 @@ class TestRoots:
     def test_js_root_solves_quadratic(self, p, n):
         dims = sm.ProblemDims(p, n)
         fam = sm.ShrinkageFamily.james_stein(dims)
-        alpha = sm.alpha_pn(fam, dims)
-        w = sm.solve_w_pn(fam, dims, alpha)
+        alpha = alpha_pn(fam, dims)
+        w = solve_w_pn(fam, dims, alpha)
         want = quadratic_root((n + p + 2.0) * (p - 2.0) / (n * (n + 2.0)))
         assert w == pytest.approx(want, abs=1e-12)
         # The root satisfies the defining equation.
-        lhs = (1.0 + w) / float(sm.a_of_w(fam, dims, w))
+        lhs = (1.0 + w) / float(a_of_w(fam, dims, w))
         assert lhs == pytest.approx(p * (n + p + 2.0) / (n * alpha), rel=1e-10)
 
     def test_bisection_path_agrees_with_analytic(self):
         # Route the same rule through the general path: quadrature-based
         # a(W) plus bracketed bisection must land on the analytic root.
         clone = _js_clone_as_custom(DIMS)
-        alpha = sm.alpha_pn(JS, DIMS)
-        w_generic = sm.solve_w_pn(clone, DIMS, alpha)
-        w_analytic = sm.solve_w_pn(JS, DIMS, alpha)
+        alpha = alpha_pn(JS, DIMS)
+        w_generic = solve_w_pn(clone, DIMS, alpha)
+        w_analytic = solve_w_pn(JS, DIMS, alpha)
         assert w_generic == pytest.approx(w_analytic, abs=1e-7)
 
     def test_positive_part_root_near_reported(self):
-        alpha = sm.alpha_pn(PP, DIMS)
-        w = sm.solve_w_pn(PP, DIMS, alpha)
+        alpha = alpha_pn(PP, DIMS)
+        w = solve_w_pn(PP, DIMS, alpha)
         assert w == pytest.approx(0.5357, abs=0.01)
-        assert sm.gamma_pn(DIMS, w) == pytest.approx(0.6399, abs=0.01)
+        assert gamma_pn(DIMS, w) == pytest.approx(0.6399, abs=0.01)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            sm.solve_w_pn(JS, DIMS, 0.0)
+            solve_w_pn(JS, DIMS, 0.0)
         with pytest.raises(ValueError):
-            sm.solve_w_pn(JS, DIMS, 5.0)
+            solve_w_pn(JS, DIMS, 5.0)
 
     def test_gamma_identity(self):
-        w = sm.solve_w_pn(JS, DIMS, sm.alpha_pn(JS, DIMS))
-        assert sm.gamma_pn(DIMS, w) == pytest.approx(5.0 * (1.0 + w) / 12.0, rel=1e-15)
+        w = solve_w_pn(JS, DIMS, alpha_pn(JS, DIMS))
+        assert gamma_pn(DIMS, w) == pytest.approx(5.0 * (1.0 + w) / 12.0, rel=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +251,7 @@ def _written_out(kind, w, s, fam, dims, consts):
     """Each kind's estimate in the expressions it had before the kinds
     became clamps of one unbiased estimate."""
     p, n = dims.p, dims.n
-    base = p * s / n * (1.0 - sm.a_of_w(fam, dims, w))
+    base = p * s / n * (1.0 - a_of_w(fam, dims, w))
     cap = p * s * (1.0 + w) / (n + p + 2.0)
     floor1 = (p * s / n) * (1.0 - consts.gamma * consts.alpha / p)
     floor2 = (p * s / n) * (1.0 - consts.alpha / p)
@@ -280,3 +282,21 @@ def test_every_kind_is_a_clamp_of_the_unbiased_estimate(fam_name, p, n):
         public = sm.estimate_mse_at(kind, w, s, fam, dims, consts)
         assert np.array_equal(_clamp_mse(kind, base, w, s, dims, consts), public), kind
         assert np.array_equal(_written_out(kind, w, s, fam, dims, consts), public), kind
+
+
+def test_umvue_kind_is_umvue_mse_bit_for_bit():
+    # One unbiased kernel: the one-observation estimate and the UMVUE kind
+    # agree in every bit, on both sides of the positive-part kink and at
+    # small W, where the estimate is a difference of large terms.
+    rng = np.random.default_rng(71)
+    for p, n in [(5, 5), (10, 5), (3, 1), (5, 10)]:
+        dims = sm.ProblemDims(p, n)
+        for name in ("james-stein", "positive-part"):
+            fam = sm.family_from_name(name, dims)
+            for x, s in observation_draws(rng, p, n, 200):
+                obs = sm.Observation(x, s)
+                assert sm.estimate_mse(K.UMVUE, obs, fam, dims) == sm.umvue_mse(obs, fam, dims)
+    clone = _pp_clone_as_custom()
+    for x, s in observation_draws(rng, DIMS.p, DIMS.n, 10):
+        obs = sm.Observation(x, s)
+        assert sm.estimate_mse(K.UMVUE, obs, clone, DIMS) == sm.umvue_mse(obs, clone, DIMS)

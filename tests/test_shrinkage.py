@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinmse as sm
+from steinmse.matrix_improved import beta_j
+from steinmse.mse_improved import alpha_pn, solve_w_pn
+from steinmse.umvue import g_functions
 from _oracles import mse_matrix_monte_carlo, true_risk_monte_carlo
 
 TABLE_DIMS = ((5, 5), (10, 5), (5, 10), (10, 10))
@@ -144,7 +147,7 @@ def test_james_stein_dominates_on_grid():
 def test_true_risk_at_zero_is_p_minus_alpha(p, n):
     dims = sm.ProblemDims(p, n)
     for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
-        assert sm.true_risk(fam, dims, 0.0) == p - sm.alpha_pn(fam, dims)
+        assert sm.true_risk(fam, dims, 0.0) == p - alpha_pn(fam, dims)
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
@@ -205,8 +208,8 @@ def test_built_in_family_rejects_other_dims(make):
     # of the (10,5) rule.
     fam, other = make(sm.ProblemDims(5, 5)), sm.ProblemDims(10, 5)
     obs = sm.Observation(np.linspace(-1.0, 1.0, 10), 2.0)
-    calls = (lambda: sm.g_functions(fam, other), lambda: sm.alpha_pn(fam, other),
-             lambda: sm.solve_w_pn(fam, other, 1.0), lambda: sm.beta_j(1, fam, other, 0),
+    calls = (lambda: g_functions(fam, other), lambda: alpha_pn(fam, other),
+             lambda: solve_w_pn(fam, other, 1.0), lambda: beta_j(1, fam, other, 0),
              lambda: sm.true_risk(fam, other, 3.0), lambda: sm.true_mse_matrix(fam, other, 3.0),
              lambda: sm.umvue_mse(obs, fam, other))
     for call in calls:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import steinmse as sm
+from steinmse.umvue import g_functions, positive_part_branch_constants
+from _oracles import dense_quad_form
 
 
 DIMS = sm.ProblemDims(5, 5)
@@ -22,15 +26,29 @@ def _js_clone_as_custom(dims):
     return sm.ShrinkageFamily.custom(phi, dphi, label="js-clone")
 
 
+_UNIT = st.floats(-1.0, 1.0)
+
+
 class TestAxialMatrix:
-    def test_eigen_structure(self):
-        u = np.array([0.6, 0.8, 0.0])
-        m = sm.AxialMatrix(3, 2.0, 0.5, 0.25, u)
+    @given(data=st.data(), p=st.integers(1, 12), scale=st.floats(1e-3, 1e3),
+           iso=st.floats(1e-2, 1e2), ratio=st.floats(1e-2, 1e2))
+    @settings(max_examples=200, deadline=None)
+    def test_eigen_structure(self, data, p, scale, iso, ratio):
+        # The O(p) algebra against the dense matrix: eigenvalues, trace,
+        # log-determinant and the inverse quadratic form. The axis
+        # eigenvalue is iso * ratio, so the condition number stays <= 1e4.
+        v = np.array(data.draw(st.lists(_UNIT, min_size=p, max_size=p)))
+        assume(np.linalg.norm(v) > 0.1)
+        d = np.array(data.draw(st.lists(_UNIT, min_size=p, max_size=p)))
+        m = sm.AxialMatrix(p, scale, iso, iso * (ratio - 1.0), v / np.linalg.norm(v))
         dense = m.to_dense()
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(dense)),
-                                   np.sort(m.eigenvalues()), rtol=1e-12)
+        eigs = np.linalg.eigvalsh(dense)
+        np.testing.assert_allclose(np.sort(m.eigenvalues()), eigs, rtol=1e-12,
+                                   atol=1e-12 * eigs.max())
         assert m.trace() == pytest.approx(np.trace(dense), rel=1e-12)
-        assert m.logdet() == pytest.approx(np.linalg.slogdet(dense)[1], rel=1e-10)
+        assert m.logdet() == pytest.approx(np.linalg.slogdet(dense)[1], rel=1e-10, abs=1e-10)
+        assert sm.quad_form_inv(m, d) == pytest.approx(dense_quad_form(dense, d), rel=1e-9,
+                                                        abs=1e-300)
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
@@ -67,7 +85,7 @@ class TestGTransform:
 
 class TestGFunctions:
     def test_js_values(self):
-        gf = sm.g_functions(JS, DIMS)
+        gf = g_functions(JS, DIMS)
         assert float(gf.g1(1.0)) == pytest.approx(6.0 / 49.0, rel=1e-14)
         assert float(gf.g3(1.0)) == pytest.approx(21.0 / 49.0, rel=1e-14)
         assert float(gf.g(1.0)) == pytest.approx(18.0 / 49.0, rel=1e-14)
@@ -75,7 +93,7 @@ class TestGFunctions:
     def test_identities_hold_for_all_families(self):
         w = np.geomspace(0.05, 20.0, 25)
         for fam in (JS, PP):
-            gf = sm.g_functions(fam, DIMS)
+            gf = g_functions(fam, DIMS)
             phi = np.asarray(fam.phi(w))
             np.testing.assert_allclose(gf.g3(w), np.asarray(gf.g2(w)) + phi * phi / w,
                                        rtol=1e-12)
@@ -86,8 +104,8 @@ class TestGFunctions:
         # General-path kernels for a clone of the constant rule agree with
         # the closed forms to quadrature accuracy.
         clone = _js_clone_as_custom(DIMS)
-        gf_q = sm.g_functions(clone, DIMS)
-        gf_c = sm.g_functions(JS, DIMS)
+        gf_q = g_functions(clone, DIMS)
+        gf_c = g_functions(JS, DIMS)
         w = np.geomspace(0.1, 10.0, 7)
         np.testing.assert_allclose(gf_q.g1(w), gf_c.g1(w), rtol=1e-8)
         np.testing.assert_allclose(gf_q.g3(w), gf_c.g3(w), rtol=1e-8)
@@ -103,7 +121,7 @@ class TestGFunctions:
         dims = sm.ProblemDims(p, n)
         fam = sm.family_from_name(name, dims)
         clone = sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
-        gf_q, gf_c = sm.g_functions(clone, dims), sm.g_functions(fam, dims)
+        gf_q, gf_c = g_functions(clone, dims), g_functions(fam, dims)
         w = np.geomspace(0.02, 50.0, 400)
         for kernel in ("g1", "g2", "g3"):
             np.testing.assert_allclose(getattr(gf_q, kernel)(w), getattr(gf_c, kernel)(w),
@@ -122,7 +140,7 @@ class TestGFunctions:
         zero = lambda w: np.zeros(np.shape(w)) if np.ndim(w) else 0.0
         fam = sm.ShrinkageFamily.custom(step, zero, phi_continuous=False)
         with pytest.raises(ValueError):
-            sm.g_functions(fam, DIMS)
+            g_functions(fam, DIMS)
 
 
 class TestUmvueMse:
@@ -140,7 +158,7 @@ class TestUmvueMse:
         # arithmetic for the pieces.
         w, s = 0.2, 1.0
         obs = sm.Observation([np.sqrt(w * s), 0, 0, 0, 0], s)
-        c0, _, _ = sm.positive_part_branch_constants(DIMS)
+        c0, _, _ = positive_part_branch_constants(DIMS)
         want = -DIMS.p * s / DIMS.n + s * w + c0 * s * w ** (0.5 * DIMS.n)
         assert sm.umvue_mse(obs, PP, DIMS) == pytest.approx(want, rel=1e-12)
         assert c0 == pytest.approx(2.0 * (1.0 - 3.0 / 7.0) * (3.0 / 7.0) ** -2.5, rel=1e-14)
@@ -156,7 +174,7 @@ class TestUmvueMse:
 
     def test_branch_continuity_at_kink(self):
         k = DIMS.shrink_constant
-        gf = sm.g_functions(PP, DIMS)
+        gf = g_functions(PP, DIMS)
         right = np.nextafter(k, np.inf)
         for fn in (gf.g1, gf.g3, gf.g):
             assert float(fn(k)) == pytest.approx(float(fn(right)), rel=1e-9)
