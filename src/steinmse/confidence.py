@@ -8,9 +8,10 @@ shrinkage estimate; ``C1`` / ``C2`` reshape it with the positive-definite
 MSE-matrix estimates; the starred variants rescale the threshold so their
 volume equals C0's exactly while keeping the estimated shape.
 
-``_set_geometry`` computes the sets of a tuple of specs for a block of m
-observations, each distinct shape (one per matrix kind) once; the
-coverage engine in ``experiments`` calls it per block of draws, and
+``_set_geometry`` computes the sets of a tuple of specs for m observations
+from length-m arrays alone: S, W and, for membership, the row statistics
+||x||^2 and x'theta. It makes each distinct shape (one per matrix kind)
+once. The coverage engine in ``experiments`` calls it per block of draws;
 ``build_confidence_set`` is its m = 1, one-spec case.
 
 Volumes include the p^{p/2} factor coming from the "/p" inside the Q
@@ -30,7 +31,8 @@ import numpy as np
 from .distributions import f_quantile
 from .matrix_improved import (MatrixConstants, MatrixEstimatorKind, _clamp_eigen_parts,
                               matrix_eigen_parts)
-from .shrinkage import Observation, ProblemDims, ShrinkageFamily, apply_estimator
+from .shrinkage import (Observation, ProblemDims, ShrinkageFamily, apply_estimator,
+                        shrink_factors)
 from .umvue import AxialMatrix, _axial_estimate, _positive_w, _unbiased_matrix_parts
 
 __all__ = [
@@ -102,9 +104,10 @@ def _require_positive_definite(m: AxialMatrix, context: str):
         raise ValueError(f"{context}: axis eigenvalue {m.axis_eigenvalue:.6g} is not positive")
 
 
-def _inv_quad(dd, t, l_perp, l_axis, s):
-    """d'M^{-1}d for M = s (l_perp I + (l_axis - l_perp) u u'), dd = d'd, t = u'd."""
-    return ((dd - t * t) / l_perp + t * t / l_axis) / s
+def _inv_quad(perp, tt, l_perp, l_axis, s):
+    """d'M^{-1}d for M = s (l_perp I + (l_axis - l_perp) u u'), from
+    perp = d'd - t^2 and tt = t^2, t = u'd."""
+    return (perp / l_perp + tt / l_axis) / s
 
 
 def _log_volume(logdet, c, p):
@@ -122,7 +125,8 @@ def quad_form_inv(m: AxialMatrix, d) -> float:
     if d.shape != (m.dim,):
         raise ValueError(f"vector has length {d.shape[0]}, expected {m.dim}")
     _require_positive_definite(m, "inverse quadratic form")
-    return _inv_quad(float(d @ d), float(m.axis @ d), m.iso, m.iso + m.axial, m.scale)
+    t = float(m.axis @ d)
+    return _inv_quad(float(d @ d) - t * t, t * t, m.iso, m.iso + m.axial, m.scale)
 
 
 def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
@@ -137,39 +141,44 @@ def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
     return float(np.exp(_log_volume(m.logdet(), c, m.dim)))
 
 
-_SetGeometry = namedtuple("_SetGeometry", ["center", "l_perp", "l_axis", "logdet", "quantile",
-                                           "radius", "log_volume", "q", "covered"])
+_SetGeometry = namedtuple("_SetGeometry", ["l_perp", "l_axis", "logdet", "quantile", "radius",
+                                           "log_volume", "q", "covered"])
 
 
-def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
-                  consts: MatrixConstants | None = None, theta=None, unbiased=None) -> list:
-    """The sets of each spec in ``specs`` for x (m, p), s and w (m,), and the
-    shrinkage estimates delta (m, p), which center every variant but C0.
+def _row_distances(f, xx, x_theta, theta_theta):
+    """(||x - theta||^2, ||delta - theta||^2, u'(delta - theta)) per row for
+    delta = f x and u = x/||x||, from xx = ||x||^2 and x_theta = x'theta."""
+    two_x_theta, f_xx = 2.0 * x_theta, f * xx
+    return (xx - two_x_theta + theta_theta, f * (f_xx - two_x_theta) + theta_theta,
+            (f_xx - x_theta) / np.sqrt(xx))
 
-    Returns one geometry per spec: the center, the shape's eigenvalue
-    factors and log-determinant, the F quantile c at its level, the
-    threshold (scalar c, or (S/n) c / |M|^{1/p} for the starred variants,
-    which makes their volume C0's), the log-volume and, given ``theta``, a
-    matrix shape's quadratic form q and whether the set contains it. A spec
-    reuses the shape, q and quantile of an earlier spec of its kind or level.
-    Every matrix shape clamps ``unbiased``, the unbiased eigenvalue factors
-    (l_perp, l_axis) at w, which are computed here unless given.
+
+def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
+                  consts: MatrixConstants | None = None, rows=None, unbiased=None) -> list:
+    """The sets of each spec in ``specs`` for s and w (m,) and, given
+    ``rows``, the row statistics (||x||^2, x'theta, theta'theta); every
+    variant but C0 is centred at delta = (1 - phi(W)/W) x.
+
+    Returns one geometry per spec: the shape's eigenvalue factors and
+    log-determinant, the F quantile c at its level, the threshold (scalar
+    c, or (S/n) c / |M|^{1/p} for the starred variants, which makes their
+    volume C0's), the log-volume and, given ``rows``, a matrix shape's
+    quadratic form q and whether the set contains theta. A spec reuses the
+    shape, q and quantile of an earlier spec of its kind or level, and C3
+    C0's log-volume. Every matrix shape clamps ``unbiased``, the unbiased
+    eigenvalue factors (l_perp, l_axis) at w, which are computed here unless
+    given.
     """
     p, n = dims.p, dims.n
-    if theta is not None:  # d'd per center; u'd at delta, where every matrix shape sits
-        d = x - theta
-        dd_x = np.einsum("ij,ij->i", d, d)
-        d = delta - theta
-        dd_delta = np.einsum("ij,ij->i", d, d)
-        t = np.einsum("ij,ij->i", d, x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None])
-        del d  # an (m, p) array, freed before the per-spec arrays are made
+    if rows is not None:  # d'd per center; u'd at delta, where every matrix shape sits
+        dd_x, dd_delta, t = _row_distances(shrink_factors(fam, w), *rows)
+        tt, ps = t * t, p * s
+        perp = dd_delta - tt
     out = []
     for spec in specs:
         kind = spec.matrix_kind
-        twin = c = None
-        if out:  # the first spec has no earlier one to borrow from
-            twin = next((g for prev, g in zip(specs, out) if prev.matrix_kind is kind), None)
-            c = next((g.quantile for prev, g in zip(specs, out) if prev.level == spec.level), None)
+        twin = next((g for prev, g in zip(specs, out) if prev.matrix_kind is kind), None)
+        c = next((g.quantile for prev, g in zip(specs, out) if prev.level == spec.level), None)
         if twin is not None:
             l_perp, l_axis, logdet = twin.l_perp, twin.l_axis, twin.logdet
         elif kind is None:
@@ -187,19 +196,17 @@ def _set_geometry(x, s, w, delta, specs: tuple, fam: ShrinkageFamily, dims: Prob
                                  "definiteness; check the certificates for these dimensions")
             logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
         c = f_quantile(spec.level, p, n) if c is None else c
-        if spec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR):
-            radius = (s / n) * c * np.exp(-logdet / p)
-        else:
-            radius = c
-        c0 = spec.variant is ConfidenceVariant.C0
+        starred = spec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR)
+        radius = (s / n) * c * np.exp(-logdet / p) if starred else c
+        same_set = kind is None and twin is not None and twin.quantile == c  # C0 and C3
+        log_volume = twin.log_volume if same_set else _log_volume(logdet, radius, p)
         covered = q = None
-        if theta is not None and kind is None:
-            covered = (dd_x if c0 else dd_delta) * n / (p * s) <= c
-        elif theta is not None:
-            q = twin.q if twin is not None else _inv_quad(dd_delta, t, l_perp, l_axis, s) / p
+        if rows is not None and kind is None:
+            covered = (dd_x if spec.variant is ConfidenceVariant.C0 else dd_delta) * n / ps <= c
+        elif rows is not None:
+            q = twin.q if twin is not None else _inv_quad(perp, tt, l_perp, l_axis, s) / p
             covered = q <= radius
-        out.append(_SetGeometry(x if c0 else delta, l_perp, l_axis, logdet, c, radius,
-                                _log_volume(logdet, radius, p), q, covered))
+        out.append(_SetGeometry(l_perp, l_axis, logdet, c, radius, log_volume, q, covered))
     return out
 
 
@@ -208,22 +215,22 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
                          theta=None) -> ConfidenceResult:
     """Assemble the requested confidence set for one observation.
 
-    Center, shape and threshold are the m = 1 case of ``_set_geometry``;
-    volume and ``contains_truth`` (given ``theta``) are those of the
-    returned set, so they agree with ``ConfidenceResult.contains`` on the
-    boundary. At x = 0 the axis is e1; matrix-shaped variants then raise.
+    The centre is x for C0 and the shrinkage estimate otherwise; shape and
+    threshold are the m = 1 case of ``_set_geometry``. Volume and
+    ``contains_truth`` (given ``theta``) are those of the returned set, so
+    they agree with ``ConfidenceResult.contains`` on the boundary. At x = 0
+    the axis is e1; matrix-shaped variants then raise.
     """
-    delta = (None if cspec.variant is ConfidenceVariant.C0
-             else apply_estimator(obs, fam, dims)[None])
+    center = (obs.x.copy() if cspec.variant is ConfidenceVariant.C0
+              else apply_estimator(obs, fam, dims))
     if cspec.matrix_kind is None:  # the (S/n) I shape
         iso, g3, unbiased = 1.0 / dims.n, 0.0, None
     else:
         iso, g3 = _unbiased_matrix_parts(_positive_w(obs), fam, dims)
         unbiased = (np.array([iso]), np.array([iso + g3]))
-    g, = _set_geometry(obs.x[None], np.array([obs.s]), np.array([obs.w]), delta, (cspec,),
-                       fam, dims, consts, unbiased=unbiased)
+    g, = _set_geometry(np.array([obs.s]), np.array([obs.w]), (cspec,), fam, dims, consts,
+                       unbiased=unbiased)
     shape = _axial_estimate(obs.x, obs.s, iso, g3, g.l_perp[0], g.l_axis[0])
     radius = float(np.ravel(g.radius)[0])
-    result = ConfidenceResult(g.center[0].copy(), radius, shape,
-                              ellipsoid_volume(shape, radius), None)
+    result = ConfidenceResult(center, radius, shape, ellipsoid_volume(shape, radius), None)
     return result if theta is None else replace(result, contains_truth=result.contains(theta))

@@ -2,23 +2,25 @@
 
 All three curves walk one grid, ``_grid``: dims x family x noncentrality,
 with replications in fixed-size blocks, each block from its own
-counter-based stream. One executor worker draws the blocks up to two
-ahead; the calling thread scores them serially and sums the block
-partials in block order. The block layout depends only on the
-configuration, and the worker changes no number, so a rerun yields
-bit-identical tables. Competing estimators are always evaluated on the
-same draws (paired design), which makes dominance comparisons sharp at
-modest replication counts. The risk curves score them against the exact
-truth, ``true_risk`` and ``true_mse_matrix``, which involve no random
-draws, so the diff columns hold estimator noise alone.
+counter-based stream. One executor worker draws the blocks up to two ahead
+and reduces each to per-row statistics (S, W, ||X||^2, X'theta), so the
+calling thread, which scores the blocks serially and sums their partials in
+block order, holds only length-m arrays. The block layout depends only on
+the configuration, and the worker changes no number, so a rerun yields
+bit-identical tables. Competing estimators are always evaluated on the same
+draws (paired design), which makes dominance comparisons sharp at modest
+replication counts. The risk curves score them against the exact truth,
+``true_risk`` and ``true_mse_matrix``, which involve no random draws, so the
+diff columns hold estimator noise alone.
 
 Each block evaluates the unbiased kernels once, and every estimator kind
 is a clamp of them. Coverage curves take every confidence-set quantity
 from the batch core in ``confidence``, once per block for all variants.
 
 Tables serialize to CSV with a header row and 10-significant-digit
-numbers; ``write_tables`` also drops a metadata JSON and a plot script
-that consumes the CSVs.
+numbers; a curve's metadata also lists the constants it used, with their
+provenance. ``write_tables`` drops that metadata as JSON, and a plot
+script that consumes the CSVs.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 
 from .confidence import ConfidenceSpec, ConfidenceVariant, _set_geometry
 from .distributions import RngStream
-from .matrix_improved import (MatrixEstimatorKind, _clamp_eigen_parts, matrix_constants,
-                              matrix_eigen_parts)
+from .matrix_improved import (MatrixConstants, MatrixEstimatorKind, _clamp_eigen_parts,
+                              matrix_constants, matrix_eigen_parts)
 from .mse_improved import MseEstimatorKind, _clamp_mse, estimate_mse_at, shrinkage_constants
-from .shrinkage import (ProblemDims, _family_kind, family_from_name, shrink_factors,
-                        true_mse_matrix, true_risk)
+from .shrinkage import (ProblemDims, _family_kind, family_from_name, true_mse_matrix,
+                        true_risk)
 
 __all__ = [
     "BLOCK",
@@ -223,18 +225,21 @@ def _block_sizes(reps: int):
 
 
 def _draw(g: np.random.Generator, m: int, theta: np.ndarray, n: int):
+    """One block reduced to its row statistics (S, W, ||X||^2, X'theta) for
+    m draws X ~ N(theta, I); the (m, p) array of X goes no further."""
     x = theta + g.standard_normal((m, theta.shape[0]))
     s = g.chisquare(n, m)
-    w = np.einsum("ij,ij->i", x, x) / s
-    return x, s, w
+    xx = np.einsum("ij,ij->i", x, x)
+    return s, xx / s, xx, x @ theta
 
 
 def _drawn(jobs):
     """Yield ``_draw(*args)`` for each ``args`` of ``jobs``, in order, drawn
     by one executor worker at most two blocks ahead. ``jobs`` runs on
-    the calling thread, so the worker runs only numpy's array fills, which
-    release the GIL. A failed draw raises at its turn; closing the generator
-    cancels the draws not yet started and joins the worker."""
+    the calling thread, so the worker runs only numpy's array work (the
+    fills, the row sums and one matvec), which releases the GIL. A failed
+    draw raises at its turn; closing the generator cancels the draws not
+    yet started and joins the worker."""
     # Imported here, since it loads logging, which the CLI's import avoids.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -259,8 +264,9 @@ def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
 
     ``constants(family_name, fam, dims)``, when not None, supplies the
     constants once per (dims, family); ``scorer(point)`` returns the block
-    score fn(x, s, w). Each block comes from its own stream of ``domain``
-    (``_drawn``); the scores are summed in block order.
+    score fn(s, w, xx, x_theta) of a block's row statistics (``_draw``).
+    Each block comes from its own stream of ``domain`` (``_drawn``); the
+    scores are summed in block order.
     """
     sizes = _block_sizes(cfg.reps)
     directions = [_direction(cfg, dims.p) for dims in cfg.dims_list]
@@ -283,6 +289,17 @@ def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
     finally:
         blocks.close()
     return totals
+
+
+def _constants_used(totals) -> list:
+    """Per (family, dims) of a walk, the constants its points used, with
+    their provenance, for the run metadata; of the beta moments only beta2
+    enters an estimate. Empty when the run needed no constants."""
+    used = {(pt.fam_name, pt.dims): pt.consts for pt, _ in totals if pt.consts is not None}
+    return [{"family": name, "p": dims.p, "n": dims.n,
+             **({"beta2": c.beta.beta2} if isinstance(c, MatrixConstants) else {}),
+             **{k: v for k, v in vars(c).items() if k != "beta"}}
+            for (name, dims), c in used.items()]
 
 
 def _mean_and_stderr(total: float, total_sq: float, m: int):
@@ -308,26 +325,26 @@ def _loss_stats(losses: list, base_idx):
 
 def _risk_curve(cfg: ExperimentConfig, domain: int, kinds: tuple, umvue, constants, loss: str,
                 losses_at) -> RiskTable:
-    """One risk curve of ``kinds``: ``losses_at(point)`` returns fn(x, s, w),
-    a block's per-kind loss arrays. The diff columns pair each kind with the
-    ``umvue`` kind, nan when it is not in the run."""
+    """One risk curve of ``kinds``: ``losses_at(point)`` returns the block
+    score fn(s, w, xx, x_theta) of per-kind loss arrays. The diff columns
+    pair each kind with the ``umvue`` kind, nan when it is not in the run."""
     base_idx = kinds.index(umvue) if umvue in kinds else None
     if not any(k.needs_constants for k in kinds):
         constants = None
 
     def scorer(pt):
         losses = losses_at(pt)
-        return lambda x, s, w: _loss_stats(losses(x, s, w), base_idx)
+        return lambda *block: _loss_stats(losses(*block), base_idx)
 
-    rows = []
-    for pt, agg in _grid(cfg, domain, constants, scorer):
+    rows, totals = [], _grid(cfg, domain, constants, scorer)
+    for pt, agg in totals:
         for ki, kind in enumerate(kinds):
             risk, stderr = _mean_and_stderr(agg[ki, 0], agg[ki, 1], cfg.reps)
             dmean, dse = _mean_and_stderr(agg[ki, 2], agg[ki, 3], cfg.reps)
             rows.append(RiskRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam, kind.value, risk,
                                 stderr, dmean, dse))
     meta = cfg.metadata()
-    meta["loss"] = loss
+    meta["loss"], meta["constants"] = loss, _constants_used(totals)
     return RiskTable("risk_curve", RiskRow._fields, rows, meta)
 
 
@@ -350,7 +367,7 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         r_true = true_risk(pt.fam, pt.dims, pt.lam)
         target = r_true if loss == "mse" else p - r_true
 
-        def losses(x, s, w):
+        def losses(s, w, _xx, _x_theta):
             base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
             out = []
             for kind in cfg.estimator_kinds:
@@ -397,16 +414,15 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
         raise ValueError("loss must be 'matrix' or 'reduction'")
 
     def losses_at(pt):
-        p, n, lam, theta = pt.dims.p, pt.dims.n, pt.lam, pt.theta
+        p, n, lam = pt.dims.p, pt.dims.n, pt.lam
         a, b = true_mse_matrix(pt.fam, pt.dims, lam)
         if loss == "reduction":
             a, b = 1.0 - a, -b
         tr_m = p * a + b * lam
         tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
 
-        def losses(x, s, w):
-            x_theta = x @ theta
-            u_m_u = a + b * x_theta * x_theta / np.einsum("ij,ij->i", x, x)
+        def losses(s, w, xx, x_theta):
+            u_m_u = a + b * x_theta * x_theta / xx
             unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
             out = []
             for kind in cfg.matrix_kinds:
@@ -445,14 +461,16 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
                  if any(v.matrix_kind is not None for v in variants) else None)
 
     def scorer(pt):
-        def score(x, s, w):
-            delta = shrink_factors(pt.fam, w)[:, None] * x
-            geos = _set_geometry(x, s, w, delta, variants, pt.fam, pt.dims, pt.consts, pt.theta)
-            return np.array([(g.covered.sum(), np.exp(g.log_volume).sum()) for g in geos])
+        def score(s, w, xx, x_theta):
+            geos = _set_geometry(s, w, variants, pt.fam, pt.dims, pt.consts,
+                                 (xx, x_theta, pt.theta @ pt.theta))
+            volumes = {id(g.log_volume): g.log_volume for g in geos}  # C0 and C3 share one
+            volumes = {key: np.exp(v).sum() for key, v in volumes.items()}
+            return np.array([(g.covered.sum(), volumes[id(g.log_volume)]) for g in geos])
         return score
 
-    rows = []
-    for pt, agg in _grid(cfg, _DOMAIN_COVERAGE, constants, scorer):
+    rows, totals = [], _grid(cfg, _DOMAIN_COVERAGE, constants, scorer)
+    for pt, agg in totals:
         c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
         for vi, spec in enumerate(variants):
             cov = agg[vi, 0] / cfg.reps
@@ -464,6 +482,7 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     meta = cfg.metadata()
     meta["variants"] = [v.variant.value for v in variants]
     meta["levels"] = [v.level for v in variants]
+    meta["constants"] = _constants_used(totals)
     return CoverageTable("coverage_curve", CoverageRow._fields, rows, meta)
 
 

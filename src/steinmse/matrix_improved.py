@@ -100,7 +100,8 @@ class MatrixConstants:
     A ``None`` root means the corresponding threshold equation never
     crosses one, so that scaling is identically 1 (for the built-in
     James-Stein rule this happens on the eta side, where g3/g1 is the
-    constant (p+2)/2).
+    constant (p+2)/2). provenance is how they were computed, as
+    ``BetaConstants.method``: "closed-form" or "quadrature".
     """
 
     beta: BetaConstants
@@ -108,6 +109,7 @@ class MatrixConstants:
     w_eta: float | None
     gamma_xi: float | None
     gamma_eta: float | None
+    provenance: str
 
 
 def b_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
@@ -262,7 +264,7 @@ def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
     beta = beta_constants(fam, dims, j_max)
     w_xi, w_eta = solve_w_xi_eta(fam, dims, beta.beta2)
     gamma_xi, gamma_eta = gamma_xi_eta(dims, w_xi, w_eta, beta.beta2)
-    return MatrixConstants(beta, w_xi, w_eta, gamma_xi, gamma_eta)
+    return MatrixConstants(beta, w_xi, w_eta, gamma_xi, gamma_eta, beta.method)
 
 
 def _clamp_eigen_parts(kind: MatrixEstimatorKind, l_perp, l_axis, w, dims: ProblemDims,

@@ -198,8 +198,7 @@ def apply_estimator(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -
         if fam.kind is not FamilyKind.POSITIVE_PART:
             warnings.warn("W = 0: estimate shrunk to the origin", ShrunkToOriginWarning)
         return np.zeros(dims.p)
-    factor = 1.0 - float(np.asarray(fam.phi(w), dtype=float)) / w
-    return factor * obs.x
+    return float(shrink_factors(fam, w)) * obs.x
 
 
 def canonicalize_regression(design, response):

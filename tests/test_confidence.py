@@ -188,19 +188,20 @@ def test_shared_geometry_equals_single_spec_calls(fam_name, with_theta):
     theta = np.full(DIMS.p, 0.7)
     x = theta + rng.standard_normal((500, DIMS.p))
     s = rng.chisquare(DIMS.n, 500)
-    w = np.einsum("ij,ij->i", x, x) / s
-    delta = sm.shrink_factors(fam, w)[:, None] * x
-    levels = {CV.C0: 0.95, CV.C1: 0.9, CV.C2: 0.95, CV.C3: 0.8, CV.C1_STAR: 0.95,
-              CV.C2_STAR: 0.9}
-    specs = tuple(sm.ConfidenceSpec(v, levels[v]) for v in CV)
-    truth = theta if with_theta else None
-    shared = _set_geometry(x, s, w, delta, specs, fam, DIMS, consts, truth)
-    assert len(shared) == len(specs)
-    for spec, geo in zip(specs, shared):
-        single, = _set_geometry(x, s, w, delta, (spec,), fam, DIMS, consts, truth)
-        for field, got, want in zip(geo._fields, geo, single):
-            same = got is None and want is None or np.array_equal(got, want)
-            assert same, (spec.variant, field)
+    xx = np.einsum("ij,ij->i", x, x)
+    w = xx / s
+    mixed = {CV.C0: 0.95, CV.C1: 0.9, CV.C2: 0.95, CV.C3: 0.8, CV.C1_STAR: 0.95,
+             CV.C2_STAR: 0.9}
+    rows = (xx, x @ theta, theta @ theta) if with_theta else None
+    for levels in (mixed, dict.fromkeys(CV, 0.95)):  # C3 shares C0's volume only at one level
+        specs = tuple(sm.ConfidenceSpec(v, levels[v]) for v in CV)
+        shared = _set_geometry(s, w, specs, fam, DIMS, consts, rows)
+        assert len(shared) == len(specs)
+        for spec, geo in zip(specs, shared):
+            single, = _set_geometry(s, w, (spec,), fam, DIMS, consts, rows)
+            for field, got, want in zip(geo._fields, geo, single):
+                same = got is None and want is None or np.array_equal(got, want)
+                assert same, (spec.variant, field)
 
 
 @pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])

@@ -1,9 +1,13 @@
+import json
+import math
 import os
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import steinmse as sm
 
@@ -20,6 +24,14 @@ def _small_cfg(**overrides):
                 threads=1)
     base.update(overrides)
     return sm.ExperimentConfig(**base)
+
+
+def _replay(stream, m, theta, n):
+    """The (m, p) array x and the scale draws s of one block, drawn from its
+    stream exactly as ``experiments._draw`` draws them."""
+    g = stream.generator()
+    x = theta + g.standard_normal((m, theta.shape[0]))
+    return x, g.chisquare(n, m)
 
 
 def test_config_validation():
@@ -134,7 +146,7 @@ def test_matrix_reduction_loss_dominance():
 def test_matrix_curve_axial_algebra_matches_dense(loss):
     # Replays the curve's one block and scores each estimate against the
     # exact truth with dense p x p matrices: ||Mhat - M||_F^2 per draw.
-    from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _draw, _stream
+    from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _stream
 
     lam, reps, p, n = 6.0, 3000, DIMS.p, DIMS.n
     cfg = _small_cfg(lambda_grid=(lam,), reps=reps, theta_direction=[1.0, 2.0, 0.0, -1.0, 0.5])
@@ -143,7 +155,8 @@ def test_matrix_curve_axial_algebra_matches_dense(loss):
     consts = sm.matrix_constants(fam, DIMS)
     direction = np.array([1.0, 2.0, 0.0, -1.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.0, -1.0, 0.5])
     theta = np.sqrt(lam) * direction
-    x, s, w = _draw(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE).generator(), reps, theta, n)
+    x, s = _replay(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE), reps, theta, n)
+    w = np.einsum("ij,ij->i", x, x) / s
     a, b = sm.true_mse_matrix(fam, DIMS, lam)
     truth = a * np.eye(p) + b * np.outer(theta, theta)
     u = x / np.linalg.norm(x, axis=1)[:, None]
@@ -209,27 +222,37 @@ def test_coverage_star_volume_ratio_exact():
 
 
 def test_coverage_matches_scalar_construction():
-    # The vectorized engine agrees with the one-observation builder.
-    cfg = _small_cfg(lambda_grid=(2.0,), reps=64)
-    fam = sm.family_from_name("positive-part", DIMS)
+    # The vectorized engine, which sees only each block's row statistics,
+    # counts the same draws as the one-observation builder, at every table
+    # dims and both families.
+    from steinmse.experiments import _DOMAIN_COVERAGE, _stream
+
+    table_dims = (DIMS, sm.ProblemDims(10, 5), sm.ProblemDims(5, 10), sm.ProblemDims(10, 10))
+    families, lam, reps = ("james-stein", "positive-part"), 2.0, 64
+    cfg = _small_cfg(dims_list=table_dims, families=families, lambda_grid=(lam,), reps=reps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        consts = sm.matrix_constants(fam, DIMS, j_max=20)
-        table = sm.run_coverage_curve(cfg, consts_map={("positive-part", DIMS): consts})
-    covered = {v: 0 for v in ("c0", "c1", "c2", "c3", "c1*", "c2*")}
-    theta = np.sqrt(2.0 / DIMS.p) * np.ones(DIMS.p)
-    # Rebuild the same draws the engine used (single block, stream layout).
-    from steinmse.experiments import _draw, _stream
-    x, s, w = _draw(_stream(cfg.seed, 5, 0, 0, 0, 0).generator(), 64, theta, DIMS.n)
-    for i in range(64):
-        obs = sm.Observation(x[i], float(s[i]))
-        for variant in covered:
-            spec = sm.ConfidenceSpec(sm.ConfidenceVariant(variant))
-            res = sm.build_confidence_set(spec, obs, fam, DIMS, consts, theta)
-            covered[variant] += bool(res.contains_truth)
-    by_variant = {r.variant: r for r in table.rows}
-    for variant, count in covered.items():
-        assert by_variant[variant].coverage == pytest.approx(count / 64.0, abs=1e-12)
+        consts = {(name, dims): sm.matrix_constants(sm.family_from_name(name, dims), dims,
+                                                    j_max=20)
+                  for dims in table_dims for name in families}
+        table = sm.run_coverage_curve(cfg, consts_map=consts)
+    by_key = {(r.p, r.n, r.family, r.variant): r for r in table.rows}
+    for di, dims in enumerate(table_dims):
+        theta = math.sqrt(lam) * (np.ones(dims.p) / math.sqrt(dims.p))  # as the engine's
+        for fi, name in enumerate(families):
+            fam = sm.family_from_name(name, dims)
+            # Rebuild the same draws the engine used (single block, stream layout).
+            x, s = _replay(_stream(cfg.seed, _DOMAIN_COVERAGE, fi, di, 0, 0), reps, theta,
+                           dims.n)
+            for variant in sm.ConfidenceVariant:
+                spec = sm.ConfidenceSpec(variant)
+                count = sum(bool(sm.build_confidence_set(spec, sm.Observation(x[i], float(s[i])),
+                                                         fam, dims, consts[(name, dims)],
+                                                         theta).contains_truth)
+                            for i in range(reps))
+                row = by_key[(dims.p, dims.n, name, variant.value)]
+                assert row.coverage == pytest.approx(count / reps, abs=1e-12), (dims, name,
+                                                                                variant)
 
 
 def test_determinism_across_thread_counts(tmp_path):
@@ -362,9 +385,9 @@ def test_lookahead_hands_each_point_its_own_blocks():
     got = []
 
     def scorer(pt):
-        def record(x, s, w):
+        def record(*block):
             assert threading.active_count() == before + 1  # one worker, no more
-            got.append((pt, x.copy(), s.copy(), w.copy()))
+            got.append((pt, *(a.copy() for a in block)))
             return np.ones(1)
         return record
 
@@ -380,7 +403,112 @@ def test_lookahead_hands_each_point_its_own_blocks():
         assert pt is walked[i // len(sizes)][0]
         want = _draw(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi).generator(), sizes[bi],
                      pt.theta, pt.dims.n)
+        assert len(block) == len(want) == 4
         assert all(np.array_equal(a, b) for a, b in zip(block, want))
+
+
+def test_block_scorers_receive_only_row_statistics(monkeypatch):
+    # The worker reduces each block to per-row statistics, so every array a
+    # block scorer sees, in the coverage curve and both risk curves, is one
+    # value per draw: no (m, p) array reaches the scoring thread.
+    import steinmse.experiments as experiments
+
+    grid, seen = experiments._grid, []
+
+    def checked_grid(cfg, domain, constants, scorer):
+        def checked_scorer(pt):
+            score = scorer(pt)
+
+            def checked(*block):
+                seen.append([(type(a), a.shape) for a in block])
+                return score(*block)
+            return checked
+        return grid(cfg, domain, constants, checked_scorer)
+
+    monkeypatch.setattr(experiments, "_grid", checked_grid)
+    cfg = _small_cfg(lambda_grid=(0.0, 3.0), reps=2 * experiments.BLOCK + 7,
+                     estimator_kinds=tuple(K), matrix_kinds=tuple(MK))
+    want = [[(np.ndarray, (m,))] * 4 for _ in cfg.lambda_grid
+            for m in experiments._block_sizes(cfg.reps)]
+    for run in (sm.run_coverage_curve, sm.run_mse_risk_curve, sm.run_matrix_risk_curve):
+        seen.clear()
+        run(cfg)
+        assert seen == want, run.__name__
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS,
+                    reason="long double is no wider than double here")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=st.integers(1, 30), n=st.integers(1, 30), lam=st.floats(0.0, 400.0),
+       family=st.sampled_from(("james-stein", "positive-part")),
+       seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_row_distances_hold_to_a_few_ulps(p, n, lam, family, seed, data):
+    # The coverage scorer takes ||x - theta||^2, ||delta - theta||^2 and
+    # u'(delta - theta) from the row statistics ||x||^2 and x'theta; each is
+    # held against the same quantity summed over the (m, p) draws in long
+    # double, within 6 ulps of the scale of its terms (2.9 was the worst seen
+    # over 768,000 draws at these ranges) plus the underflow level.
+    from steinmse.confidence import _row_distances
+    from steinmse.experiments import _draw
+
+    direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    assume(np.linalg.norm(direction) > 1e-3)
+    theta = math.sqrt(lam) * direction / np.linalg.norm(direction)
+    m = 256
+    s, w, xx, x_theta = _draw(sm.RngStream(seed).generator(), m, theta, n)
+    x, s_again = _replay(sm.RngStream(seed), m, theta, n)
+    assert np.array_equal(s, s_again) and np.array_equal(x_theta, x @ theta)
+    assert np.array_equal(xx, np.einsum("ij,ij->i", x, x)) and np.array_equal(w, xx / s)
+    # Any shrinkage factor of W serves; the families are defined for p >= 3.
+    dims = sm.ProblemDims(max(p, 3), n)
+    f = sm.shrink_factors(sm.family_from_name(family, dims), w)
+    theta_theta = float(theta @ theta)
+    dd_x, dd_delta, t = _row_distances(f, xx, x_theta, theta_theta)
+
+    xl, thetal, fl = (a.astype(np.longdouble) for a in (x, theta, f))
+    dl = fl[:, None] * xl - thetal
+    want_x = ((xl - thetal) ** 2).sum(axis=1)
+    want_delta = (dl * dl).sum(axis=1)
+    want_t = (xl * dl).sum(axis=1) / np.sqrt((xl * xl).sum(axis=1))
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(dd_x - want_x) <= 6 * _EPS * (xx + theta_theta) + tiny)
+    assert np.all(np.abs(dd_delta - want_delta) <= 6 * _EPS * (f * f * xx + theta_theta) + tiny)
+    assert np.all(np.abs(t - want_t)
+                  <= 6 * _EPS * (np.abs(f) * np.sqrt(xx) + math.sqrt(theta_theta)) + tiny)
+
+
+def test_curve_metadata_records_the_constants_used():
+    # Each (family, dims) of the walk, in walk order, with the constants its
+    # points used and their provenance; the metadata stays JSON.
+    dims_list, families = (DIMS, sm.ProblemDims(3, 2)), ("james-stein", "positive-part")
+    cfg = _small_cfg(dims_list=dims_list, families=families, lambda_grid=(1.0,), reps=10,
+                     estimator_kinds=(K.UMVUE, K.PSI1_TR), matrix_kinds=(MK.UMVUE, MK.XI2_ETA2))
+    walk = [(name, dims.p, dims.n) for dims in dims_list for name in families]
+    for run, make in ((sm.run_mse_risk_curve, sm.shrinkage_constants),
+                      (sm.run_matrix_risk_curve, sm.matrix_constants),
+                      (sm.run_coverage_curve, sm.matrix_constants)):
+        records = json.loads(json.dumps(run(cfg).metadata))["constants"]
+        assert [(r["family"], r["p"], r["n"]) for r in records] == walk, run.__name__
+        for r in records:
+            dims = sm.ProblemDims(r["p"], r["n"])
+            consts = make(sm.family_from_name(r["family"], dims), dims)
+            assert r["provenance"] == consts.provenance == "closed-form"
+            if make is sm.shrinkage_constants:
+                want = {"alpha": consts.alpha, "w_pn": consts.w_pn, "gamma": consts.gamma}
+            else:
+                want = {"beta2": consts.beta.beta2, "w_xi": consts.w_xi,
+                        "w_eta": consts.w_eta, "gamma_xi": consts.gamma_xi,
+                        "gamma_eta": consts.gamma_eta}
+            assert {k: r[k] for k in want} == want
+    # A run that needs no constants records none.
+    plain = _small_cfg(reps=10, estimator_kinds=(K.UMVUE, K.PSI0), matrix_kinds=(MK.XI0_ETA0,))
+    assert sm.run_mse_risk_curve(plain).metadata["constants"] == []
+    assert sm.run_matrix_risk_curve(plain).metadata["constants"] == []
+    c0 = (sm.ConfidenceSpec(sm.ConfidenceVariant.C0),)
+    assert sm.run_coverage_curve(plain, c0).metadata["constants"] == []
 
 
 def test_failed_draw_raises_from_the_curve_and_stops_the_worker(monkeypatch):
@@ -427,7 +555,7 @@ def test_failed_score_after_the_first_point_joins_the_worker(monkeypatch):
         drawn.append(1)
         return draw(*args)
 
-    def score(x, s, w):
+    def score(*block):
         taken.append(1)
         assert len(drawn) <= len(taken) + 2  # at most two blocks ahead
         if len(taken) > 3:

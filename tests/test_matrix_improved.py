@@ -215,6 +215,17 @@ class TestRoots:
             solve_w_xi_eta(JS, DIMS, 0.0)
 
 
+def test_matrix_constants_provenance():
+    # As for the shrinkage constants: closed forms for the built-in rules,
+    # quadrature for a custom one.
+    for fam in (JS, PP):
+        assert sm.matrix_constants(fam, DIMS, j_max=10).provenance == "closed-form"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        clone = sm.matrix_constants(_custom_clone(PP), DIMS, j_max=10)
+    assert clone.provenance == "quadrature"
+
+
 @pytest.fixture(scope="module")
 def pp_consts():
     return sm.matrix_constants(PP, DIMS, j_max=20)

@@ -90,15 +90,20 @@ class TestGFunctions:
         assert float(gf.g3(1.0)) == pytest.approx(21.0 / 49.0, rel=1e-14)
         assert float(gf.g(1.0)) == pytest.approx(18.0 / 49.0, rel=1e-14)
 
-    def test_identities_hold_for_all_families(self):
-        w = np.geomspace(0.05, 20.0, 25)
-        for fam in (JS, PP):
-            gf = g_functions(fam, DIMS)
-            phi = np.asarray(fam.phi(w))
-            np.testing.assert_allclose(gf.g3(w), np.asarray(gf.g2(w)) + phi * phi / w,
-                                       rtol=1e-12)
-            np.testing.assert_allclose(gf.g(w), DIMS.p * np.asarray(gf.g1(w)) - gf.g2(w),
-                                       rtol=1e-12)
+    @given(p=st.integers(3, 60), n=st.integers(1, 60),
+           log_w=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+           name=st.sampled_from(["james-stein", "positive-part"]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_identities_hold_for_all_families(self, p, n, log_w, name):
+        # g3 = g2 + phi^2/W and g = p g1 - g2 at random (p, n) and W over
+        # six decades, on both sides of the positive-part kink.
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(name, dims)
+        w = 10.0 ** np.array(log_w)
+        gf = g_functions(fam, dims)
+        phi = np.asarray(fam.phi(w))
+        np.testing.assert_allclose(gf.g3(w), np.asarray(gf.g2(w)) + phi * phi / w, rtol=1e-12)
+        np.testing.assert_allclose(gf.g(w), p * np.asarray(gf.g1(w)) - gf.g2(w), rtol=1e-12)
 
     def test_quadrature_matches_closed_forms(self):
         # General-path kernels for a clone of the constant rule agree with
