@@ -7,9 +7,8 @@ from .confidence import (ConfidenceResult, ConfidenceSpec, ConfidenceVariant,
                          build_confidence_set, ellipsoid_volume, quad_form_inv)
 from .distributions import RngStream, f_quantile
 from .experiments import (CoverageTable, CsvTable, ExperimentConfig, RiskTable,
-                          default_confidence_variants, reproduce_tables, run_coverage_curve,
-                          run_matrix_risk_curve, run_mse_risk_curve, write_plot_script,
-                          write_tables)
+                          reproduce_tables, run_coverage_curve, run_matrix_risk_curve,
+                          run_mse_risk_curve, write_plot_script, write_tables)
 from .matrix_improved import (BetaConstants, MatrixConstants, MatrixEstimatorKind,
                               beta_constants, estimate_mse_matrix, matrix_constants,
                               matrix_eigen_parts, positive_definite_certified)
@@ -25,17 +24,16 @@ from .umvue import AxialMatrix, g_transform, umvue_mse, umvue_mse_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxialMatrix", "BetaConstants", "ConfidenceResult", "ConfidenceSpec",
-    "ConfidenceVariant", "CoverageTable", "CsvTable", "ExperimentConfig", "FamilyKind",
-    "MatrixConstants", "MatrixEstimatorKind", "MseEstimatorKind", "Observation",
-    "ProblemDims", "RiskTable", "RngStream", "ShrinkageConstants", "ShrinkageFamily",
-    "ShrunkToOriginWarning", "apply_estimator", "beta_constants", "build_confidence_set",
-    "canonicalize_regression", "default_confidence_variants", "ellipsoid_volume",
-    "estimate_mse", "estimate_mse_at", "estimate_mse_matrix", "f_quantile",
+    "AxialMatrix", "BetaConstants", "ConfidenceResult", "ConfidenceSpec", "ConfidenceVariant",
+    "CoverageTable", "CsvTable", "ExperimentConfig", "FamilyKind", "MatrixConstants",
+    "MatrixEstimatorKind", "MseEstimatorKind", "Observation", "ProblemDims", "RiskTable",
+    "RngStream", "ShrinkageConstants", "ShrinkageFamily", "ShrunkToOriginWarning",
+    "apply_estimator", "beta_constants", "build_confidence_set", "canonicalize_regression",
+    "ellipsoid_volume", "estimate_mse", "estimate_mse_at", "estimate_mse_matrix", "f_quantile",
     "family_from_name", "g_transform", "matrix_constants", "matrix_eigen_parts",
     "positive_definite_certified", "psi1_positive_certified", "quad_form_inv",
     "reproduce_tables", "risk_reduction_integrand", "run_coverage_curve",
     "run_matrix_risk_curve", "run_mse_risk_curve", "shrink_factors", "shrinkage_constants",
-    "true_mse_matrix", "true_risk", "truncation_band_nonempty", "umvue_mse",
-    "umvue_mse_matrix", "write_plot_script", "write_tables",
+    "true_mse_matrix", "true_risk", "truncation_band_nonempty", "umvue_mse", "umvue_mse_matrix",
+    "write_plot_script", "write_tables",
 ]

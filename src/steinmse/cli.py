@@ -1,12 +1,13 @@
 """Command-line front end: estimation, constants tables, experiment runs.
 
 Subcommands: estimate, constants, risk-curve, coverage, canonicalize.
-JSON outputs carry a schema version and echo every numeric flag; CSV runs
-drop a metadata.json next to the tables. Only the Monte Carlo curves
-(risk-curve, coverage) draw random numbers, and they require a seed, so
-every run is reproducible by construction. The constants behind
-``estimate`` and ``constants`` are closed forms or quadratures.
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+JSON outputs carry a schema version, echo every numeric flag and hold only
+finite numbers; CSV runs drop a metadata.json next to the tables. Only the
+Monte Carlo curves (risk-curve, coverage) draw random numbers, and they
+require a seed, so every run is reproducible by construction. The
+constants behind ``estimate`` and ``constants`` are closed forms or
+quadratures. Exit codes: 0 success, 1 numerical failure (a non-finite
+result included), 2 usage error (an unwritable output included).
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def _parse_lambdas(text: str) -> list:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Print the payload, or write it to ``out``, as standard JSON: a
+    non-finite number raises ValueError before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -140,7 +143,10 @@ def _cmd_estimate(args) -> int:
     if x.shape != (dims.p,):
         raise UsageError(f"data vector has length {x.shape[0]}, expected p={dims.p}")
     fam = family_from_name(args.family, dims)
-    obs = Observation(x, args.s)
+    try:
+        obs = Observation(x, args.s)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     mse_kind = _MSE_KINDS[args.mse]
     matrix_kind = _MATRIX_KINDS[args.matrix]
 
@@ -369,6 +375,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # _read_csv reports unreadable inputs, so this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ __all__ = [
     "reproduce_tables",
     "write_tables",
     "write_plot_script",
-    "default_confidence_variants",
 ]
 
 # Replications per stream; fixed so outputs depend only on the configuration.
@@ -79,16 +78,14 @@ _DEFAULT_MATRIX_KINDS = (MatrixEstimatorKind.UMVUE, MatrixEstimatorKind.XI0_ETA0
 class ExperimentConfig:
     """Everything a Monte Carlo run depends on, seed included.
 
-    theta_direction: "equal" distributes the signal evenly over the
-    coordinates, "first-axis" puts it all on the first one, or pass an
-    explicit vector. Risks depend on theta only through the noncentrality,
-    which the direction-invariance test exploits. threads and const_reps
-    are ignored: blocks are drawn up to two ahead by one executor worker,
-    scored serially and summed in block order, and the shrinkage and
-    matrix constants involve no random draws. Both are still accepted for
-    configurations written when they mattered. Building a configuration
-    checks the family names, the theta direction for every dims and that
-    the grid and block counts fit the stream-id fields.
+    Each grid point puts theta = sqrt(lambda) (1, ..., 1) / sqrt(p): risks
+    and coverages depend on theta only through the noncentrality, so its
+    direction is fixed. threads and const_reps are ignored: blocks are
+    drawn up to two ahead by one executor worker, scored serially and
+    summed in block order, and the shrinkage and matrix constants involve
+    no random draws. Both are still accepted for configurations written
+    when they mattered. Building a configuration checks the family names
+    and that the grid and block counts fit the stream-id fields.
     """
 
     dims_list: tuple = (ProblemDims(5, 5),)
@@ -98,7 +95,6 @@ class ExperimentConfig:
     families: tuple = ("james-stein", "positive-part")
     estimator_kinds: tuple = _DEFAULT_MSE_KINDS
     matrix_kinds: tuple = _DEFAULT_MATRIX_KINDS
-    theta_direction: object = "equal"
     threads: int = 1
     const_reps: int = 1_000_000
 
@@ -121,8 +117,6 @@ class ExperimentConfig:
             if count > 1 << bits:
                 raise ValueError(f"{count} {name} indices exceed the {bits}-bit stream field "
                                  f"(at most {1 << bits})")
-        for dims in self.dims_list:
-            _direction(self, dims.p)
 
     def metadata(self) -> dict:
         return {
@@ -133,8 +127,6 @@ class ExperimentConfig:
             "families": list(self.families),
             "estimator_kinds": [k.value for k in self.estimator_kinds],
             "matrix_kinds": [k.value for k in self.matrix_kinds],
-            "theta_direction": (self.theta_direction if isinstance(self.theta_direction, str)
-                                else list(np.asarray(self.theta_direction, dtype=float))),
         }
 
 
@@ -177,10 +169,6 @@ class RiskTable(CsvTable):
     """A risk curve: ``RiskRow``s, with the run's configuration and loss in
     ``metadata``."""
 
-    @property
-    def loss(self) -> str:
-        return self.metadata["loss"]
-
 
 class CoverageTable(CsvTable):
     """A coverage curve: ``CoverageRow``s, with the run's configuration and
@@ -197,27 +185,6 @@ def _stream(seed: int, domain: int, fam_idx: int = 0, dims_idx: int = 0,
             raise ValueError(f"{name} index {idx} does not fit its {bits}-bit stream field")
         sid |= idx << shift
     return RngStream(seed, sid)
-
-
-def _direction(cfg: ExperimentConfig, p: int) -> np.ndarray:
-    d = cfg.theta_direction
-    if isinstance(d, str):
-        if d == "equal":
-            return np.ones(p) / math.sqrt(p)
-        if d == "first-axis":
-            out = np.zeros(p)
-            out[0] = 1.0
-            return out
-        raise ValueError(f"unknown theta direction {d!r}")
-    vec = np.asarray(d, dtype=float).reshape(-1)
-    if vec.shape != (p,):
-        raise ValueError(f"theta direction must have length {p}")
-    if not np.isfinite(vec).all():
-        raise ValueError("theta direction must be finite")
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("theta direction must be nonzero")
-    return vec / norm
 
 
 def _block_sizes(reps: int):
@@ -269,7 +236,7 @@ def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
     scores are summed in block order.
     """
     sizes = _block_sizes(cfg.reps)
-    directions = [_direction(cfg, dims.p) for dims in cfg.dims_list]
+    directions = [np.ones(dims.p) / math.sqrt(dims.p) for dims in cfg.dims_list]
     thetas = [[math.sqrt(lam) * d for lam in cfg.lambda_grid] for d in directions]
     blocks = _drawn(
         (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, thetas[di][li], dims.n)
@@ -438,11 +405,6 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
                        _matrix_constants_from(consts_map), loss, losses_at)
 
 
-def default_confidence_variants() -> tuple:
-    """Every confidence variant at the 95% level."""
-    return tuple(ConfidenceSpec(v) for v in ConfidenceVariant)
-
-
 def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
                        consts_map: dict | None = None) -> CoverageTable:
     """Coverage and expected-volume curves for the confidence variants.
@@ -450,9 +412,11 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     Rows carry the empirical coverage (with binomial stderr), the mean
     volume, and the mean-volume ratio against C0 at the same grid point
     (nan when C0 is not among the variants). Rows carry no level, so a
-    variant may appear only once.
+    variant may appear only once. The default is every variant at the 95%
+    level.
     """
-    variants = default_confidence_variants() if variants is None else tuple(variants)
+    variants = (tuple(ConfidenceSpec(v) for v in ConfidenceVariant) if variants is None
+                else tuple(variants))
     listed = [spec.variant for spec in variants]
     if len(set(listed)) < len(listed):
         raise ValueError("each confidence variant may appear only once: rows carry no level")

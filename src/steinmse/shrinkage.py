@@ -75,7 +75,8 @@ class ProblemDims:
 
 @dataclass(frozen=True)
 class Observation:
-    """Data vector x and the positive scale statistic s; w = ||x||^2 / s."""
+    """Data vector x and the positive scale statistic s; w = ||x||^2 / s,
+    which must be finite."""
 
     x: np.ndarray
     s: float
@@ -89,6 +90,10 @@ class Observation:
         if not (self.s > 0 and np.isfinite(self.s)):
             raise ValueError("scale statistic s must be positive and finite")
         object.__setattr__(self, "s", float(self.s))
+        with np.errstate(over="ignore"):  # an overflow is the error raised below
+            finite_w = np.isfinite(self.w)
+        if not finite_w:
+            raise ValueError("the statistic W = ||x||^2 / s must be finite")
 
     @property
     def w(self) -> float:

@@ -20,6 +20,15 @@ def _quiet():
         yield
 
 
+def _reject_constant(token):
+    raise ValueError(f"the CLI wrote the non-standard JSON number {token}")
+
+
+def _json(text: str):
+    """A JSON document the CLI wrote; Infinity, -Infinity and NaN fail."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture()
 def x_csv(tmp_path):
     path = tmp_path / "x.csv"
@@ -34,7 +43,7 @@ def test_estimate_json_contract(x_csv, tmp_path, capsys):
                  "--seed", "3", "--const-reps", "30000", "--j-max", "12",
                  "--out", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = _json(out.read_text())
     assert payload["schema"] == 1
     assert payload["inputs"]["seed"] == 3  # numeric flags echoed
     assert payload["inputs"]["const_reps"] == 30000
@@ -49,7 +58,7 @@ def test_estimate_umvue_needs_no_seed(x_csv, capsys):
     code = main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
                  "--family", "js", "--mse", "umvue", "--matrix", "umvue"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _json(capsys.readouterr().out)
     assert payload["mse"]["kind"] == "umvue"
 
 
@@ -61,7 +70,7 @@ def test_estimate_umvue_axial_keeps_its_digits(tmp_path, capsys):
     code = main(["estimate", "--p", "5", "--n", "5", "--x", str(path), "--s", "1.0",
                  "--family", "js", "--mse", "umvue", "--matrix", "umvue"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _json(capsys.readouterr().out)
     want = g3_above_kink(5, 5, payload["w"])
     assert abs(payload["mse_matrix"]["axial"] - want) <= 1e-15 * want
 
@@ -74,7 +83,7 @@ def test_estimate_output_does_not_depend_on_seed(x_csv, capsys):
     payloads = []
     for seed_args in (["--seed", "1"], ["--seed", "2"], []):
         assert main(base + seed_args) == 0
-        payloads.append(json.loads(capsys.readouterr().out))
+        payloads.append(_json(capsys.readouterr().out))
     seeds = [p["inputs"].pop("seed") for p in payloads]
     assert seeds == [1, 2, None]
     assert payloads[0] == payloads[1] == payloads[2]
@@ -91,7 +100,7 @@ def test_estimate_confidence_block(x_csv, capsys):
                  "--family", "js-plus", "--confidence", "c1star", "--seed", "5",
                  "--const-reps", "30000", "--j-max", "12"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _json(capsys.readouterr().out)
     assert payload["confidence"]["variant"] == "c1*"
     assert payload["confidence"]["volume"] > 0
 
@@ -159,7 +168,7 @@ def test_canonicalize_roundtrip(tmp_path, capsys):
     canon_out = tmp_path / "canon.json"
     assert main(["canonicalize", "--design", str(design), "--response", str(response),
                  "--out", str(canon_out)]) == 0
-    canon = json.loads(canon_out.read_text())
+    canon = _json(canon_out.read_text())
     assert canon["schema"] == 1
     assert canon["p"] == 5 and canon["n"] == 7
 
@@ -170,7 +179,7 @@ def test_canonicalize_roundtrip(tmp_path, capsys):
                  f"{canon['s']:.17g}", "--family", "js", "--mse", "umvue",
                  "--matrix", "umvue", "--out", str(tmp_path / "est.json")])
     assert code == 0
-    est = json.loads((tmp_path / "est.json").read_text())
+    est = _json((tmp_path / "est.json").read_text())
     import steinmse as sm
     dims = sm.ProblemDims(5, 7)
     obs = sm.Observation(np.array(canon["x"]), canon["s"])
@@ -234,7 +243,7 @@ def test_curve_metadata_has_no_runtime_threads(tmp_path, monkeypatch, command):
     code = main([command, "--p", "5", "--n", "5", "--family", "js", "--lambdas", "0",
                  "--reps", "1000", "--seed", "9", "--out", str(out)])
     assert code == 0
-    meta = json.loads((out / "metadata.json").read_text())
+    meta = _json((out / "metadata.json").read_text())
     assert "threads" not in meta
     assert meta["seed"] == 9 and meta["reps"] == 1000
 
@@ -284,6 +293,55 @@ def test_ragged_or_multi_column_csv_is_usage_error(tmp_path, capsys, command, ba
     assert main([command, *flags[command]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(paths[bad_flag]) in err
+
+
+@pytest.mark.parametrize("x, s, message", [
+    ("1\nnan\n2\n0.5\n1\n", "1.0", "observation vector must be finite"),
+    ("1\ninf\n2\n0.5\n1\n", "1.0", "observation vector must be finite"),
+    ("1\n0.3\n2\n0.5\n1\n", "inf", "scale statistic s must be positive and finite"),
+    ("1\n0.3\n2\n0.5\n1\n", "1e-320", "the statistic W = ||x||^2 / s must be finite"),
+    ("1e155\n1\n1\n1\n1\n", "1.0", "the statistic W = ||x||^2 / s must be finite"),
+], ids=["nan-x", "inf-x", "inf-s", "w-overflows-by-s", "w-overflows-by-x"])
+def test_bad_observation_is_usage_error(tmp_path, capsys, x, s, message):
+    path = tmp_path / "x.csv"
+    path.write_text(x)
+    out = tmp_path / "out.json"
+    code = main(["estimate", "--p", "5", "--n", "5", "--x", str(path), "--s", s,
+                 "--confidence", "c2star", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_non_finite_result_is_numerical_failure(tmp_path, capsys, to_file):
+    # W = 1 + 9e-300 is finite, but the C0 volume overflows a double. JSON
+    # has no Infinity, so the run fails and writes nothing.
+    path = tmp_path / "x.csv"
+    path.write_text("1e150\n" + "1\n" * 9)
+    out = tmp_path / "out.json"
+    code = main(["estimate", "--p", "10", "--n", "5", "--x", str(path), "--s", "1e300",
+                 "--confidence", "c0", *(["--out", str(out)] if to_file else [])])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, where", [("estimate", "missing-dir"),
+                                            ("estimate", "under-a-file"),
+                                            ("constants", "under-a-file")])
+def test_unwritable_out_is_usage_error(x_csv, tmp_path, capsys, command, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = {"missing-dir": tmp_path / "no" / "such" / "out.json",
+           "under-a-file": blocker / "sub"}[where]
+    flags = {"estimate": ["--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0"],
+             "constants": ["--dims", "5x5", "--j-max", "12"]}[command]
+    assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and str(out) in err
+    assert err.count("\n") == 1
 
 
 def test_mse_target_rejects_matrix_loss(capsys):

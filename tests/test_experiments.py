@@ -119,7 +119,7 @@ def test_reduction_loss_mode():
     by_kind = {r.kind: r for r in table.rows}
     # Positive estimates improve the reduction estimate at zero signal.
     assert by_kind["psi2"].diff_vs_umvue <= 3.0 * by_kind["psi2"].diff_stderr
-    assert table.loss == "reduction"
+    assert table.metadata["loss"] == "reduction"
 
 
 def test_matrix_curve_dominance():
@@ -149,12 +149,11 @@ def test_matrix_curve_axial_algebra_matches_dense(loss):
     from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _stream
 
     lam, reps, p, n = 6.0, 3000, DIMS.p, DIMS.n
-    cfg = _small_cfg(lambda_grid=(lam,), reps=reps, theta_direction=[1.0, 2.0, 0.0, -1.0, 0.5])
+    cfg = _small_cfg(lambda_grid=(lam,), reps=reps)
     rows = {r.kind: r for r in sm.run_matrix_risk_curve(cfg, loss=loss).rows}
     fam = sm.family_from_name("positive-part", DIMS)
     consts = sm.matrix_constants(fam, DIMS)
-    direction = np.array([1.0, 2.0, 0.0, -1.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.0, -1.0, 0.5])
-    theta = np.sqrt(lam) * direction
+    theta = math.sqrt(lam) * (np.ones(p) / math.sqrt(p))  # as the engine's
     x, s = _replay(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE), reps, theta, n)
     w = np.einsum("ij,ij->i", x, x) / s
     a, b = sm.true_mse_matrix(fam, DIMS, lam)
@@ -174,14 +173,26 @@ def test_matrix_curve_axial_algebra_matches_dense(loss):
 
 
 def test_theta_direction_invariance():
-    # Risks depend on theta only through the noncentrality.
-    cfg_a = _small_cfg(lambda_grid=(6.0,), reps=30_000, seed=23)
-    cfg_b = _small_cfg(lambda_grid=(6.0,), reps=30_000, seed=24, theta_direction="first-axis")
-    ra = {r.kind: r for r in sm.run_mse_risk_curve(cfg_a).rows}
-    rb = {r.kind: r for r in sm.run_mse_risk_curve(cfg_b).rows}
-    for kind in ("umvue", "psi0"):
-        tol = 4.0 * float(np.hypot(ra[kind].stderr, rb[kind].stderr))
-        assert abs(ra[kind].risk - rb[kind].risk) < tol
+    # Risks depend on theta only through the noncentrality, which is why
+    # the curves fix theta's direction: draws with all of theta on the
+    # first axis give the library's curve to within noise.
+    lam, reps = 6.0, 30_000
+    cfg = _small_cfg(lambda_grid=(lam,), reps=reps, seed=23)
+    rows = {r.kind: r for r in sm.run_mse_risk_curve(cfg).rows}
+    fam = sm.family_from_name("positive-part", DIMS)
+    consts = sm.shrinkage_constants(fam, DIMS)
+    risk_true = sm.true_risk(fam, DIMS, lam)
+    g = sm.RngStream(24).generator()
+    theta = np.zeros(DIMS.p)
+    theta[0] = math.sqrt(lam)
+    x = theta + g.standard_normal((reps, DIMS.p))
+    s = g.chisquare(DIMS.n, reps)
+    w = np.einsum("ij,ij->i", x, x) / s
+    for kind in cfg.estimator_kinds:
+        losses = (np.asarray(sm.estimate_mse_at(kind, w, s, fam, DIMS, consts)) - risk_true) ** 2
+        row = rows[kind.value]
+        tol = 4.0 * float(np.hypot(row.stderr, losses.std(ddof=1) / math.sqrt(reps)))
+        assert abs(row.risk - losses.mean()) < tol
 
 
 def test_unbiasedness_harness():
@@ -590,21 +601,15 @@ def test_config_rejects_more_blocks_than_the_block_field():
         sm.ExperimentConfig(reps=2 ** 32 * experiments.BLOCK + 1)
 
 
-@pytest.mark.parametrize("direction, message", [
-    ([1.0, float("nan"), 0.0, 0.0, 0.0], "must be finite"),
-    ([1.0, float("inf"), 0.0, 0.0, 0.0], "must be finite"),
-    ([0.0] * 5, "must be nonzero"),
-    ([1.0, 2.0], "must have length 5"),
-    ("diagonal", "unknown theta direction")])
-def test_config_rejects_a_bad_theta_direction(direction, message):
-    with pytest.raises(ValueError, match=message):
-        _small_cfg(theta_direction=direction)
-
-
-def test_config_checks_the_theta_direction_for_every_dims():
-    _small_cfg(theta_direction=[1.0] * 5)
-    with pytest.raises(ValueError, match="must have length 3"):
-        _small_cfg(dims_list=(DIMS, sm.ProblemDims(3, 2)), theta_direction=[1.0] * 5)
+def test_config_has_no_theta_direction():
+    # Every curve puts theta along (1, ..., 1): there is no direction to set
+    # and none to record.
+    with pytest.raises(TypeError, match="theta_direction"):
+        _small_cfg(theta_direction="first-axis")
+    cfg = _small_cfg(reps=10)
+    for table in (sm.run_mse_risk_curve(cfg), sm.run_matrix_risk_curve(cfg),
+                  sm.run_coverage_curve(cfg, (sm.ConfidenceSpec(sm.ConfidenceVariant.C0),))):
+        assert "theta_direction" not in table.metadata
 
 
 @pytest.mark.parametrize("target, loss", [("mse", "mse"), ("mse", "reduction"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,17 @@ def test_observation_validation():
         sm.Observation([1.0, 2.0], 0.0)
     obs = sm.Observation([3.0, 4.0], 5.0)
     assert obs.w == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("x, s", [([1.0, 0.3, 2.0, 0.5, 1.0], 1e-320),
+                                  ([1e155, 1.0, 1.0], 1.0)], ids=["tiny-s", "huge-x"])
+def test_observation_rejects_a_w_that_overflows(x, s):
+    # Finite x and s whose W = ||x||^2 / s overflows a double: the estimates
+    # would turn it into an infinite radius or volume.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # refused without a raw warning
+        with pytest.raises(ValueError, match="W = .* must be finite"):
+            sm.Observation(x, s)
 
 
 def test_james_stein_point_estimate():
