@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -133,12 +134,16 @@ def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
     """Volume of { theta : (center-theta)' M^{-1} (center-theta) / p <= c }.
 
     Equals |M|^{1/2} (c p pi)^{p/2} / Gamma(p/2 + 1) for the AxialMatrix
-    M, computed in log space.
+    M, computed in log space. A volume beyond the largest double raises
+    ValueError.
     """
     if not c > 0:
         raise ValueError("quadratic radius must be positive")
     _require_positive_definite(m, "ellipsoid volume")
-    return float(np.exp(_log_volume(m.logdet(), c, m.dim)))
+    log_volume = _log_volume(m.logdet(), c, m.dim)
+    if log_volume > math.log(sys.float_info.max):
+        raise ValueError(f"the ellipsoid volume, exp({log_volume:.6g}), overflows a double")
+    return float(np.exp(log_volume))
 
 
 _SetGeometry = namedtuple("_SetGeometry", ["l_perp", "l_axis", "logdet", "quantile", "radius",

@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._rootfind import bracketed_root
+
 __all__ = [
     "RngStream",
     "f_quantile",
@@ -160,10 +162,11 @@ def _betainc_split(a: float, b: float, x: float, front: float):
 def f_quantile(q: float, d1: int, d2: int) -> float:
     """Quantile of the F distribution with (d1, d2) degrees of freedom.
 
-    Inverts CDF(x) = I_y(d1/2, d2/2), y = d1 x / (d1 x + d2), by bracketed
-    bisection, tightened until the CDF at the returned point is within
-    1e-12 of q. Cached, since every confidence set at one level and (p, n)
-    uses the same quantile.
+    Inverts CDF(x) = I_y(d1/2, d2/2), y = d1 x / (d1 x + d2), on [0, 1]
+    doubled until it brackets q, with the package's one root solver. The
+    CDF at the returned point must be within 1e-10 of q and below 1, where
+    it has not yet rounded up; RuntimeError otherwise. Cached, since every
+    confidence set at one level and (p, n) uses the same quantile.
     """
     d1 = _check_df(d1, "d1")
     d2 = _check_df(d2, "d2")
@@ -175,21 +178,9 @@ def f_quantile(q: float, d1: int, d2: int) -> float:
         y = d1 * x / (d1 * x + d2)
         return _betainc_pair(a, b, y)[0]
 
-    hi = 1.0
-    while cdf(hi) < q:
-        hi *= 2.0
-        if hi > 1e14:
-            raise RuntimeError("failed to bracket the F quantile")
-    lo = 0.0
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    x = 0.5 * (lo + hi)
+    x = bracketed_root(lambda x: cdf(x) - q, 0.0, 1.0)
+    if x is None or cdf(x) == 1.0:  # a CDF rounded to 1 no longer tells q from 1
+        raise RuntimeError(f"the F({d1}, {d2}) quantile at q={q} lies where the CDF rounds to 1")
     if abs(cdf(x) - q) > 1e-10:
         raise RuntimeError(f"F quantile inversion stalled at x={x} (CDF error {cdf(x) - q:.3e})")
     return x

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bracketed_bisect
+from ._rootfind import bracketed_root
 from .distributions import ratio_expectation, ratio_partial_moments
-from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _require_dims_match
+from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
+                        _require_continuous_phi, _require_dims_match)
 from .umvue import (AxialMatrix, _axial_estimate, _positive_w, _unbiased_matrix_parts,
                     g_functions)
 
@@ -113,7 +114,11 @@ class MatrixConstants:
 
 
 def b_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
-    """Second-moment kernel 4 phi/W + (n+2) phi^2/W - 4 phi' - 4 phi phi'."""
+    """Second-moment kernel 4 phi/W + (n+2) phi^2/W - 4 phi' - 4 phi phi'.
+
+    A discontinuous phi raises ValueError, as in ``risk_reduction_integrand``.
+    """
+    _require_continuous_phi(fam)
     w = np.asarray(w, dtype=float)
     phi = np.asarray(fam.phi(w), dtype=float)
     dphi = np.asarray(fam.phi_prime(w), dtype=float)
@@ -216,10 +221,10 @@ def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
     w_xi solves  (1+W) beta2 / ((n+p+2) g1(W)) = 1,
     w_eta solves (g3(W) + (1+W) beta2 / (n+p+2)) / g1(W) = 1.
 
-    An entry is None when its left side exceeds one on the whole expanded
+    Both go to the package's root solver from the bracket [1e-8, 1]. An
+    entry is None when its left side exceeds one on the whole expanded
     bracket (no crossing): the corresponding scaling is then identically
-    one. Roots are bisected to 1e-10; g1 must be nonincreasing for the
-    crossing to be unique.
+    one. g1 must be nonincreasing for the crossing to be unique.
     """
     if not beta2 > 0:
         raise ValueError("beta2 must be positive")
@@ -235,9 +240,7 @@ def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
         g3 = float(np.asarray(gf.g3(w), dtype=float))
         return (g3 + (1.0 + w) * c) / g1 - 1.0
 
-    w_xi = bracketed_bisect(q_xi, 1e-8, 1.0, allow_no_root=True)
-    w_eta = bracketed_bisect(q_eta, 1e-8, 1.0, allow_no_root=True)
-    return w_xi, w_eta
+    return bracketed_root(q_xi, 1e-8, 1.0), bracketed_root(q_eta, 1e-8, 1.0)
 
 
 def gamma_xi_eta(dims: ProblemDims, w_xi, w_eta, beta2: float):

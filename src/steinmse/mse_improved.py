@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bracketed_bisect
+from ._rootfind import bracketed_root
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean,
                         _require_dims_match)
 from .umvue import _positive_w, _unbiased_mse, a_of_w
@@ -93,9 +93,9 @@ def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:
 
     For the James-Stein rule the equation collapses to the quadratic
     W(1+W) = (n+p+2)(p-2)/(n(n+2)), solved in closed form. Other families
-    are bracketed starting from [1e-8, (p+2)/n + 10] (the closed-form root
-    always sits below (p+2)/n, which motivates the bracket) and bisected to
-    1e-10.
+    go to the package's root solver from the bracket [1e-8, (p+2)/n + 10]
+    (the closed-form root always sits below (p+2)/n, which motivates it);
+    a bracket that never changes sign raises RuntimeError.
     """
     p, n = dims.p, dims.n
     if not 0.0 < alpha < p:
@@ -103,13 +103,16 @@ def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:
     if fam.kind is FamilyKind.JAMES_STEIN:
         _require_dims_match(fam, dims)
         c = (n + p + 2.0) * (p - 2.0) / (n * (n + 2.0))
-        return 0.5 * (np.sqrt(1.0 + 4.0 * c) - 1.0)
+        return float(0.5 * (np.sqrt(1.0 + 4.0 * c) - 1.0))
     target = p * (n + p + 2.0) / (n * alpha)
 
     def f(w: float) -> float:
         return (1.0 + w) / float(a_of_w(fam, dims, w)) - target
 
-    return bracketed_bisect(f, 1e-8, (p + 2.0) / n + 10.0)
+    w = bracketed_root(f, 1e-8, (p + 2.0) / n + 10.0)
+    if w is None:
+        raise RuntimeError("(1+W)/a(W) never crosses its target; w_pn has no root")
+    return w
 
 
 def gamma_pn(dims: ProblemDims, w_pn: float) -> float:
@@ -141,7 +144,8 @@ def _clamp_mse(kind: MseEstimatorKind, base, w, s, dims: ProblemDims,
     if kind is MseEstimatorKind.TRUNCATED_ZERO:
         return np.maximum(base, 0.0)
     p, n = dims.p, dims.n
-    cap = p * s * (1.0 + w) / (n + p + 2.0)
+    with np.errstate(over="ignore"):  # a cap beyond the largest double caps nothing
+        cap = p * s * (1.0 + w) / (n + p + 2.0)
     if kind is MseEstimatorKind.PSI0:
         return np.minimum(np.maximum(base, 0.0), cap)
     if consts is None:

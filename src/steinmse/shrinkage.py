@@ -16,9 +16,10 @@ Linear regression problems reduce to this canonical form through
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,14 +91,17 @@ class Observation:
         if not (self.s > 0 and np.isfinite(self.s)):
             raise ValueError("scale statistic s must be positive and finite")
         object.__setattr__(self, "s", float(self.s))
-        with np.errstate(over="ignore"):  # an overflow is the error raised below
-            finite_w = np.isfinite(self.w)
-        if not finite_w:
+        if not math.isfinite(self.w):
             raise ValueError("the statistic W = ||x||^2 / s must be finite")
 
-    @property
+    @cached_property  # every estimate reads W; __post_init__ computes it once
     def w(self) -> float:
-        return float(self.x @ self.x) / self.s
+        with np.errstate(over="ignore"):
+            xx = float(self.x @ self.x)
+        if xx == math.inf:  # ||x||^2 overflows, but W need not: scale x by max |x_i|
+            m = float(np.max(abs(self.x)))
+            return m / self.s * m * float((self.x / m) @ (self.x / m))
+        return xx / self.s
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +242,13 @@ def canonicalize_regression(design, response):
     return Observation(x, s), ProblemDims(p, n_obs - p), basis
 
 
+def _require_continuous_phi(fam: ShrinkageFamily) -> None:
+    """Reject a discontinuous phi wherever phi' is read."""
+    if not fam.phi_continuous:
+        raise ValueError("this rule needs a continuous phi: phi' misses the term that a "
+                         "jump in phi adds")
+
+
 def risk_reduction_integrand(fam: ShrinkageFamily, dims: ProblemDims, w) -> np.ndarray:
     """Pointwise risk-reduction term whose mean over W is p minus the risk.
 
@@ -246,8 +257,10 @@ def risk_reduction_integrand(fam: ShrinkageFamily, dims: ProblemDims, w) -> np.n
     chi-square scale (Stein's identity), so the risk depends on theta only
     through the law of W. Its mean over W = chi^2_k / chi^2_n is a closed
     form or one quadrature, and the zero-signal constant alpha and the
-    exact ``true_risk`` are built on it.
+    exact ``true_risk`` are built on it. A discontinuous phi raises
+    ValueError, since the integration by parts then gains a jump term.
     """
+    _require_continuous_phi(fam)
     w = np.asarray(w, dtype=float)
     phi = np.asarray(fam.phi(w), dtype=float)
     dphi = np.asarray(fam.phi_prime(w), dtype=float)

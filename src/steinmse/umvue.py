@@ -14,6 +14,7 @@ tail integral for a whole array of W from one tanh-sinh quadrature.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -21,7 +22,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .distributions import _integrate
-from .shrinkage import FamilyKind, Observation, ProblemDims, ShrinkageFamily, _require_dims_match
+from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
+                        _require_continuous_phi, _require_dims_match)
 
 __all__ = [
     "AxialMatrix",
@@ -173,10 +175,7 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
                 return np.where(w <= k, pp_c2 * w ** half_n, js_c2 / w)
 
     else:
-        if not fam.phi_continuous:
-            raise ValueError(
-                "general-path unbiased estimation needs a continuous phi; "
-                "discontinuous rules require dedicated branch constants")
+        _require_continuous_phi(fam)
 
         def h1(t):
             return np.asarray(fam.phi(t), dtype=float) / t
@@ -237,7 +236,11 @@ def _axial_estimate(x, s: float, iso, g3, l_perp, l_axis) -> AxialMatrix:
     leaves an eigenvalue of exactly 0."""
     iso, g3, l_perp, l_axis = float(iso), float(g3), float(l_perp), float(l_axis)
     axial = g3 if l_perp == iso and l_axis == iso + g3 else l_axis - l_perp
-    norm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == math.inf:  # ||x||^2 overflows; x / max |x_i| has the same axis
+        x = x / np.max(abs(x))
+        norm = float(np.linalg.norm(x))
     return AxialMatrix(x.size, s, l_perp, axial, x / norm if norm > 0 else np.eye(x.size)[0])
 
 

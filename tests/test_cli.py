@@ -13,13 +13,6 @@ from steinmse.cli import main
 from _oracles import g3_above_kink
 
 
-@pytest.fixture(autouse=True)
-def _quiet():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
-
-
 def _reject_constant(token):
     raise ValueError(f"the CLI wrote the non-standard JSON number {token}")
 
@@ -315,8 +308,8 @@ def test_bad_observation_is_usage_error(tmp_path, capsys, x, s, message):
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys, to_file):
-    # W = 1 + 9e-300 is finite, but the C0 volume overflows a double. JSON
-    # has no Infinity, so the run fails and writes nothing.
+    # W = 1 + 9e-300 is finite, but the C0 volume overflows a double. The
+    # run names the volume on one line, with no raw warning, and writes nothing.
     path = tmp_path / "x.csv"
     path.write_text("1e150\n" + "1\n" * 9)
     out = tmp_path / "out.json"
@@ -324,8 +317,22 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys, to_file):
                  "--confidence", "c0", *(["--out", str(out)] if to_file else [])])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical failure:") and captured.out == ""
+    assert captured.err.startswith("numerical failure: the ellipsoid volume")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
+
+
+def test_finite_w_whose_squared_norm_overflows_is_estimated(tmp_path, capsys):
+    # ||x||^2 = 1e310 overflows a double; W = ||x||^2 / s = 1e10 does not,
+    # and neither does any estimate, though the psi2-tr cap does.
+    path = tmp_path / "x.csv"
+    path.write_text("1e155\n1\n1\n")
+    assert main(["estimate", "--p", "3", "--n", "5", "--x", str(path), "--s", "1e300",
+                 "--mse", "psi2-tr", "--matrix", "xi2-tr"]) == 0
+    captured = capsys.readouterr()
+    payload = _json(captured.out)
+    assert payload["w"] == pytest.approx(1e10, rel=1e-15) and captured.err == ""
+    assert payload["mse_matrix"]["axis"] == pytest.approx([1.0, 1e-155, 1e-155], rel=1e-15)
 
 
 @pytest.mark.parametrize("command, where", [("estimate", "missing-dir"),

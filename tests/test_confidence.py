@@ -80,6 +80,13 @@ class TestVolume:
         with pytest.raises(ValueError):
             sm.ellipsoid_volume(m, 1.0)
 
+    def test_a_volume_beyond_the_largest_double_raises_without_a_warning(self):
+        m = sm.AxialMatrix(10, 1e300, 0.2, 0.0, np.eye(10)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="volume, exp\\(3.*\\), overflows"):
+                sm.ellipsoid_volume(m, 1.0)
+
 
 class TestBuildConfidenceSet:
     def test_center_always_covered(self, consts):

@@ -146,6 +146,16 @@ def test_f_quantile_against_quadrature_oracle(d1, d2, frozen):
     assert got == pytest.approx(frozen, abs=1e-4)
 
 
+def test_f_quantile_beyond_1e14_or_where_the_cdf_rounds_to_one():
+    # F(1, 2) has CDF sqrt(x/(x + 2)), so at q = 1 - 2**-53 its quantile,
+    # 2 q^2/(1 - q^2), is 2**53 to within an ulp.
+    assert sm.f_quantile(1.0 - 2.0 ** -53, 1, 2) == pytest.approx(2.0 ** 53, rel=1e-15)
+    # F(1, 1) at q = 1 - 1e-13 lies near 4e25, where y = x/(x + 1) rounds
+    # to 1, so a CDF of exactly 1 passes the 1e-10 check; it is refused.
+    with pytest.raises(RuntimeError, match="rounds to 1"):
+        sm.f_quantile(1.0 - 1e-13, 1, 1)
+
+
 def test_f_quantile_strictly_increasing():
     qs = np.linspace(0.05, 0.95, 19)
     vals = [sm.f_quantile(q, 6, 9) for q in qs]

@@ -487,8 +487,9 @@ def test_row_distances_hold_to_a_few_ulps(p, n, lam, family, seed, data):
     tiny = np.finfo(float).tiny
     assert np.all(np.abs(dd_x - want_x) <= 6 * _EPS * (xx + theta_theta) + tiny)
     assert np.all(np.abs(dd_delta - want_delta) <= 6 * _EPS * (f * f * xx + theta_theta) + tiny)
+    # ||theta|| is sqrt(lam), which theta'theta loses to underflow at lam = 5e-324.
     assert np.all(np.abs(t - want_t)
-                  <= 6 * _EPS * (np.abs(f) * np.sqrt(xx) + math.sqrt(theta_theta)) + tiny)
+                  <= 6 * _EPS * (np.abs(f) * np.sqrt(xx) + math.sqrt(lam)) + tiny)
 
 
 def test_curve_metadata_records_the_constants_used():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinmse as sm
-from steinmse.matrix_improved import beta_j
+from steinmse.matrix_improved import b_of_w, beta_j
 from steinmse.mse_improved import alpha_pn, solve_w_pn
 from steinmse.umvue import g_functions
 from _oracles import mse_matrix_monte_carlo, true_risk_monte_carlo
@@ -42,6 +42,56 @@ def test_observation_rejects_a_w_that_overflows(x, s):
         warnings.simplefilter("error", RuntimeWarning)  # refused without a raw warning
         with pytest.raises(ValueError, match="W = .* must be finite"):
             sm.Observation(x, s)
+
+
+def test_observation_keeps_a_finite_w_whose_squared_norm_overflows():
+    # ||x||^2 = 1e310 overflows, W = 1e10 does not; an ordinary W keeps its bits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert sm.Observation([1e155, 1.0, 1.0], 1e300).w == pytest.approx(1e10, rel=1e-15)
+    x = np.array([1.5, 0.3, -0.2, 0.8, 2.0])
+    assert sm.Observation(x, 4.0).w == float(x @ x) / 4.0
+
+
+def _jump_family(dims):
+    """phi = c 1{W > 1} with c = (p-2)/(n+2), whose phi' = 0 misses the jump."""
+    c = dims.shrink_constant
+    return sm.ShrinkageFamily.custom(lambda w: c * (np.asarray(w, dtype=float) > 1.0),
+                                     lambda w: np.zeros(np.shape(w)), phi_continuous=False,
+                                     label="jump")
+
+
+def test_discontinuous_phi_is_refused_wherever_phi_prime_is_read():
+    # Stein's identity gains a jump term that phi' = 0 misses: true_risk
+    # used to return 4.656 at lambda = 0 and 4.566 at lambda = 5, where
+    # direct draws of ||delta - theta||^2 give 3.770 and 3.905.
+    dims = sm.ProblemDims(5, 5)
+    fam = _jump_family(dims)
+    refusals = [lambda: sm.true_risk(fam, dims, 0.0), lambda: sm.true_risk(fam, dims, 5.0),
+                lambda: alpha_pn(fam, dims), lambda: beta_j(1, fam, dims, 0),
+                lambda: beta_j(2, fam, dims, 3), lambda: sm.shrinkage_constants(fam, dims),
+                lambda: sm.matrix_constants(fam, dims),
+                lambda: sm.risk_reduction_integrand(fam, dims, 2.0),
+                lambda: b_of_w(fam, dims, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any scan warns
+        for call in refusals:
+            with pytest.raises(ValueError, match="continuous phi"):
+                call()
+
+
+def test_discontinuous_phi_keeps_what_reads_no_phi_prime():
+    dims = sm.ProblemDims(5, 5)
+    fam = _jump_family(dims)
+    c = dims.shrink_constant
+    obs = sm.Observation([2.0, 0.0, 0.0, 0.0, 0.0], 1.0)  # W = 4, above the jump
+    assert sm.apply_estimator(obs, fam, dims).tolist() == [(1.0 - c / 4.0) * 2.0, 0, 0, 0, 0]
+    assert sm.shrink_factors(fam, [0.5, 4.0]).tolist() == [1.0, 1.0 - c / 4.0]
+    lam = 5.0
+    theta = np.sqrt(lam / dims.p) * np.ones(dims.p)
+    mean, se = mse_matrix_monte_carlo(fam, theta, dims.n, 100_000, np.random.default_rng(45))
+    a, b = sm.true_mse_matrix(fam, dims, lam)
+    assert np.all(np.abs(mean - (a * np.eye(dims.p) + b * np.outer(theta, theta))) < 4.0 * se)
 
 
 def test_james_stein_point_estimate():
