@@ -34,7 +34,7 @@ from .matrix_improved import (MatrixConstants, MatrixEstimatorKind, _clamp_eigen
                               matrix_eigen_parts)
 from .shrinkage import (Observation, ProblemDims, ShrinkageFamily, apply_estimator,
                         shrink_factors)
-from .umvue import AxialMatrix, _axial_estimate, _positive_w, _unbiased_matrix_parts
+from .umvue import AxialMatrix, _axial_estimate, _observed_kernel
 
 __all__ = [
     "ConfidenceVariant",
@@ -231,11 +231,11 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
     if cspec.matrix_kind is None:  # the (S/n) I shape
         iso, g3, unbiased = 1.0 / dims.n, 0.0, None
     else:
-        iso, g3 = _unbiased_matrix_parts(_positive_w(obs), fam, dims)
+        _, iso, g3 = _observed_kernel(obs, fam, dims)
         unbiased = (np.array([iso]), np.array([iso + g3]))
     g, = _set_geometry(np.array([obs.s]), np.array([obs.w]), (cspec,), fam, dims, consts,
                        unbiased=unbiased)
-    shape = _axial_estimate(obs.x, obs.s, iso, g3, g.l_perp[0], g.l_axis[0])
+    shape = _axial_estimate(obs, iso, g3, g.l_perp[0], g.l_axis[0])
     radius = float(np.ravel(g.radius)[0])
     result = ConfidenceResult(center, radius, shape, ellipsoid_volume(shape, radius), None)
     return result if theta is None else replace(result, contains_truth=result.contains(theta))

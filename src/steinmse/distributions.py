@@ -162,11 +162,15 @@ def _betainc_split(a: float, b: float, x: float, front: float):
 def f_quantile(q: float, d1: int, d2: int) -> float:
     """Quantile of the F distribution with (d1, d2) degrees of freedom.
 
-    Inverts CDF(x) = I_y(d1/2, d2/2), y = d1 x / (d1 x + d2), on [0, 1]
-    doubled until it brackets q, with the package's one root solver. The
-    CDF at the returned point must be within 1e-10 of q and below 1, where
-    it has not yet rounded up; RuntimeError otherwise. Cached, since every
-    confidence set at one level and (p, n) uses the same quantile.
+    Inverts CDF(x) = I_y(d1/2, d2/2), y = d1 x / (d1 x + d2), with the
+    package's one root solver from [0, 1], doubled up to 2**60. A CDF near
+    1 keeps only eps/(1 - q) of the upper tail, so for q > 1/2 that root
+    stands only if the tail I_{1-y}(d2/2, d1/2), with 1 - y = d2/(d1 x + d2)
+    formed directly, is within 1e-13 (relative) of 1 - q, which is exact
+    there; otherwise the tail itself is matched to 1 - q. A quantile beyond
+    2**60 (only d2 = 1 reaches one) or a CDF more than 1e-10 from q raises
+    RuntimeError. Cached, since every confidence set at one level and
+    (p, n) uses the same quantile.
     """
     d1 = _check_df(d1, "d1")
     d2 = _check_df(d2, "d2")
@@ -174,15 +178,21 @@ def f_quantile(q: float, d1: int, d2: int) -> float:
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     a, b = 0.5 * d1, 0.5 * d2
 
-    def cdf(x: float) -> float:
+    def cdf_miss(x: float) -> float:
         y = d1 * x / (d1 * x + d2)
-        return _betainc_pair(a, b, y)[0]
+        return _betainc_pair(a, b, y)[0] - q
 
-    x = bracketed_root(lambda x: cdf(x) - q, 0.0, 1.0)
-    if x is None or cdf(x) == 1.0:  # a CDF rounded to 1 no longer tells q from 1
-        raise RuntimeError(f"the F({d1}, {d2}) quantile at q={q} lies where the CDF rounds to 1")
-    if abs(cdf(x) - q) > 1e-10:
-        raise RuntimeError(f"F quantile inversion stalled at x={x} (CDF error {cdf(x) - q:.3e})")
+    def tail_miss(x: float) -> float:  # 1 - CDF(x) = I_{1-y}(d2/2, d1/2)
+        return _betainc_pair(b, a, d2 / (d1 * x + d2))[0] - (1.0 - q)
+
+    x = bracketed_root(cdf_miss, 0.0, 1.0)
+    if q > 0.5 and (x is None or abs(tail_miss(x)) > 1e-13 * (1.0 - q)):
+        x = bracketed_root(tail_miss, 0.0, 1.0)
+    if x is None:
+        raise RuntimeError(f"the F({d1}, {d2}) quantile at q={q} lies beyond 2**60, where "
+                           "y = d1 x/(d1 x + d2) rounds to 1")
+    if abs(cdf_miss(x)) > 1e-10:
+        raise RuntimeError(f"F quantile inversion stalled at x={x} (CDF error {cdf_miss(x):.3e})")
     return x
 
 

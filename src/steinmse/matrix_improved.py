@@ -33,7 +33,7 @@ from ._rootfind import bracketed_root
 from .distributions import ratio_expectation, ratio_partial_moments
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
                         _require_continuous_phi, _require_dims_match)
-from .umvue import (AxialMatrix, _axial_estimate, _positive_w, _unbiased_matrix_parts,
+from .umvue import (AxialMatrix, _axial_estimate, _observed_kernel, _unbiased_matrix_parts,
                     g_functions)
 
 __all__ = [
@@ -224,7 +224,10 @@ def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
     Both go to the package's root solver from the bracket [1e-8, 1]. An
     entry is None when its left side exceeds one on the whole expanded
     bracket (no crossing): the corresponding scaling is then identically
-    one. g1 must be nonincreasing for the crossing to be unique.
+    one. g1 must be nonincreasing for the crossing to be unique. For the
+    James-Stein rule g3/g1 is the constant (p+2)/2, so the eta equation's
+    left side never falls below (p+2)/2 > 1 and w_eta is None without a
+    search.
     """
     if not beta2 > 0:
         raise ValueError("beta2 must be positive")
@@ -240,7 +243,8 @@ def solve_w_xi_eta(fam: ShrinkageFamily, dims: ProblemDims, beta2: float):
         g3 = float(np.asarray(gf.g3(w), dtype=float))
         return (g3 + (1.0 + w) * c) / g1 - 1.0
 
-    return bracketed_root(q_xi, 1e-8, 1.0), bracketed_root(q_eta, 1e-8, 1.0)
+    w_eta = None if fam.kind is FamilyKind.JAMES_STEIN else bracketed_root(q_eta, 1e-8, 1.0)
+    return bracketed_root(q_xi, 1e-8, 1.0), w_eta
 
 
 def gamma_xi_eta(dims: ProblemDims, w_xi, w_eta, beta2: float):
@@ -324,10 +328,9 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
 def estimate_mse_matrix(kind: MatrixEstimatorKind, obs: Observation, fam: ShrinkageFamily,
                         dims: ProblemDims, consts: MatrixConstants | None = None) -> AxialMatrix:
     """MSE-matrix estimate of the requested kind as an AxialMatrix."""
-    w = _positive_w(obs)
-    iso, g3 = _unbiased_matrix_parts(w, fam, dims)
-    return _axial_estimate(obs.x, obs.s, iso, g3,
-                           *_clamp_eigen_parts(kind, iso, iso + g3, w, dims, consts))
+    _, iso, g3 = _observed_kernel(obs, fam, dims)
+    return _axial_estimate(obs, iso, g3,
+                           *_clamp_eigen_parts(kind, iso, iso + g3, obs.w, dims, consts))
 
 
 def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,

@@ -24,7 +24,7 @@ import numpy as np
 from ._rootfind import bracketed_root
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean,
                         _require_dims_match)
-from .umvue import _positive_w, _unbiased_mse, a_of_w
+from .umvue import _observed_kernel, _unbiased_mse, a_of_w
 
 __all__ = [
     "MseEstimatorKind",
@@ -171,7 +171,8 @@ def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: Pr
 def estimate_mse(kind: MseEstimatorKind, obs: Observation, fam: ShrinkageFamily,
                  dims: ProblemDims, consts: ShrinkageConstants | None = None) -> float:
     """Scalar MSE estimate of the requested kind for one observation."""
-    return float(estimate_mse_at(kind, _positive_w(obs), obs.s, fam, dims, consts))
+    base = _observed_kernel(obs, fam, dims)[0]
+    return float(_clamp_mse(kind, base, obs.w, obs.s, dims, consts))
 
 
 def psi1_positive_certified(consts: ShrinkageConstants, dims: ProblemDims) -> bool:

@@ -77,7 +77,7 @@ class ProblemDims:
 @dataclass(frozen=True)
 class Observation:
     """Data vector x and the positive scale statistic s; w = ||x||^2 / s,
-    which must be finite."""
+    which must be finite, and the unit axis of x, made on first use."""
 
     x: np.ndarray
     s: float
@@ -102,6 +102,19 @@ class Observation:
             m = float(np.max(abs(self.x)))
             return m / self.s * m * float((self.x / m) @ (self.x / m))
         return xx / self.s
+
+    @cached_property  # every matrix estimate and set of this observation shares it
+    def axis(self) -> np.ndarray:
+        """The read-only unit axis u = x/||x||, or e1 at x = 0."""
+        x = self.x
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(x))
+        if norm == math.inf:  # ||x||^2 overflows; x / max |x_i| has the same axis
+            x = x / np.max(abs(x))
+            norm = float(np.linalg.norm(x))
+        u = x / norm if norm > 0 else np.eye(x.size)[0].copy()
+        u.setflags(write=False)
+        return u
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,11 +10,15 @@ The scalar kernels g1, g2, g3 and g are tail transforms of the family's
 phi. Built-in families use closed forms (including the branch constants
 of the positive-part rule); general families with continuous phi get the
 tail integral for a whole array of W from one tanh-sinh quadrature.
+
+Every estimate clamps the unbiased kernel at W: pS(1 - a(W))/n and the
+matrix parts (1/n - g1(W), g3(W)). The block paths evaluate it on arrays
+of W; for one observation ``_kernel_at`` evaluates it once per (family,
+dims, W), and the observation's matrices share its read-only axis.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -40,7 +44,9 @@ __all__ = [
 class AxialMatrix:
     """Symmetric matrix of the form scale * (iso * I + axial * u u').
 
-    ``axis`` u is a unit vector; the eigenvalues are scale*iso with
+    ``axis`` u is a unit vector, stored read-only: a read-only float
+    vector that owns its data (such as ``Observation.axis``) is kept as it
+    is, anything else is copied. The eigenvalues are scale*iso with
     multiplicity dim-1 and scale*(iso+axial) on the axis. The container
     does not require definiteness, so risk-reduction matrices (whose axis
     eigenvalue is negative) fit too; positive definiteness is checked
@@ -58,13 +64,16 @@ class AxialMatrix:
             raise ValueError("dim must be at least 1")
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError("scale must be positive and finite")
-        axis = np.array(self.axis, dtype=float, copy=True).reshape(-1)
+        axis = self.axis
+        if not (isinstance(axis, np.ndarray) and axis.ndim == 1 and axis.dtype == float
+                and axis.flags.owndata and not axis.flags.writeable):  # shared, not copied
+            axis = np.array(axis, dtype=float, copy=True).reshape(-1)
+            axis.setflags(write=False)
         if axis.shape != (self.dim,):
             raise ValueError(f"axis must have length {self.dim}")
-        norm = float(np.linalg.norm(axis))
+        norm = float(np.sqrt(axis @ axis))  # np.linalg.norm's arithmetic
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"axis must be a unit vector (norm {norm:.15g})")
-        axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
 
     @property
@@ -228,20 +237,32 @@ def _unbiased_matrix_parts(w, fam: ShrinkageFamily, dims: ProblemDims):
     return 1.0 / dims.n - np.asarray(gf.g1(w), dtype=float), np.asarray(gf.g3(w), dtype=float)
 
 
-def _axial_estimate(x, s: float, iso, g3, l_perp, l_axis) -> AxialMatrix:
-    """S (l_perp I + axial u u') on u = x/||x|| (e1 at x = 0), for factors
+@lru_cache(maxsize=32)
+def _kernel_at(fam: ShrinkageFamily, dims: ProblemDims, w: float):
+    """(a(W), 1/n - g1(W), g3(W)) at one W, as floats, from the array
+    kernels. Memoised, so the estimates of one observation and family read
+    one evaluation."""
+    iso, g3 = _unbiased_matrix_parts(w, fam, dims)
+    return float(a_of_w(fam, dims, w)), float(iso), float(g3)
+
+
+def _observed_kernel(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims):
+    """(pS(1 - a(W))/n, 1/n - g1(W), g3(W)) for one observation: the unbiased
+    scalar estimate and matrix parts that every single-observation estimate
+    clamps."""
+    a, iso, g3 = _kernel_at(fam, dims, _positive_w(obs))
+    return dims.p * obs.s / dims.n * (1.0 - a), iso, g3
+
+
+def _axial_estimate(obs: Observation, iso: float, g3: float, l_perp, l_axis) -> AxialMatrix:
+    """S (l_perp I + axial u u') on the observation's axis, for factors
     (l_perp, l_axis) clamped from the unbiased (iso, iso + g3). Unclamped,
     axial is g3 itself, which l_axis - l_perp loses to cancellation when
     g3 << iso; clamped, it is l_axis - l_perp, so a factor clamped to 0
     leaves an eigenvalue of exactly 0."""
-    iso, g3, l_perp, l_axis = float(iso), float(g3), float(l_perp), float(l_axis)
+    l_perp, l_axis = float(l_perp), float(l_axis)
     axial = g3 if l_perp == iso and l_axis == iso + g3 else l_axis - l_perp
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if norm == math.inf:  # ||x||^2 overflows; x / max |x_i| has the same axis
-        x = x / np.max(abs(x))
-        norm = float(np.linalg.norm(x))
-    return AxialMatrix(x.size, s, l_perp, axial, x / norm if norm > 0 else np.eye(x.size)[0])
+    return AxialMatrix(obs.x.size, obs.s, l_perp, axial, obs.axis)
 
 
 def umvue_mse(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> float:
@@ -251,7 +272,7 @@ def umvue_mse(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> floa
     giving up risk is exactly what the improved estimators, each a clamp
     of this estimate, are for.
     """
-    return float(_unbiased_mse(_positive_w(obs), obs.s, fam, dims))
+    return _observed_kernel(obs, fam, dims)[0]
 
 
 def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> AxialMatrix:
@@ -260,5 +281,5 @@ def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) 
     Components: scale S, isotropic part 1/n - g1(W), axial part g3(W) on
     u = x/||x||. Its trace equals ``umvue_mse`` up to rounding.
     """
-    iso, g3 = _unbiased_matrix_parts(_positive_w(obs), fam, dims)
-    return _axial_estimate(obs.x, obs.s, iso, g3, iso, iso + g3)
+    _, iso, g3 = _observed_kernel(obs, fam, dims)
+    return _axial_estimate(obs, iso, g3, iso, iso + g3)

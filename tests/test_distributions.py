@@ -150,10 +150,21 @@ def test_f_quantile_beyond_1e14_or_where_the_cdf_rounds_to_one():
     # F(1, 2) has CDF sqrt(x/(x + 2)), so at q = 1 - 2**-53 its quantile,
     # 2 q^2/(1 - q^2), is 2**53 to within an ulp.
     assert sm.f_quantile(1.0 - 2.0 ** -53, 1, 2) == pytest.approx(2.0 ** 53, rel=1e-15)
-    # F(1, 1) at q = 1 - 1e-13 lies near 4e25, where y = x/(x + 1) rounds
-    # to 1, so a CDF of exactly 1 passes the 1e-10 check; it is refused.
+    # F(1, 1) at q = 1 - 1e-13 lies near 4e25, beyond the solver's bracket
+    # of 2**60, where y = x/(x + 1) rounds to 1; it is refused.
     with pytest.raises(RuntimeError, match="rounds to 1"):
         sm.f_quantile(1.0 - 1e-13, 1, 1)
+
+
+@pytest.mark.parametrize("d1", [1, 3, 10])
+@pytest.mark.parametrize("q", [1.0 - 1e-13, 1.0 - 1e-14, 1.0 - 1e-15])
+def test_f_quantile_near_one_against_the_d2_2_closed_form(q, d1):
+    # F(d1, 2) has CDF y^{d1/2}, so its quantile is 2y/(d1(1 - y)) with
+    # y = q^{2/d1}. Near q = 1 the upper tail, not 1 - (1 - tail), is matched.
+    with mpmath.workdps(40):
+        y = mpmath.mpf(q) ** (mpmath.mpf(2) / d1)
+        want = 2 * y / (d1 * (1 - y))
+    assert float(abs(sm.f_quantile(q, d1, 2) - want) / want) < 1e-12
 
 
 def test_f_quantile_strictly_increasing():

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinmse as sm
+from steinmse import matrix_improved
 from steinmse.matrix_improved import b_of_w, beta_j, gamma_xi_eta, solve_w_xi_eta
 from steinmse.umvue import g_functions
 from _oracles import (g3_above_kink, js_beta_moment_exact, js_plus_beta_moment_quad,
@@ -213,6 +216,39 @@ class TestRoots:
     def test_beta2_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_w_xi_eta(JS, DIMS, 0.0)
+
+    @pytest.mark.parametrize("p,n", TABLE_DIMS)
+    def test_js_eta_side_needs_no_evaluation(self, p, n, monkeypatch):
+        # g3/g1 = (p+2)/2 for the constant rule, so the eta equation never
+        # crosses and w_eta is None before any g3 is evaluated.
+        dims = sm.ProblemDims(p, n)
+        real = matrix_improved.g_functions
+        calls = []
+
+        def counting(fam, dims):
+            gf = real(fam, dims)
+            return gf._replace(g3=lambda w: calls.append(fam.label) or gf.g3(w))
+
+        monkeypatch.setattr(matrix_improved, "g_functions", counting)
+        for name in ("james-stein", "positive-part"):
+            fam = sm.family_from_name(name, dims)
+            beta2 = sm.beta_constants(fam, dims).beta2
+            w_xi, w_eta = solve_w_xi_eta(fam, dims, beta2)
+            gf = real(fam, dims)
+            c = beta2 / (n + p + 2.0)
+            assert (1.0 + w_xi) * c / float(gf.g1(w_xi)) == pytest.approx(1.0, abs=1e-9)
+            assert (w_eta is None) == (name == "james-stein")
+        assert "james-stein" not in calls and "positive-part" in calls
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=st.integers(3, 60), n=st.integers(1, 60), log_w=st.floats(-12.0, 12.0),
+           beta2=st.floats(1e-6, 10.0))
+    def test_js_eta_side_is_at_least_half_p(self, p, n, log_w, beta2):
+        dims = sm.ProblemDims(p, n)
+        gf = g_functions(sm.ShrinkageFamily.james_stein(dims), dims)
+        w = 10.0 ** log_w
+        q_eta = (float(gf.g3(w)) + (1.0 + w) * beta2 / (n + p + 2.0)) / float(gf.g1(w)) - 1.0
+        assert q_eta >= 0.5 * p * (1.0 - 1e-13)
 
 
 def test_matrix_constants_provenance():
