@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # _read_csv reports unreadable inputs, so this is an output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

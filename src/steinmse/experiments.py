@@ -2,11 +2,13 @@
 
 All three curves walk one grid, ``_grid``: dims x family x noncentrality,
 with replications in fixed-size blocks, each block from its own
-counter-based stream. One executor worker draws the blocks up to two ahead
-and reduces each to per-row statistics (S, W, ||X||^2, X'theta), so the
-calling thread, which scores the blocks serially and sums their partials in
-block order, holds only length-m arrays. The block layout depends only on
-the configuration, and the worker changes no number, so a rerun yields
+counter-based stream. Every score reads X only through ||X||^2 and X'theta,
+so one executor worker draws each block's per-row statistics
+(S, W, ||X||^2, X'theta) straight from their joint law (``_draw``: three
+length-m fills whatever p is, no (m, p) array of X), up to two blocks
+ahead. The calling thread scores the blocks serially and sums their
+partials in block order. The block layout depends only on the
+configuration, and the worker changes no number, so a rerun yields
 bit-identical tables. Competing estimators are always evaluated on the same
 draws (paired design), which makes dominance comparisons sharp at modest
 replication counts. The risk curves score them against the exact truth,
@@ -192,19 +194,27 @@ def _block_sizes(reps: int):
 
 
 def _draw(g: np.random.Generator, m: int, theta: np.ndarray, n: int):
-    """One block reduced to its row statistics (S, W, ||X||^2, X'theta) for
-    m draws X ~ N(theta, I); the (m, p) array of X goes no further."""
-    x = theta + g.standard_normal((m, theta.shape[0]))
+    """One block's row statistics (S, W, ||X||^2, X'theta) for m draws
+    X ~ N(theta, I), drawn from their joint law rather than from X. With
+    mu = ||theta||, t = X'theta/mu ~ N(mu, 1) and V = ||X||^2 - t^2 ~
+    chi^2_{p-1} are independent of each other and of S ~ chi^2_n, so a block
+    is three length-m fills in the order t, V, S whatever p is (V is 0 at
+    p = 1), with ||X||^2 = t^2 + V and X'theta = mu t, exactly 0 at theta = 0."""
+    p = theta.shape[0]
+    mu = math.hypot(*theta)  # theta'theta would underflow for tiny theta
+    t = mu + g.standard_normal(m)
+    xx = t * t
+    if p > 1:
+        xx += g.chisquare(p - 1, m)
     s = g.chisquare(n, m)
-    xx = np.einsum("ij,ij->i", x, x)
-    return s, xx / s, xx, x @ theta
+    return s, xx / s, xx, mu * t
 
 
 def _drawn(jobs):
     """Yield ``_draw(*args)`` for each ``args`` of ``jobs``, in order, drawn
     by one executor worker at most two blocks ahead. ``jobs`` runs on
     the calling thread, so the worker runs only numpy's array work (the
-    fills, the row sums and one matvec), which releases the GIL. A failed
+    three fills and the row arithmetic), which releases the GIL. A failed
     draw raises at its turn; closing the generator cancels the draws not
     yet started and joins the worker."""
     # Imported here, since it loads logging, which the CLI's import avoids.

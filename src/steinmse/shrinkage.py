@@ -74,7 +74,7 @@ class ProblemDims:
         return (self.p - 2) / (self.n + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """Data vector x and the positive scale statistic s; w = ||x||^2 / s,
     which must be finite, and the unit axis of x, made on first use."""

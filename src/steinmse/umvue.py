@@ -7,9 +7,10 @@ traces, determinants, inverses and volumes O(p) with no dense linear
 algebra.
 
 The scalar kernels g1, g2, g3 and g are tail transforms of the family's
-phi. Built-in families use closed forms (including the branch constants
-of the positive-part rule); general families with continuous phi get the
-tail integral for a whole array of W from one tanh-sinh quadrature.
+phi. Built-in families use closed forms (the positive-part rule's branch
+terms as n/2-th powers of W times a constant, which never overflow below
+the kink); general families with continuous phi get the tail integral for
+a whole array of W from one tanh-sinh quadrature.
 
 Every estimate clamps the unbiased kernel at W: pS(1 - a(W))/n and the
 matrix parts (1/n - g1(W), g3(W)). The block paths evaluate it on arrays
@@ -34,13 +35,12 @@ __all__ = [
     "GFunctions",
     "g_transform",
     "g_functions",
-    "positive_part_branch_constants",
     "umvue_mse",
     "umvue_mse_matrix",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxialMatrix:
     """Symmetric matrix of the form scale * (iso * I + axial * u u').
 
@@ -136,17 +136,6 @@ def g_transform(h, dims: ProblemDims, w):
     return _integrate(integrand, flat.size, 1e-11, 1e-14).reshape(w.shape)[()]
 
 
-def positive_part_branch_constants(dims: ProblemDims):
-    """(C0, C1, C2) entering the positive-part closed forms below the kink."""
-    p, n = dims.p, dims.n
-    k = dims.shrink_constant
-    scale = k ** (-0.5 * n)
-    c0 = 2.0 * (p / n - k) * scale
-    c1 = 2.0 * (1.0 / n - 1.0 / (n + 2.0)) * scale
-    c2 = 4.0 / (n + 2.0) * scale
-    return c0, c1, c2
-
-
 @lru_cache(maxsize=128)
 def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
     """Vectorized g-kernels for a family, closed-form where available.
@@ -171,17 +160,22 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
             return js_c2 / np.asarray(w, dtype=float)
 
     elif fam.kind is FamilyKind.POSITIVE_PART:
-        _, pp_c1, pp_c2 = positive_part_branch_constants(dims)
+        # Below the kink k each branch term c (W/k)^{n/2} is formed as
+        # (W s)^{n/2} with s = c^{2/n}/k. It is at most c there, so the branch
+        # taken never overflows at any n; above the kink the power may
+        # overflow, and np.where discards it.
+        pp_s1 = (2.0 * (1.0 / n - 1.0 / (n + 2.0))) ** (1.0 / half_n) / k
+        pp_s2 = (4.0 / (n + 2.0)) ** (1.0 / half_n) / k
 
         def g1(w):
             w = np.asarray(w, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(w <= k, 2.0 / n - pp_c1 * w ** half_n, js_c1 / w)
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.where(w <= k, 2.0 / n - (w * pp_s1) ** half_n, js_c1 / w)
 
         def g2(w):
             w = np.asarray(w, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(w <= k, pp_c2 * w ** half_n, js_c2 / w)
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.where(w <= k, (w * pp_s2) ** half_n, js_c2 / w)
 
     else:
         _require_continuous_phi(fam)
@@ -198,7 +192,7 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
     def g3(w):
         w_arr = np.asarray(w, dtype=float)
         phi = np.asarray(fam.phi(w_arr), dtype=float)
-        return np.asarray(g2(w_arr), dtype=float) + phi * phi / w_arr
+        return np.asarray(g2(w_arr), dtype=float) + phi * (phi / w_arr)
 
     def g(w):
         return p * np.asarray(g1(w), dtype=float) - np.asarray(g2(w), dtype=float)

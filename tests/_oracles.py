@@ -279,6 +279,45 @@ def g3_above_kink(p, n, w):
         return (2 * c * tail + c * c) / w
 
 
+def g_kernels_mpmath(name, p, n, w, dps=40):
+    """(g1, g2, g3)(w) of a built-in rule, as mpmath numbers, straight from
+    the definition g_h(w) = w^{n/2} int_w^inf t^{-n/2-1} h(t) dt with
+    h1 = phi/t and h2 = 2(phi/t - phi'), and g3 = g2 + phi(w)^2/w.
+
+    The James-Stein rule has phi = k = (p-2)/(n+2), exact here, and the
+    positive-part rule phi = min(t, k). Either way each h is c t^b on at
+    most two pieces, b in {0, -1}, whose integrals are elementary; each
+    piece is summed in log space, so nothing over- or underflows at any
+    (p, n, w).
+    """
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(p - 2) / (n + 2)
+        w = mpmath.mpf(w)
+        half_n = mpmath.mpf(n) / 2
+
+        def transform(pieces):
+            # sum of w^{n/2} int_lo^hi c t^{b - n/2 - 1} dt; hi = inf adds 0
+            total = mpmath.mpf(0)
+            for lo, hi, c, b in pieces:
+                if c == 0 or lo >= hi:
+                    continue
+                e = b - half_n
+                at = lambda t: mpmath.exp(e * mpmath.log(t) + half_n * mpmath.log(w))
+                total += c * ((0 if hi == mpmath.inf else at(hi)) - at(lo)) / e
+            return total
+
+        if name == "james-stein":
+            phi = k
+            h1 = [(w, mpmath.inf, k, -1)]
+            h2 = [(w, mpmath.inf, 2 * k, -1)]
+        else:
+            phi, cut = min(w, k), max(w, k)
+            h1 = [(w, cut, 1, 0), (cut, mpmath.inf, k, -1)]
+            h2 = [(cut, mpmath.inf, 2 * k, -1)]  # phi/t - phi' = 0 below the kink
+        g2 = transform(h2)
+        return transform(h1), g2, g2 + phi * phi / w
+
+
 def observation_draws(rng, p, n, count):
     """``count`` pairs (x, S), x of length p and S ~ chi^2_n, whose W = ||x||^2/S
     spans about five decades."""

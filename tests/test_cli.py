@@ -322,6 +322,35 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys, to_file):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_positive_part_at_large_n_is_estimated(x_csv, tmp_path, capsys):
+    # Residual degrees of freedom in the hundreds: k^(-n/2) overflows a
+    # double from n = 307 at p = 5, and the kernels no longer form it.
+    path = tmp_path / "x.csv"
+    path.write_text("0.01\n0.02\n-0.01\n0.0\n0.01\n")
+    for x in (x_csv, str(path)):  # W above and below the kink
+        assert main(["estimate", "--p", "5", "--n", "310", "--x", x, "--s", "1.0",
+                     "--family", "js-plus", "--mse", "psi2-tr", "--matrix", "xi2-tr",
+                     "--confidence", "c2star"]) == 0
+        payload = _json(capsys.readouterr().out)
+        assert payload["mse"]["value"] > 0
+    assert main(["constants", "--dims", "5x310", "--out", str(tmp_path / "tables")]) == 0
+
+
+def test_arithmetic_error_is_one_numerical_failure_line(x_csv, capsys, monkeypatch):
+    import steinmse.cli as cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "estimate_mse", overflow)
+    code = main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
+                 "--mse", "psi0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: math range error\n" and captured.out == ""
+
+
 def test_finite_w_whose_squared_norm_overflows_is_estimated(tmp_path, capsys):
     # ||x||^2 = 1e310 overflows a double; W = ||x||^2 / s = 1e10 does not,
     # and neither does any estimate, though the psi2-tr cap does.

@@ -26,12 +26,28 @@ def _small_cfg(**overrides):
     return sm.ExperimentConfig(**base)
 
 
-def _replay(stream, m, theta, n):
-    """The (m, p) array x and the scale draws s of one block, drawn from its
-    stream exactly as ``experiments._draw`` draws them."""
+def _replay(stream, m, theta, n, dtype=float):
+    """One block re-drawn from its stream in the order ``experiments._draw``
+    draws it: t ~ N(mu, 1), V ~ chi^2_{p-1} (none at p = 1), S ~ chi^2_n,
+    with mu = ||theta||. Returns (x, s, t, v), where x is an (m, p) array in
+    ``dtype`` with exactly these statistics: x = t theta/mu + sqrt(V) e, for
+    unit vectors e orthogonal to theta drawn from an unrelated stream, with
+    the grid direction (1, ..., 1)/sqrt(p) in place of theta/mu at mu = 0."""
+    p = theta.shape[0]
     g = stream.generator()
-    x = theta + g.standard_normal((m, theta.shape[0]))
-    return x, g.chisquare(n, m)
+    mu = math.hypot(*theta)
+    t = mu + g.standard_normal(m)
+    v = g.chisquare(p - 1, m) if p > 1 else np.zeros(m)
+    s = g.chisquare(n, m)
+    axis = (theta if mu > 0 else np.ones(p)).astype(dtype)
+    axis /= np.sqrt(axis @ axis)
+    x = t.astype(dtype)[:, None] * axis
+    if p > 1:
+        e = np.random.default_rng(8191).standard_normal((m, p)).astype(dtype)
+        e -= (e @ axis)[:, None] * axis
+        e /= np.sqrt((e * e).sum(axis=1))[:, None]
+        x += np.sqrt(v.astype(dtype))[:, None] * e
+    return x, s, t, v
 
 
 def test_config_validation():
@@ -154,7 +170,7 @@ def test_matrix_curve_axial_algebra_matches_dense(loss):
     fam = sm.family_from_name("positive-part", DIMS)
     consts = sm.matrix_constants(fam, DIMS)
     theta = math.sqrt(lam) * (np.ones(p) / math.sqrt(p))  # as the engine's
-    x, s = _replay(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE), reps, theta, n)
+    x, s, _, _ = _replay(_stream(cfg.seed, _DOMAIN_MATRIX_CURVE), reps, theta, n)
     w = np.einsum("ij,ij->i", x, x) / s
     a, b = sm.true_mse_matrix(fam, DIMS, lam)
     truth = a * np.eye(p) + b * np.outer(theta, theta)
@@ -210,6 +226,87 @@ def test_unbiasedness_harness():
         assert abs(vals.mean() - risk_true) < 4.0 * se
 
 
+@pytest.mark.parametrize("p", [1, 3, 5, 50])
+@pytest.mark.parametrize("lam", [0.0, 2.0, 20.0])
+def test_drawn_row_statistics_follow_their_law(p, lam):
+    # A block is drawn as row statistics, not as X ~ N(theta, I): still
+    # ||X||^2 ~ chi^2_p(lam), X'theta ~ N(lam, lam) with Cov(||X||^2, X'theta)
+    # = 2 lam, S ~ chi^2_n independent of both, and W = ||X||^2/S. Each
+    # sample moment lies within 5 of its standard errors (taken from the
+    # sample) of the closed form; at lam = 0, X'theta is exactly 0.
+    from steinmse.experiments import _draw
+
+    m, n = 2 ** 16, 7
+    theta = math.sqrt(lam) * np.ones(p) / math.sqrt(p)
+    s, w, xx, x_theta = _draw(sm.RngStream(41, p).generator(), m, theta, n)
+    assert np.array_equal(w, xx / s)
+    if lam == 0.0:
+        assert np.all(x_theta == 0.0)
+    ds, dxx, dxt = s - s.mean(), xx - xx.mean(), x_theta - x_theta.mean()
+    for name, sample, want in (("E||X||^2", xx, p + lam),
+                               ("Var||X||^2", dxx * dxx, 2.0 * (p + 2.0 * lam)),
+                               ("E X'theta", x_theta, lam), ("Var X'theta", dxt * dxt, lam),
+                               ("Cov", dxx * dxt, 2.0 * lam), ("E S", s, n),
+                               ("Var S", ds * ds, 2.0 * n), ("Cov S", ds * dxx, 0.0),
+                               ("Cov S theta", ds * dxt, 0.0)):
+        se = sample.std(ddof=1) / math.sqrt(m)
+        assert abs(sample.mean() - want) <= 5.0 * se, name
+
+
+_TABLE_DIMS = (DIMS, sm.ProblemDims(10, 5), sm.ProblemDims(5, 10), sm.ProblemDims(10, 10))
+
+
+def _mean_within(totals, want, reps, sigmas=4.0):
+    """Whether the mean of a score column pair (sum, sum of squares) lies
+    within ``sigmas`` standard errors of ``want``."""
+    mean = totals[0] / reps
+    se = math.sqrt(max(totals[1] / reps - mean * mean, 0.0) / (reps - 1))
+    return abs(mean - want) <= sigmas * se
+
+
+def test_curve_blocks_match_the_exact_truth():
+    # On the risk curves' own blocks, at the table dims and both families,
+    # the unbiased MSE estimate averages to true_risk, and the unbiased MSE
+    # matrix S(l I + g3 uu') to true_mse_matrix's a I + b theta theta',
+    # read through its trace p a + b lam and theta'(.)theta = lam (a + b lam),
+    # within 4 sigma; C0 covers at its level within 4 binomial sigma.
+    from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _DOMAIN_MSE_CURVE, _grid
+    from steinmse.umvue import _unbiased_matrix_parts
+
+    lambdas, reps = (0.0, 2.0, 20.0), 2 ** 14
+    cfg = _small_cfg(dims_list=_TABLE_DIMS, families=("james-stein", "positive-part"),
+                     lambda_grid=lambdas, reps=reps)
+
+    def mse_scorer(pt):
+        def score(s, w, _xx, _x_theta):
+            est = sm.estimate_mse_at(K.UMVUE, w, s, pt.fam, pt.dims)
+            return np.array([est.sum(), (est * est).sum()])
+        return score
+
+    for pt, totals in _grid(cfg, _DOMAIN_MSE_CURVE, None, mse_scorer):
+        assert _mean_within(totals, sm.true_risk(pt.fam, pt.dims, pt.lam), reps), pt
+
+    def matrix_scorer(pt):
+        def score(s, w, xx, x_theta):
+            iso, g3 = _unbiased_matrix_parts(w, pt.fam, pt.dims)
+            trace = s * (pt.dims.p * iso + g3)
+            along = s * (pt.lam * iso + g3 * x_theta * x_theta / xx)
+            return np.array([trace.sum(), (trace * trace).sum(),
+                             along.sum(), (along * along).sum()])
+        return score
+
+    for pt, totals in _grid(cfg, _DOMAIN_MATRIX_CURVE, None, matrix_scorer):
+        a, b = sm.true_mse_matrix(pt.fam, pt.dims, pt.lam)
+        assert _mean_within(totals[:2], pt.dims.p * a + b * pt.lam, reps), pt
+        if pt.lam > 0:
+            assert _mean_within(totals[2:], pt.lam * (a + b * pt.lam), reps), pt
+
+    table = sm.run_coverage_curve(cfg, (sm.ConfidenceSpec(sm.ConfidenceVariant.C0),))
+    assert len(table.rows) == len(_TABLE_DIMS) * 2 * len(lambdas)
+    for row in table.rows:
+        assert abs(row.coverage - 0.95) <= 4.0 * math.sqrt(0.95 * 0.05 / reps), row
+
+
 def test_coverage_curve_baseline_pivot():
     cfg = _small_cfg(lambda_grid=(0.0, 9.0), reps=20_000)
     table = sm.run_coverage_curve(cfg, (sm.ConfidenceSpec(sm.ConfidenceVariant.C0),
@@ -253,8 +350,8 @@ def test_coverage_matches_scalar_construction():
         for fi, name in enumerate(families):
             fam = sm.family_from_name(name, dims)
             # Rebuild the same draws the engine used (single block, stream layout).
-            x, s = _replay(_stream(cfg.seed, _DOMAIN_COVERAGE, fi, di, 0, 0), reps, theta,
-                           dims.n)
+            x, s, _, _ = _replay(_stream(cfg.seed, _DOMAIN_COVERAGE, fi, di, 0, 0), reps,
+                                 theta, dims.n)
             for variant in sm.ConfidenceVariant:
                 spec = sm.ConfidenceSpec(variant)
                 count = sum(bool(sm.build_confidence_set(spec, sm.Observation(x[i], float(s[i])),
@@ -419,7 +516,7 @@ def test_lookahead_hands_each_point_its_own_blocks():
 
 
 def test_block_scorers_receive_only_row_statistics(monkeypatch):
-    # The worker reduces each block to per-row statistics, so every array a
+    # The worker draws each block as per-row statistics, so every array a
     # block scorer sees, in the coverage curve and both risk curves, is one
     # value per draw: no (m, p) array reaches the scoring thread.
     import steinmse.experiments as experiments
@@ -460,8 +557,10 @@ def test_row_distances_hold_to_a_few_ulps(p, n, lam, family, seed, data):
     # The coverage scorer takes ||x - theta||^2, ||delta - theta||^2 and
     # u'(delta - theta) from the row statistics ||x||^2 and x'theta; each is
     # held against the same quantity summed over the (m, p) draws in long
-    # double, within 6 ulps of the scale of its terms (2.9 was the worst seen
-    # over 768,000 draws at these ranges) plus the underflow level.
+    # double, within 6 ulps of the scale of its terms (2.4 was the worst seen
+    # over 768,000 draws at these ranges) plus the underflow level. The block
+    # is drawn as row statistics (t, V, S); the (m, p) draws they describe,
+    # x = t theta/||theta|| + sqrt(V) e, are built in long double.
     from steinmse.confidence import _row_distances
     from steinmse.experiments import _draw
 
@@ -470,16 +569,16 @@ def test_row_distances_hold_to_a_few_ulps(p, n, lam, family, seed, data):
     theta = math.sqrt(lam) * direction / np.linalg.norm(direction)
     m = 256
     s, w, xx, x_theta = _draw(sm.RngStream(seed).generator(), m, theta, n)
-    x, s_again = _replay(sm.RngStream(seed), m, theta, n)
-    assert np.array_equal(s, s_again) and np.array_equal(x_theta, x @ theta)
-    assert np.array_equal(xx, np.einsum("ij,ij->i", x, x)) and np.array_equal(w, xx / s)
+    xl, s_again, t, v = _replay(sm.RngStream(seed), m, theta, n, np.longdouble)
+    assert np.array_equal(s, s_again) and np.array_equal(x_theta, math.hypot(*theta) * t)
+    assert np.array_equal(xx, t * t + v) and np.array_equal(w, xx / s)
     # Any shrinkage factor of W serves; the families are defined for p >= 3.
     dims = sm.ProblemDims(max(p, 3), n)
     f = sm.shrink_factors(sm.family_from_name(family, dims), w)
     theta_theta = float(theta @ theta)
     dd_x, dd_delta, t = _row_distances(f, xx, x_theta, theta_theta)
 
-    xl, thetal, fl = (a.astype(np.longdouble) for a in (x, theta, f))
+    thetal, fl = (a.astype(np.longdouble) for a in (theta, f))
     dl = fl[:, None] * xl - thetal
     want_x = ((xl - thetal) ** 2).sum(axis=1)
     want_delta = (dl * dl).sum(axis=1)

@@ -168,3 +168,14 @@ def test_axis_of_an_overflowing_squared_norm_and_of_zero():
     m = sm.umvue_mse_matrix(obs, sm.ShrinkageFamily.james_stein(dims), dims)
     assert np.array_equal(m.axis, [1.0, 1e-155, 1e-155])
     assert np.array_equal(sm.Observation(np.zeros(4), 1.0).axis, np.eye(4)[0])
+
+
+def test_observations_and_axial_matrices_compare_by_identity():
+    # Value equality over their array fields would be ambiguous (it raised
+    # ValueError, and hash raised TypeError), so equality is identity and
+    # both are hashable.
+    a, b = sm.Observation([1.0, 2, 3], 1.0), sm.Observation([1.0, 2, 3], 1.0)
+    assert a == a and a != b and len({a, b, a}) == 2 and hash(a) == hash(a)
+    u = np.array([0.6, 0.8, 0.0])
+    m, m2 = sm.AxialMatrix(3, 1.0, 1.0, 0.5, u), sm.AxialMatrix(3, 1.0, 1.0, 0.5, u)
+    assert m == m and m != m2 and len({m, m2, m}) == 2

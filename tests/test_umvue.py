@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steinmse as sm
-from steinmse.umvue import g_functions, positive_part_branch_constants
-from _oracles import dense_quad_form
+from steinmse.umvue import g_functions
+from _oracles import dense_quad_form, g_kernels_mpmath, js_plus_alpha_quad
 
 
 DIMS = sm.ProblemDims(5, 5)
@@ -148,6 +150,75 @@ class TestGFunctions:
             g_functions(fam, DIMS)
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_FAMILIES = st.sampled_from(["james-stein", "positive-part"])
+# W over +-300 decades, and near the positive-part kink k, where both
+# branches meet, within a factor 10^(+-3) of it.
+_LOG_W = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=6)
+_LOG_W_OVER_K = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)
+
+
+class TestLargeDomain:
+    """Every kernel, estimate and constant at dims far beyond the paper's
+    tables, with any RuntimeWarning (an overflow on a branch not taken, say)
+    an error."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(p=st.integers(3, 2000), n=st.integers(1, 10_000), log_w=_LOG_W,
+           log_w_over_k=_LOG_W_OVER_K, name=_FAMILIES)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_kernels_match_the_mpmath_oracle(self, p, n, log_w, log_w_over_k, name):
+        # The positive-part branch term is an n/2-th power, with condition
+        # number n/2 in its rounded base, so each kernel holds to
+        # 4 (n/2 + 1) ulps (about 1 was the worst seen), plus the underflow
+        # level where its value leaves the doubles.
+        dims = sm.ProblemDims(p, n)
+        w = np.concatenate([10.0 ** np.array(log_w),
+                            dims.shrink_constant * 10.0 ** np.array(log_w_over_k)])
+        gf = g_functions(sm.family_from_name(name, dims), dims)
+        got = (gf.g1(w), gf.g2(w), gf.g3(w))
+        for i, wi in enumerate(w):
+            want = [float(v) for v in g_kernels_mpmath(name, p, n, wi)]
+            for kernel, values, exact in zip(("g1", "g2", "g3"), got, want):
+                assert abs(values[i] - exact) <= 4 * _EPS * (0.5 * n + 1) * exact + _TINY, (
+                    kernel, wi)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(p=st.integers(3, 2000), n=st.integers(1, 10_000), log_w=_LOG_W, name=_FAMILIES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_estimate_is_finite(self, p, n, log_w, name):
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(name, dims)
+        sc, mc = sm.shrinkage_constants(fam, dims), sm.matrix_constants(fam, dims)
+        w = 10.0 ** np.array(log_w)
+        s = np.ones_like(w)
+        for kind in sm.MseEstimatorKind:
+            est = np.asarray(sm.estimate_mse_at(kind, w, s, fam, dims, sc))
+            assert np.all(np.isfinite(est)), kind
+            if kind is not sm.MseEstimatorKind.UMVUE:
+                assert np.all(est >= 0.0), kind
+        for kind in sm.MatrixEstimatorKind:
+            for part in sm.matrix_eigen_parts(kind, w, fam, dims, mc):
+                assert np.all(np.isfinite(part)), kind
+                if kind is sm.MatrixEstimatorKind.XI0_ETA0:
+                    assert np.all(part >= 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p,n", [(5, 310), (10, 300), (30, 400)])
+    @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
+    def test_constants_at_large_n(self, name, p, n):
+        # k^(-n/2) overflows a double at these n; the constants never form it.
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(name, dims)
+        sc, mc = sm.shrinkage_constants(fam, dims), sm.matrix_constants(fam, dims)
+        values = [sc.alpha, sc.w_pn, sc.gamma, mc.beta.beta2, mc.w_xi, mc.w_eta,
+                  mc.gamma_xi, mc.gamma_eta]
+        assert all(math.isfinite(v) for v in values if v is not None)
+        if name == "positive-part":
+            assert sc.alpha == pytest.approx(js_plus_alpha_quad(p, n), rel=1e-9)
+
+
 class TestUmvueMse:
     def test_js_closed_form(self):
         obs = sm.Observation([1.0, 0, 0, 0, 0], 1.0)  # S=1, W=1
@@ -159,14 +230,14 @@ class TestUmvueMse:
             DIMS.p * obs.s / DIMS.n, rel=1e-12)
 
     def test_positive_part_branch_value(self):
-        # Below the kink: -pS/n + SW + C0 S W^{n/2}; independent scalar
+        # Below the kink: -pS/n + SW + C0 S W^{n/2}, with the branch
+        # constant C0 = 2(p/n - k) k^{-n/2} at k = 3/7; independent scalar
         # arithmetic for the pieces.
         w, s = 0.2, 1.0
         obs = sm.Observation([np.sqrt(w * s), 0, 0, 0, 0], s)
-        c0, _, _ = positive_part_branch_constants(DIMS)
+        c0 = 2.0 * (1.0 - 3.0 / 7.0) * (3.0 / 7.0) ** -2.5
         want = -DIMS.p * s / DIMS.n + s * w + c0 * s * w ** (0.5 * DIMS.n)
         assert sm.umvue_mse(obs, PP, DIMS) == pytest.approx(want, rel=1e-12)
-        assert c0 == pytest.approx(2.0 * (1.0 - 3.0 / 7.0) * (3.0 / 7.0) ** -2.5, rel=1e-14)
 
     def test_trace_consistency(self):
         rng = np.random.default_rng(2)
