@@ -39,7 +39,7 @@ def main():
     print("\n-- MSE matrix estimates (eigenvalues) --")
     m0 = sm.umvue_mse_matrix(obs, fam, dims)
     print("unbiased:      ", np.round(m0.eigenvalues(), 4), "<- indefinite")
-    mc = sm.matrix_constants(fam, dims, j_max=20)
+    mc = sm.matrix_constants(fam, dims)
     for kind in (sm.MatrixEstimatorKind.XI0_ETA0, sm.MatrixEstimatorKind.XI1_TR_ETA1,
                  sm.MatrixEstimatorKind.XI2_TR_ETA2):
         m = sm.estimate_mse_matrix(kind, obs, fam, dims, mc)

@@ -57,8 +57,6 @@ def _check_args(args) -> None:
         raise UsageError("--s must be positive")
     if not 0.0 < flags.get("level", 0.5) < 1.0:
         raise UsageError("--level must lie strictly inside (0, 1)")
-    if flags.get("j_max", 10) < 10:
-        raise UsageError("--j-max must be at least 10")
     if flags.get("reps", 1) < 1:
         raise UsageError("--reps must be at least 1")
     variants = [_VARIANTS.get(v.strip().lower(), v) for v in flags.get("variants", "").split(",")]
@@ -158,7 +156,7 @@ def _cmd_estimate(args) -> int:
         needs_mc = needs_mc or cspec.matrix_kind is not None
 
     sc = shrinkage_constants(fam, dims) if needs_sc else None
-    mc = matrix_constants(fam, dims, args.j_max) if needs_mc else None
+    mc = matrix_constants(fam, dims) if needs_mc else None
 
     point = apply_estimator(obs, fam, dims)
     mse_value = estimate_mse(mse_kind, obs, fam, dims, sc)
@@ -168,7 +166,7 @@ def _cmd_estimate(args) -> int:
         "inputs": {
             "p": dims.p, "n": dims.n, "s": obs.s, "family": fam.label,
             "mse": mse_kind.value, "matrix": matrix_kind.value,
-            "seed": args.seed, "const_reps": args.const_reps, "j_max": args.j_max,
+            "seed": args.seed, "const_reps": args.const_reps,
             "x": list(map(float, x)),
         },
         "w": obs.w,
@@ -218,8 +216,8 @@ def _emit_tables(tables: dict, out: str | None, metadata: dict) -> None:
 
 def _cmd_constants(args) -> int:
     dims_list = _parse_dims_list(args.dims)
-    tables = reproduce_tables(dims_list, families=args.families.split(","), j_max=args.j_max)
-    meta = {"dims": args.dims, "families": args.families, "j_max": args.j_max}
+    tables = reproduce_tables(dims_list, families=args.families.split(","))
+    meta = {"dims": args.dims, "families": args.families}
     _emit_tables(tables, args.out, meta)
     return 0
 
@@ -319,14 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ignored and echoed: estimate draws no random numbers")
     est.add_argument("--const-reps", type=int, default=1_000_000,
                      help="ignored and echoed: the constants involve no replications")
-    est.add_argument("--j-max", type=int, default=50)
     est.add_argument("--out", default=None, help="JSON output path (default: stdout)")
     est.set_defaults(func=_cmd_estimate)
 
     con = sub.add_parser("constants", help="regenerate the constants tables")
     con.add_argument("--dims", default="5x5,10x5,5x10,10x10")
     con.add_argument("--families", default="james-stein,positive-part")
-    con.add_argument("--j-max", type=int, default=50)
     con.add_argument("--out", default=None, help="output directory (default: stdout)")
     con.set_defaults(func=_cmd_constants)
 

@@ -169,8 +169,9 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
     c, or (S/n) c / |M|^{1/p} for the starred variants, which makes their
     volume C0's), the log-volume and, given ``rows``, a matrix shape's
     quadratic form q and whether the set contains theta. A spec reuses the
-    shape, q and quantile of an earlier spec of its kind or level, and C3
-    C0's log-volume. Every matrix shape clamps ``unbiased``, the unbiased
+    shape and q of an earlier spec of its kind, and C3 C0's log-volume at
+    the same level; the quantile comes from ``f_quantile``, which is
+    memoised. Every matrix shape clamps ``unbiased``, the unbiased
     eigenvalue factors (l_perp, l_axis) at w, which are computed here unless
     given.
     """
@@ -183,7 +184,6 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
     for spec in specs:
         kind = spec.matrix_kind
         twin = next((g for prev, g in zip(specs, out) if prev.matrix_kind is kind), None)
-        c = next((g.quantile for prev, g in zip(specs, out) if prev.level == spec.level), None)
         if twin is not None:
             l_perp, l_axis, logdet = twin.l_perp, twin.l_axis, twin.logdet
         elif kind is None:
@@ -200,7 +200,7 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
                 raise ValueError(f"variant {spec.variant.value}: matrix estimate lost positive "
                                  "definiteness; check the certificates for these dimensions")
             logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
-        c = f_quantile(spec.level, p, n) if c is None else c
+        c = f_quantile(spec.level, p, n)
         starred = spec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR)
         radius = (s / n) * c * np.exp(-logdet / p) if starred else c
         same_set = kind is None and twin is not None and twin.quantile == c  # C0 and C3

@@ -80,9 +80,10 @@ _DEFAULT_MATRIX_KINDS = (MatrixEstimatorKind.UMVUE, MatrixEstimatorKind.XI0_ETA0
 class ExperimentConfig:
     """Everything a Monte Carlo run depends on, seed included.
 
-    Each grid point puts theta = sqrt(lambda) (1, ..., 1) / sqrt(p): risks
-    and coverages depend on theta only through the noncentrality, so its
-    direction is fixed. threads and const_reps are ignored: blocks are
+    Each grid point is a noncentrality lambda = theta'theta: risks and
+    coverages depend on theta only through it, so the draws and scores read
+    mu = sqrt(lambda) and lambda, and no theta vector is built. threads and
+    const_reps are ignored: blocks are
     drawn up to two ahead by one executor worker, scored serially and
     summed in block order, and the shrinkage and matrix constants involve
     no random draws. Both are still accepted for configurations written
@@ -193,15 +194,14 @@ def _block_sizes(reps: int):
     return [min(BLOCK, reps - start) for start in range(0, reps, BLOCK)]
 
 
-def _draw(g: np.random.Generator, m: int, theta: np.ndarray, n: int):
+def _draw(g: np.random.Generator, m: int, p: int, mu: float, n: int):
     """One block's row statistics (S, W, ||X||^2, X'theta) for m draws
-    X ~ N(theta, I), drawn from their joint law rather than from X. With
-    mu = ||theta||, t = X'theta/mu ~ N(mu, 1) and V = ||X||^2 - t^2 ~
+    X ~ N_p(theta, I) with ||theta|| = mu, drawn from their joint law rather
+    than from X. t = X'theta/mu ~ N(mu, 1) and V = ||X||^2 - t^2 ~
     chi^2_{p-1} are independent of each other and of S ~ chi^2_n, so a block
     is three length-m fills in the order t, V, S whatever p is (V is 0 at
-    p = 1), with ||X||^2 = t^2 + V and X'theta = mu t, exactly 0 at theta = 0."""
-    p = theta.shape[0]
-    mu = math.hypot(*theta)  # theta'theta would underflow for tiny theta
+    p = 1), with ||X||^2 = t^2 + V and X'theta = mu t, exactly 0 at mu = 0.
+    No direction of theta enters."""
     t = mu + g.standard_normal(m)
     xx = t * t
     if p > 1:
@@ -233,7 +233,7 @@ def _drawn(jobs):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-_GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam", "theta"])
+_GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam"])
 
 
 def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
@@ -242,24 +242,22 @@ def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
     ``constants(family_name, fam, dims)``, when not None, supplies the
     constants once per (dims, family); ``scorer(point)`` returns the block
     score fn(s, w, xx, x_theta) of a block's row statistics (``_draw``).
-    Each block comes from its own stream of ``domain`` (``_drawn``); the
-    scores are summed in block order.
+    Each block comes from its own stream of ``domain`` (``_drawn``) at
+    mu = sqrt(lambda); the scores are summed in block order.
     """
     sizes = _block_sizes(cfg.reps)
-    directions = [np.ones(dims.p) / math.sqrt(dims.p) for dims in cfg.dims_list]
-    thetas = [[math.sqrt(lam) * d for lam in cfg.lambda_grid] for d in directions]
     blocks = _drawn(
-        (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, thetas[di][li], dims.n)
+        (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, dims.p, math.sqrt(lam), dims.n)
         for di, dims in enumerate(cfg.dims_list) for fi in range(len(cfg.families))
-        for li in range(len(cfg.lambda_grid)) for bi, m in enumerate(sizes))
+        for li, lam in enumerate(cfg.lambda_grid) for bi, m in enumerate(sizes))
     totals = []
     try:
         for di, dims in enumerate(cfg.dims_list):
             for fam_name in cfg.families:
                 fam = family_from_name(fam_name, dims)
                 consts = None if constants is None else constants(fam_name, fam, dims)
-                for lam, theta in zip(cfg.lambda_grid, thetas[di]):
-                    pt = _GridPoint(dims, fam_name, fam, consts, lam, theta)
+                for lam in cfg.lambda_grid:
+                    pt = _GridPoint(dims, fam_name, fam, consts, lam)
                     score = scorer(pt)
                     totals.append((pt, np.sum(np.stack([score(*next(blocks)) for _ in sizes]),
                                               axis=0)))
@@ -437,7 +435,7 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     def scorer(pt):
         def score(s, w, xx, x_theta):
             geos = _set_geometry(s, w, variants, pt.fam, pt.dims, pt.consts,
-                                 (xx, x_theta, pt.theta @ pt.theta))
+                                 (xx, x_theta, pt.lam))
             volumes = {id(g.log_volume): g.log_volume for g in geos}  # C0 and C3 share one
             volumes = {key: np.exp(v).sum() for key, v in volumes.items()}
             return np.array([(g.covered.sum(), volumes[id(g.log_volume)]) for g in geos])
@@ -460,8 +458,7 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     return CoverageTable("coverage_curve", CoverageRow._fields, rows, meta)
 
 
-def reproduce_tables(dims_list, families=("james-stein", "positive-part"),
-                     j_max: int = 50) -> dict:
+def reproduce_tables(dims_list, families=("james-stein", "positive-part")) -> dict:
     """Regenerate the five constants tables.
 
     Every constant is a closed form (built-in families) or a deterministic
@@ -480,7 +477,7 @@ def reproduce_tables(dims_list, families=("james-stein", "positive-part"),
             sc = shrinkage_constants(fam, dims)
             t1.append((fam_name, p, n, sc.gamma))
             t2.append((fam_name, p, n, sc.w_pn))
-            mc = matrix_constants(fam, dims, j_max)
+            mc = matrix_constants(fam, dims)
             t3.append((fam_name, p, n, mc.beta.beta2, mc.beta.argmax_j))
             if mc.gamma_xi is not None:
                 t4.append(("gamma_xi", fam_name, p, n, mc.gamma_xi))

@@ -33,8 +33,8 @@ from ._rootfind import bracketed_root
 from .distributions import ratio_expectation, ratio_partial_moments
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
                         _require_continuous_phi, _require_dims_match)
-from .umvue import (AxialMatrix, _axial_estimate, _observed_kernel, _unbiased_matrix_parts,
-                    g_functions)
+from .umvue import (AxialMatrix, _axial_estimate, _kernel_terms, _matrix_parts_from,
+                    _observed_kernel, g_functions)
 
 __all__ = [
     "MatrixEstimatorKind",
@@ -50,6 +50,12 @@ __all__ = [
     "estimate_mse_matrix",
     "positive_definite_certified",
 ]
+
+
+# The j at which both moment curves are scanned: 0..50, then tail checks at
+# 100 and 200. A custom family's extremum at j >= 50 may lie beyond the scan.
+_SCAN_BOUNDARY = 50
+_BETA_SCAN_J = tuple(range(_SCAN_BOUNDARY + 1)) + (100, 200)
 
 
 class MatrixEstimatorKind(enum.Enum):
@@ -75,8 +81,8 @@ class BetaConstants:
     nonnegativity licenses the nonnegative-definite construction), beta2
     the supremum of the second (it scales every positive-definite
     construction). Per-j values (j, value) are kept so the curves can be
-    replotted and audited; j is scanned over 0..j_max plus tail checks at
-    2 j_max and 4 j_max, and an argument is the smallest scanned j within
+    replotted and audited; j is scanned over ``_BETA_SCAN_J`` (0..50 plus tail
+    checks at 100 and 200), and an argument is the smallest scanned j within
     1e-12 (relative) of the extreme. For the built-in families both curves
     tend to 0 as j grows, so beta1 also takes that limit into account:
     argmin_j is None when the limit 0 is below every scanned value.
@@ -88,7 +94,6 @@ class BetaConstants:
     argmin_j: int | None
     beta2: float
     argmax_j: int
-    j_max: int
     per_j_beta1: tuple
     per_j_beta2: tuple
     method: str
@@ -177,9 +182,9 @@ def _first_within(per, extreme: float) -> int:
     return next(j for j, v in per if abs(v - extreme) <= 1e-12 * abs(extreme))
 
 
-def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50) -> BetaConstants:
-    """Scan j = 0..j_max (plus tail checks at 2 j_max and 4 j_max) for the
-    extremes of both moment curves.
+def beta_constants(fam: ShrinkageFamily, dims: ProblemDims) -> BetaConstants:
+    """Scan j over ``_BETA_SCAN_J`` (0..50 plus tail checks at 100 and 200)
+    for the extremes of both moment curves.
 
     For the built-in families both curves tend to 0 as j -> infinity: with
     k = p + 2j, the James-Stein first curve is c n (p - 4 + (p+2)/k)/(k-2),
@@ -188,12 +193,9 @@ def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50) -> 
     fires when one of their extrema lands on a scan boundary: the true
     extremum may then lie beyond the scanned range.
     """
-    if j_max < 10:
-        raise ValueError("j_max must be at least 10")
-    js = list(range(j_max + 1)) + [2 * j_max, 4 * j_max]
     per1 = []
     per2 = []
-    for j in js:
+    for j in _BETA_SCAN_J:
         per1.append((j, beta_j(1, fam, dims, j)))
         per2.append((j, beta_j(2, fam, dims, j)))
     beta1 = min(v for _, v in per1)
@@ -203,15 +205,15 @@ def beta_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50) -> 
     exact = fam.has_closed_forms
     if exact and beta1 > 0.0:
         beta1, argmin_j = 0.0, None
-    if not exact and argmin_j >= j_max:
+    if not exact and argmin_j >= _SCAN_BOUNDARY:
         warnings.warn(
             f"first moment curve minimized at the scan boundary (j={argmin_j}); "
-            "its infimum may lie beyond j_max", RuntimeWarning)
-    if not exact and argmax_j >= j_max:
+            "its infimum may lie beyond the scan", RuntimeWarning)
+    if not exact and argmax_j >= _SCAN_BOUNDARY:
         warnings.warn(
             f"second moment curve maximized at the scan boundary (j={argmax_j}); "
-            "its supremum may lie beyond j_max", RuntimeWarning)
-    return BetaConstants(beta1, argmin_j, beta2, argmax_j, j_max, tuple(per1), tuple(per2),
+            "its supremum may lie beyond the scan", RuntimeWarning)
+    return BetaConstants(beta1, argmin_j, beta2, argmax_j, tuple(per1), tuple(per2),
                          "closed-form" if exact else "quadrature")
 
 
@@ -260,15 +262,15 @@ def gamma_xi_eta(dims: ProblemDims, w_xi, w_eta, beta2: float):
     return gamma_xi, gamma_eta
 
 
-def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, j_max: int = 50,
-                     reps=None, rng=None) -> MatrixConstants:
+def matrix_constants(fam: ShrinkageFamily, dims: ProblemDims, *, reps=None,
+                     rng=None) -> MatrixConstants:
     """Compute the beta extremes, threshold roots and certificates once.
 
     Every constant is a closed form or a deterministic quadrature, so
-    ``reps`` and ``rng`` are ignored; they are still accepted for callers
-    written against the former Monte Carlo constants.
+    ``reps`` and ``rng`` are ignored; they are still accepted, by keyword
+    only, for callers written against the former Monte Carlo constants.
     """
-    beta = beta_constants(fam, dims, j_max)
+    beta = beta_constants(fam, dims)
     w_xi, w_eta = solve_w_xi_eta(fam, dims, beta.beta2)
     gamma_xi, gamma_eta = gamma_xi_eta(dims, w_xi, w_eta, beta.beta2)
     return MatrixConstants(beta, w_xi, w_eta, gamma_xi, gamma_eta, beta.method)
@@ -321,7 +323,7 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
     is a clamp of the unbiased factors 1/n - g1 and 1/n - g1 + g3.
     """
     w = np.asarray(w, dtype=float)
-    l_perp, g3 = _unbiased_matrix_parts(w, fam, dims)
+    l_perp, g3 = _matrix_parts_from(*_kernel_terms(fam, dims, w), w, dims)
     return _clamp_eigen_parts(kind, l_perp, l_perp + g3, w, dims, consts)
 
 

@@ -29,7 +29,6 @@ from .umvue import _observed_kernel, _unbiased_mse, a_of_w
 __all__ = [
     "MseEstimatorKind",
     "ShrinkageConstants",
-    "a_of_w",
     "alpha_pn",
     "solve_w_pn",
     "gamma_pn",

@@ -144,10 +144,10 @@ class ShrinkageFamily:
         k = dims.shrink_constant
 
         def phi(w):
-            return np.full(np.shape(w), k) if np.ndim(w) else k
+            return np.full(np.shape(w), k)
 
         def phi_prime(w):
-            return np.zeros(np.shape(w)) if np.ndim(w) else 0.0
+            return np.zeros(np.shape(w))
 
         return ShrinkageFamily(FamilyKind.JAMES_STEIN, phi, phi_prime, True, "james-stein")
 
@@ -156,14 +156,12 @@ class ShrinkageFamily:
         k = dims.shrink_constant
 
         def phi(w):
-            return np.minimum(np.asarray(w, dtype=float), k) if np.ndim(w) else min(float(w), k)
+            return np.minimum(np.asarray(w, dtype=float), k)
 
         def phi_prime(w):
             # Slope 1 below the kink, 0 above; the kink itself takes the
             # right-hand value (a measure-zero point).
-            if np.ndim(w):
-                return np.where(np.asarray(w, dtype=float) < k, 1.0, 0.0)
-            return 1.0 if w < k else 0.0
+            return np.where(np.asarray(w, dtype=float) < k, 1.0, 0.0)
 
         return ShrinkageFamily(FamilyKind.POSITIVE_PART, phi, phi_prime, True, "positive-part")
 

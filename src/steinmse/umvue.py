@@ -6,7 +6,7 @@ u = x/||x||. ``AxialMatrix`` carries that shape exactly, which keeps
 traces, determinants, inverses and volumes O(p) with no dense linear
 algebra.
 
-The scalar kernels g1, g2, g3 and g are tail transforms of the family's
+The scalar kernels g1, g2 and g3 are tail transforms of the family's
 phi. Built-in families use closed forms (the positive-part rule's branch
 terms as n/2-th powers of W times a constant, which never overflow below
 the kink); general families with continuous phi get the tail integral for
@@ -14,8 +14,8 @@ a whole array of W from one tanh-sinh quadrature.
 
 Every estimate clamps the unbiased kernel at W: pS(1 - a(W))/n and the
 matrix parts (1/n - g1(W), g3(W)). The block paths evaluate it on arrays
-of W; for one observation ``_kernel_at`` evaluates it once per (family,
-dims, W), and the observation's matrices share its read-only axis.
+of W; for one observation ``_kernel_at`` evaluates g1, g2 and phi once per
+(family, dims, W), and the observation's matrices share its read-only axis.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ class AxialMatrix:
         return self.scale * (self.iso * np.eye(self.dim) + self.axial * np.outer(u, u))
 
 
-# The four scalar kernels of the unbiased risk formulas: callables of W > 0,
-# vectorized over numpy arrays, with g3 = g2 + phi^2/W and g = p*g1 - g2, so
-# the trace of the matrix estimate is the scalar estimate.
-GFunctions = namedtuple("GFunctions", ["g1", "g2", "g3", "g"])
+# The three scalar kernels of the unbiased risk formulas: callables of W > 0,
+# vectorized over numpy arrays, with g3 = g2 + phi^2/W. a(W) is formed from
+# p*g1 - g2, so the trace of the matrix estimate is the scalar estimate.
+GFunctions = namedtuple("GFunctions", ["g1", "g2", "g3"])
 
 
 def g_transform(h, dims: ProblemDims, w):
@@ -190,14 +190,10 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
         g1, g2 = partial(g_transform, h1, dims), partial(g_transform, h2, dims)
 
     def g3(w):
-        w_arr = np.asarray(w, dtype=float)
-        phi = np.asarray(fam.phi(w_arr), dtype=float)
-        return np.asarray(g2(w_arr), dtype=float) + phi * (phi / w_arr)
+        w = np.asarray(w, dtype=float)
+        return _g3_from(np.asarray(g2(w), dtype=float), np.asarray(fam.phi(w), dtype=float), w)
 
-    def g(w):
-        return p * np.asarray(g1(w), dtype=float) - np.asarray(g2(w), dtype=float)
-
-    return GFunctions(g1, g2, g3, g)
+    return GFunctions(g1, g2, g3)
 
 
 def _positive_w(obs: Observation) -> float:
@@ -207,16 +203,29 @@ def _positive_w(obs: Observation) -> float:
     return w
 
 
+def _g3_from(g2, phi, w):
+    """g3 = g2 + phi^2/W, as ``GFunctions.g3`` and every matrix estimate form it."""
+    return g2 + phi * (phi / w)
+
+
+def _kernel_terms(fam: ShrinkageFamily, dims: ProblemDims, w):
+    """(g1(W), g2(W), phi(W)) for a float array w, one evaluation of each."""
+    gf = g_functions(fam, dims)
+    return tuple(np.asarray(v, dtype=float) for v in (gf.g1(w), gf.g2(w), fam.phi(w)))
+
+
+def _a_from(g1, g2, phi, w, dims: ProblemDims):
+    return (dims.n / dims.p) * (dims.p * g1 - g2 - phi * phi / w)
+
+
 def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
-    """Scaled risk-reduction kernel a(W) = (n/p)(g(W) - phi^2(W)/W).
+    """Scaled risk-reduction kernel a(W) = (n/p)(p g1(W) - g2(W) - phi^2(W)/W).
 
     The unbiased risk estimate is pS(1 - a(W))/n, so a(W) carries the whole
     data-dependence of the estimate beyond the pS/n baseline.
     """
-    gf = g_functions(fam, dims)
     w = np.asarray(w, dtype=float)
-    phi = np.asarray(fam.phi(w), dtype=float)
-    return (dims.n / dims.p) * (np.asarray(gf.g(w), dtype=float) - phi * phi / w)
+    return _a_from(*_kernel_terms(fam, dims, w), w, dims)
 
 
 def _unbiased_mse(w, s, fam: ShrinkageFamily, dims: ProblemDims):
@@ -224,20 +233,18 @@ def _unbiased_mse(w, s, fam: ShrinkageFamily, dims: ProblemDims):
     return dims.p * s / dims.n * (1.0 - a_of_w(fam, dims, w))
 
 
-def _unbiased_matrix_parts(w, fam: ShrinkageFamily, dims: ProblemDims):
-    """(1/n - g1(W), g3(W)) for an array of W: the isotropic and axial parts
-    of the unbiased matrix estimate, whose factors are iso and iso + g3."""
-    gf = g_functions(fam, dims)
-    return 1.0 / dims.n - np.asarray(gf.g1(w), dtype=float), np.asarray(gf.g3(w), dtype=float)
+def _matrix_parts_from(g1, g2, phi, w, dims: ProblemDims):
+    """(1/n - g1(W), g3(W)) from the kernel terms at W: the isotropic and axial
+    parts of the unbiased matrix estimate, whose factors are iso and iso + g3."""
+    return 1.0 / dims.n - g1, _g3_from(g2, phi, w)
 
 
 @lru_cache(maxsize=32)
 def _kernel_at(fam: ShrinkageFamily, dims: ProblemDims, w: float):
-    """(a(W), 1/n - g1(W), g3(W)) at one W, as floats, from the array
-    kernels. Memoised, so the estimates of one observation and family read
-    one evaluation."""
-    iso, g3 = _unbiased_matrix_parts(w, fam, dims)
-    return float(a_of_w(fam, dims, w)), float(iso), float(g3)
+    """(a(W), 1/n - g1(W), g3(W)) at one W, as floats, from one evaluation of
+    g1, g2 and phi; memoised, so one observation's estimates share it."""
+    terms = _kernel_terms(fam, dims, np.asarray(w, dtype=float))
+    return (float(_a_from(*terms, w, dims)), *map(float, _matrix_parts_from(*terms, w, dims)))
 
 
 def _observed_kernel(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims):

@@ -52,7 +52,7 @@ def tables_bundle():
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        tables = sm.reproduce_tables(DIMS4, j_max=50)
+        tables = sm.reproduce_tables(DIMS4)
     return tables, time.time() - t0
 
 
@@ -61,7 +61,7 @@ def pp55_matrix_consts():
     fam = sm.ShrinkageFamily.positive_part(D55)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.matrix_constants(fam, D55, j_max=50)
+        return sm.matrix_constants(fam, D55)
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +251,7 @@ def test_criterion_09_branch_continuity():
         gf = g_functions(fam, dims)
         k = dims.shrink_constant
         right = np.nextafter(k, np.inf)
-        for fn in (gf.g1, gf.g3, gf.g):
+        for fn in (gf.g1, gf.g2, gf.g3):
             left_v, right_v = float(fn(k)), float(fn(right))
             worst = max(worst, abs(left_v - right_v) / abs(right_v))
         # The scalar estimate itself is continuous across the kink.
@@ -282,7 +282,10 @@ def test_criterion_10_oracle_equivalence():
                 return (dims.p - 2.0) * np.asarray(fam.phi(t)) / t \
                     + 2.0 * np.asarray(fam.phi_prime(t))
 
-            for hfun, closed in ((h1, gf.g1), (h2, gf.g2), (h, gf.g)):
+            def g(w):  # the transform of h: p g1 - g2, which a(W) is formed from
+                return dims.p * np.asarray(gf.g1(w)) - np.asarray(gf.g2(w))
+
+            for hfun, closed in ((h1, gf.g1), (h2, gf.g2), (h, g)):
                 got = sm.g_transform(hfun, dims, grid)
                 want = np.asarray(closed(grid), dtype=float)
                 denom = np.maximum(abs(want), 1e-12)

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import steinmse as sm
 from steinmse.cli import main
 from _oracles import g3_above_kink
 
@@ -33,13 +34,14 @@ def test_estimate_json_contract(x_csv, tmp_path, capsys):
     out = tmp_path / "est.json"
     code = main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
                  "--family", "js-plus", "--mse", "psi0", "--matrix", "xi2",
-                 "--seed", "3", "--const-reps", "30000", "--j-max", "12",
+                 "--seed", "3", "--const-reps", "30000",
                  "--out", str(out)])
     assert code == 0
     payload = _json(out.read_text())
     assert payload["schema"] == 1
     assert payload["inputs"]["seed"] == 3  # numeric flags echoed
     assert payload["inputs"]["const_reps"] == 30000
+    assert "j_max" not in payload["inputs"]  # the moment scan has no knob
     assert len(payload["point_estimate"]) == 5
     assert payload["mse"]["value"] >= 0.0
     mat = payload["mse_matrix"]
@@ -72,7 +74,7 @@ def test_estimate_output_does_not_depend_on_seed(x_csv, capsys):
     # The built-in families' constants are exact, so the seed is only echoed.
     base = ["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
             "--family", "js-plus", "--mse", "psi2", "--matrix", "xi2-tr",
-            "--confidence", "c2star", "--const-reps", "20000", "--j-max", "12"]
+            "--confidence", "c2star", "--const-reps", "20000"]
     payloads = []
     for seed_args in (["--seed", "1"], ["--seed", "2"], []):
         assert main(base + seed_args) == 0
@@ -91,7 +93,7 @@ def test_estimate_rejects_small_p(x_csv, capsys):
 def test_estimate_confidence_block(x_csv, capsys):
     code = main(["estimate", "--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0",
                  "--family", "js-plus", "--confidence", "c1star", "--seed", "5",
-                 "--const-reps", "30000", "--j-max", "12"])
+                 "--const-reps", "30000"])
     assert code == 0
     payload = _json(capsys.readouterr().out)
     assert payload["confidence"]["variant"] == "c1*"
@@ -100,7 +102,7 @@ def test_estimate_confidence_block(x_csv, capsys):
 
 def test_constants_writes_five_tables(tmp_path):
     out = tmp_path / "tables"
-    code = main(["constants", "--dims", "5x5", "--j-max", "12", "--out", str(out)])
+    code = main(["constants", "--dims", "5x5", "--out", str(out)])
     assert code == 0
     names = sorted(os.listdir(out))
     for expected in ("table1_gamma.csv", "table2_w.csv", "table3_beta2.csv",
@@ -109,6 +111,22 @@ def test_constants_writes_five_tables(tmp_path):
         assert expected in names
     header = (out / "table2_w.csv").read_text().splitlines()[0]
     assert header == "family,p,n,w_pn"
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta == {"dims": "5x5", "families": "james-stein,positive-part"}  # no scan knob
+
+
+def test_constants_to_stdout_heads_each_table(tmp_path, monkeypatch, capsys):
+    # Several tables on stdout: each under a "# name" line, and no file.
+    monkeypatch.chdir(tmp_path)
+    assert main(["constants", "--dims", "5x5", "--families", "js"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        "# table1_gamma", "# table2_w", "# table3_beta2", "# table4_gamma_xi_eta",
+        "# table5_w_xi_eta", "# beta_per_j"]
+    dims = sm.ProblemDims(5, 5)
+    gamma = sm.shrinkage_constants(sm.family_from_name("js", dims), dims).gamma
+    assert lines[1:3] == ["family,p,n,gamma", f"js,5,5,{gamma!r}"]  # full repr, not 10 digits
+    assert os.listdir(tmp_path) == []
 
 
 def test_risk_curve_smoke(tmp_path):
@@ -173,13 +191,25 @@ def test_canonicalize_roundtrip(tmp_path, capsys):
                  "--matrix", "umvue", "--out", str(tmp_path / "est.json")])
     assert code == 0
     est = _json((tmp_path / "est.json").read_text())
-    import steinmse as sm
     dims = sm.ProblemDims(5, 7)
     obs = sm.Observation(np.array(canon["x"]), canon["s"])
     fam = sm.ShrinkageFamily.james_stein(dims)
     want = sm.apply_estimator(obs, fam, dims)
     assert est["point_estimate"] == pytest.approx(want, rel=1e-12)
     assert est["mse"]["value"] == pytest.approx(sm.umvue_mse(obs, fam, dims), rel=1e-12)
+
+
+@pytest.mark.parametrize("design, message", [
+    ("1,2,3\n2,1,3\n3,0,3\n1,1,2\n0,2,2\n", "design matrix is rank deficient"),
+    ("1,0,0\n0,1,0\n0,0,1\n", "need more observations than regressors for a residual scale"),
+], ids=["rank-deficient", "no-residual-df"])
+def test_unusable_regression_is_usage_error(tmp_path, capsys, design, message):
+    rows = design.count("\n")
+    (tmp_path / "a.csv").write_text(design)
+    (tmp_path / "y.csv").write_text("".join(f"{i}.5\n" for i in range(rows)))
+    assert main(["canonicalize", "--design", str(tmp_path / "a.csv"),
+                 "--response", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_kind_is_usage_error(x_csv, capsys):
@@ -247,8 +277,10 @@ def test_curve_metadata_has_no_runtime_threads(tmp_path, monkeypatch, command):
     ["risk-curve", "--seed", "-1"], ["coverage", "--seed", str(2 ** 64)],
     ["estimate", "--family", "ridge"], ["risk-curve", "--family", "ridge"],
     ["coverage", "--family", "ridge"], ["constants", "--families", "js,ridge"],
-    ["constants", "--j-max", "5"], ["estimate", "--j-max", "5", "--mse", "psi1"],
     ["coverage", "--variants", "c0,c0"], ["coverage", "--variants", "c1*,c3,c1star"],
+    ["estimate", "--s", "0"], ["estimate", "--s", "-2.5"], ["estimate", "--confidence", "c9"],
+    ["estimate", "--p", "6"], ["constants", "--dims", "5by5"], ["constants", "--dims", "5x5,x"],
+    ["risk-curve", "--lambdas", "0:5:0"], ["coverage", "--lambdas", "0:5:-1"],
 ])
 def test_bad_flag_values_are_usage_errors(x_csv, tmp_path, capsys, argv):
     command, *flags = argv
@@ -286,6 +318,20 @@ def test_ragged_or_multi_column_csv_is_usage_error(tmp_path, capsys, command, ba
     assert main([command, *flags[command]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(paths[bad_flag]) in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"), ("1.5\nabc\n-0.2\n0.8\n2.0\n", "is not a numeric CSV"),
+    ("\n  \n", "is empty"),
+], ids=["missing", "non-numeric", "empty"])
+def test_unreadable_non_numeric_or_empty_csv_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "x.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["estimate", "--p", "5", "--n", "5", "--x", str(path), "--s", "4.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and str(path) in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("x, s, message", [
@@ -373,7 +419,7 @@ def test_unwritable_out_is_usage_error(x_csv, tmp_path, capsys, command, where):
     out = {"missing-dir": tmp_path / "no" / "such" / "out.json",
            "under-a-file": blocker / "sub"}[where]
     flags = {"estimate": ["--p", "5", "--n", "5", "--x", x_csv, "--s", "4.0"],
-             "constants": ["--dims", "5x5", "--j-max", "12"]}[command]
+             "constants": ["--dims", "5x5"]}[command]
     assert main([command, *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output:") and str(out) in err
@@ -458,7 +504,7 @@ dims = sm.ProblemDims(5, 5)
 k = dims.shrink_constant
 fam = sm.ShrinkageFamily.custom(lambda w: k * w / (w + k), lambda w: k * k / (w + k) ** 2)
 sm.shrinkage_constants(fam, dims)
-sm.matrix_constants(fam, dims, j_max=10)
+sm.matrix_constants(fam, dims)
 sm.umvue_mse(sm.Observation([1.0, -0.5, 0.3, 0.8, 0.2], 2.0), fam, dims)
 assert sm.g_transform(lambda t: k / t, dims, np.array([0.5, 2.0])).shape == (2,)
 """

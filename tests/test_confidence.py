@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ PP = sm.ShrinkageFamily.positive_part(DIMS)
 def consts():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return sm.matrix_constants(PP, DIMS, j_max=20)
+        return sm.matrix_constants(PP, DIMS)
 
 
 class TestQuadFormInv:
@@ -79,6 +81,17 @@ class TestVolume:
         m = sm.AxialMatrix(3, 1.0, 0.5, -0.8, np.array([1.0, 0, 0]))
         with pytest.raises(ValueError):
             sm.ellipsoid_volume(m, 1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_radius(self, c):
+        m = sm.AxialMatrix(3, 1.0, 0.5, 0.2, np.array([1.0, 0, 0]))
+        with pytest.raises(ValueError, match="quadratic radius must be positive"):
+            sm.ellipsoid_volume(m, c)
+
+    def test_quad_form_rejects_a_vector_of_another_length(self):
+        m = sm.AxialMatrix(3, 1.0, 0.5, 0.2, np.array([1.0, 0, 0]))
+        with pytest.raises(ValueError, match="length 2, expected 3"):
+            sm.quad_form_inv(m, np.ones(2))
 
     def test_a_volume_beyond_the_largest_double_raises_without_a_warning(self):
         m = sm.AxialMatrix(10, 1e300, 0.2, 0.0, np.eye(10)[0])
@@ -180,6 +193,27 @@ class TestBuildConfidenceSet:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             sm.ConfidenceSpec(CV.C0, level=1.0)
+
+
+@pytest.mark.parametrize("variant", [CV.C1, CV.C2_STAR])
+def test_batch_geometry_refuses_a_nonpositive_w(consts, variant):
+    from steinmse.confidence import _set_geometry
+
+    s, w = np.array([1.0, 2.0]), np.array([0.5, 0.0])
+    with pytest.raises(ValueError, match=re.escape(f"variant {variant.value}: W must be positive")):
+        _set_geometry(s, w, (sm.ConfidenceSpec(variant),), PP, DIMS, consts)
+
+
+@pytest.mark.parametrize("variant", [CV.C1, CV.C2, CV.C1_STAR, CV.C2_STAR])
+def test_batch_geometry_refuses_a_shape_that_lost_definiteness(consts, variant):
+    # A beta2 this large puts every floor below zero, so at small W, where
+    # the unbiased factors are negative, no clamp restores definiteness.
+    from steinmse.confidence import _set_geometry
+
+    broken = dataclasses.replace(consts, beta=dataclasses.replace(consts.beta, beta2=50.0))
+    s, w = np.array([1.0, 1.0]), np.array([1e-3, 4.0])
+    with pytest.raises(ValueError, match="lost positive definiteness"):
+        _set_geometry(s, w, (sm.ConfidenceSpec(variant),), PP, DIMS, broken)
 
 
 @pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])

@@ -307,6 +307,12 @@ def test_partial_moments_reject_cut_where_x_rounds_to_one():
         ratio_partial_moments(5, 5, 2.0 ** 53)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_partial_moments_need_k_above_two(k):
+    with pytest.raises(ValueError, match="needs k > 2"):
+        ratio_partial_moments(k, 5, 0.5)
+
+
 @pytest.mark.parametrize("k,n", [(3, 1), (5, 1), (5, 2), (405, 5)])
 def test_ratio_expectation_of_one_is_one(k, n):
     # End singularities t^{-1/2} and (1-t)^{-1/2}, and at (405, 5) a peak

@@ -69,6 +69,14 @@ def test_config_validation():
         sm.ExperimentConfig(dims_list=(DIMS,), families=("james-stein", "bogus"))
 
 
+@pytest.mark.parametrize("run, loss", [(sm.run_mse_risk_curve, "matrix"),
+                                       (sm.run_mse_risk_curve, "risk"),
+                                       (sm.run_matrix_risk_curve, "mse")])
+def test_risk_curves_reject_an_unknown_loss(run, loss):
+    with pytest.raises(ValueError, match="loss must be"):
+        run(sm.ExperimentConfig(dims_list=(DIMS,), lambda_grid=(0.0,), reps=10), loss=loss)
+
+
 def test_mse_curve_paired_identity_and_dominance():
     table = sm.run_mse_risk_curve(_small_cfg())
     by_key = {(r.lam, r.kind): r for r in table.rows}
@@ -113,7 +121,7 @@ def test_coverage_dips_at_large_signal_for_larger_n():
     fam = sm.family_from_name("positive-part", dims)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        consts = sm.matrix_constants(fam, dims, j_max=25)
+        consts = sm.matrix_constants(fam, dims)
         cfg = sm.ExperimentConfig(dims_list=(dims,), lambda_grid=(20.0,), reps=40_000,
                                   seed=3, families=("positive-part",), threads=1)
         table = sm.run_coverage_curve(cfg, consts_map={("positive-part", dims): consts})
@@ -237,8 +245,7 @@ def test_drawn_row_statistics_follow_their_law(p, lam):
     from steinmse.experiments import _draw
 
     m, n = 2 ** 16, 7
-    theta = math.sqrt(lam) * np.ones(p) / math.sqrt(p)
-    s, w, xx, x_theta = _draw(sm.RngStream(41, p).generator(), m, theta, n)
+    s, w, xx, x_theta = _draw(sm.RngStream(41, p).generator(), m, p, math.sqrt(lam), n)
     assert np.array_equal(w, xx / s)
     if lam == 0.0:
         assert np.all(x_theta == 0.0)
@@ -271,7 +278,7 @@ def test_curve_blocks_match_the_exact_truth():
     # read through its trace p a + b lam and theta'(.)theta = lam (a + b lam),
     # within 4 sigma; C0 covers at its level within 4 binomial sigma.
     from steinmse.experiments import _DOMAIN_MATRIX_CURVE, _DOMAIN_MSE_CURVE, _grid
-    from steinmse.umvue import _unbiased_matrix_parts
+    from steinmse.umvue import _kernel_terms, _matrix_parts_from
 
     lambdas, reps = (0.0, 2.0, 20.0), 2 ** 14
     cfg = _small_cfg(dims_list=_TABLE_DIMS, families=("james-stein", "positive-part"),
@@ -288,7 +295,7 @@ def test_curve_blocks_match_the_exact_truth():
 
     def matrix_scorer(pt):
         def score(s, w, xx, x_theta):
-            iso, g3 = _unbiased_matrix_parts(w, pt.fam, pt.dims)
+            iso, g3 = _matrix_parts_from(*_kernel_terms(pt.fam, pt.dims, w), w, pt.dims)
             trace = s * (pt.dims.p * iso + g3)
             along = s * (pt.lam * iso + g3 * x_theta * x_theta / xx)
             return np.array([trace.sum(), (trace * trace).sum(),
@@ -340,8 +347,7 @@ def test_coverage_matches_scalar_construction():
     cfg = _small_cfg(dims_list=table_dims, families=families, lambda_grid=(lam,), reps=reps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        consts = {(name, dims): sm.matrix_constants(sm.family_from_name(name, dims), dims,
-                                                    j_max=20)
+        consts = {(name, dims): sm.matrix_constants(sm.family_from_name(name, dims), dims)
                   for dims in table_dims for name in families}
         table = sm.run_coverage_curve(cfg, consts_map=consts)
     by_key = {(r.p, r.n, r.family, r.variant): r for r in table.rows}
@@ -395,7 +401,7 @@ def test_csv_format(tmp_path):
 def test_reproduce_tables_structure_and_analytic_rows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        tables = sm.reproduce_tables([DIMS], j_max=12)
+        tables = sm.reproduce_tables([DIMS])
     assert set(tables) == {"table1_gamma", "table2_w", "table3_beta2",
                            "table4_gamma_xi_eta", "table5_w_xi_eta", "beta_per_j"}
     t1 = {row[0]: row for row in tables["table1_gamma"].rows}
@@ -405,7 +411,7 @@ def test_reproduce_tables_structure_and_analytic_rows(tmp_path):
     t5 = {(row[0], row[1]): row for row in tables["table5_w_xi_eta"].rows}
     assert ("w_eta", "james-stein") not in t5  # identically-one marker
     assert ("w_eta", "positive-part") in t5
-    paths = sm.write_tables(tables, str(tmp_path), {"j_max": 12})
+    paths = sm.write_tables(tables, str(tmp_path), {"dims": "5x5"})
     assert (tmp_path / "metadata.json").exists()
     assert len(paths) == 7
     script = sm.write_plot_script(str(tmp_path))
@@ -510,7 +516,7 @@ def test_lookahead_hands_each_point_its_own_blocks():
         key, bi = keys[i // len(sizes)], i % len(sizes)
         assert pt is walked[i // len(sizes)][0]
         want = _draw(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi).generator(), sizes[bi],
-                     pt.theta, pt.dims.n)
+                     pt.dims.p, math.sqrt(pt.lam), pt.dims.n)
         assert len(block) == len(want) == 4
         assert all(np.array_equal(a, b) for a, b in zip(block, want))
 
@@ -568,7 +574,7 @@ def test_row_distances_hold_to_a_few_ulps(p, n, lam, family, seed, data):
     assume(np.linalg.norm(direction) > 1e-3)
     theta = math.sqrt(lam) * direction / np.linalg.norm(direction)
     m = 256
-    s, w, xx, x_theta = _draw(sm.RngStream(seed).generator(), m, theta, n)
+    s, w, xx, x_theta = _draw(sm.RngStream(seed).generator(), m, p, math.hypot(*theta), n)
     xl, s_again, t, v = _replay(sm.RngStream(seed), m, theta, n, np.longdouble)
     assert np.array_equal(s, s_again) and np.array_equal(x_theta, math.hypot(*theta) * t)
     assert np.array_equal(xx, t * t + v) and np.array_equal(w, xx / s)

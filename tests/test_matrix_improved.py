@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -59,6 +60,14 @@ class TestBetaJ:
         value = beta_j(order, JS, DIMS, j)
         assert value == pytest.approx(js_beta_moment_exact(order, 5, 5, j), rel=1e-12)
 
+    @pytest.mark.parametrize("order, j, match", [
+        (3, 0, "order must be 1 or 2"), (0, 0, "order must be 1 or 2"),
+        (1, -1, "nonnegative integer"), (2, 1.5, "nonnegative integer"),
+    ])
+    def test_rejects_bad_order_or_j(self, order, j, match):
+        with pytest.raises(ValueError, match=match):
+            beta_j(order, JS, DIMS, j)
+
     @pytest.mark.parametrize("order,j", [(1, 0), (2, 0), (2, 1), (2, 5)])
     def test_js_monte_carlo_matches_exact_moments(self, order, j):
         # Validates the Monte Carlo oracle that checks the quadrature below.
@@ -116,7 +125,7 @@ class TestBetaJ:
 
 @pytest.fixture(scope="module")
 def js_consts():
-    return sm.beta_constants(JS, DIMS, j_max=20)
+    return sm.beta_constants(JS, DIMS)
 
 
 class TestBetaConstants:
@@ -133,20 +142,20 @@ class TestBetaConstants:
         assert js_consts.method == "closed-form"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            quad = sm.beta_constants(_custom_clone(JS), DIMS, j_max=10)
+            quad = sm.beta_constants(_custom_clone(JS), DIMS)
         assert quad.method == "quadrature"
         assert quad.beta2 == pytest.approx(JS_BETA2_EXACT, rel=1e-8)
 
     def test_tail_checks_present(self, js_consts):
         js_scanned = [j for j, _ in js_consts.per_j_beta2]
-        assert js_scanned[-2:] == [40, 80]
+        assert js_scanned[-2:] == [100, 200]
 
     def test_boundary_warning_fires(self):
         # The first-moment curve of the constant rule decreases toward its
         # j -> infinity limit, so the scan minimum sits at the tail check;
         # a quadrature family has no limit in hand and warns.
         with pytest.warns(RuntimeWarning, match="scan boundary"):
-            sm.beta_constants(_custom_clone(JS), DIMS, j_max=10)
+            sm.beta_constants(_custom_clone(JS), DIMS)
 
     @pytest.mark.parametrize("p,n", TABLE_DIMS + [(4, 5), (3, 5)])
     @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
@@ -178,12 +187,8 @@ class TestBetaConstants:
     def test_first_moment_nonnegative_at_larger_dims(self, name):
         d10 = sm.ProblemDims(10, 10)
         fam = sm.family_from_name(name, d10)
-        bc = sm.beta_constants(fam, d10, j_max=12)
+        bc = sm.beta_constants(fam, d10)
         assert bc.beta1 >= 0.0
-
-    def test_j_max_validation(self):
-        with pytest.raises(ValueError):
-            sm.beta_constants(JS, DIMS, j_max=5)
 
 
 class TestRoots:
@@ -255,21 +260,31 @@ def test_matrix_constants_provenance():
     # As for the shrinkage constants: closed forms for the built-in rules,
     # quadrature for a custom one.
     for fam in (JS, PP):
-        assert sm.matrix_constants(fam, DIMS, j_max=10).provenance == "closed-form"
+        assert sm.matrix_constants(fam, DIMS).provenance == "closed-form"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        clone = sm.matrix_constants(_custom_clone(PP), DIMS, j_max=10)
+        clone = sm.matrix_constants(_custom_clone(PP), DIMS)
     assert clone.provenance == "quadrature"
+
+
+def test_constants_refuse_a_stale_moment_scan_bound():
+    # The scan bound is gone: a third positional argument is an error, not
+    # a silently ignored Monte Carlo option.
+    for build in (sm.beta_constants, sm.matrix_constants):
+        with pytest.raises(TypeError):
+            build(PP, DIMS, 20)
+    assert sm.matrix_constants(PP, DIMS, reps=20, rng=None).beta.beta2 == \
+        sm.matrix_constants(PP, DIMS).beta.beta2
 
 
 @pytest.fixture(scope="module")
 def pp_consts():
-    return sm.matrix_constants(PP, DIMS, j_max=20)
+    return sm.matrix_constants(PP, DIMS)
 
 
 @pytest.fixture(scope="module")
 def js_matrix_consts():
-    return sm.matrix_constants(JS, DIMS, j_max=20)
+    return sm.matrix_constants(JS, DIMS)
 
 
 class TestMatrixEstimates:
@@ -377,6 +392,32 @@ class TestMatrixEstimates:
         for kind in (MK.XI1_ETA1, MK.XI2_ETA2, MK.XI1_TR_ETA1, MK.XI2_TR_ETA2):
             with pytest.raises(ValueError):
                 sm.estimate_mse_matrix(kind, obs, PP, DIMS, None)
+
+    def test_kinds_without_constants_are_not_certified(self, pp_consts):
+        for kind in (MK.UMVUE, MK.XI0_ETA0):
+            assert sm.positive_definite_certified(kind, PP, DIMS, pp_consts) is False
+
+    @pytest.mark.parametrize("p,n", TABLE_DIMS)
+    def test_js_eta_side_is_certified_by_the_g3_grid(self, p, n):
+        # The James-Stein eta root is None, so the XI1 kinds' certificate
+        # checks g3 >= g1 on a grid; g3/g1 = (p+2)/2 there, so it holds,
+        # and the factors stay positive on draws.
+        dims = sm.ProblemDims(p, n)
+        js = sm.ShrinkageFamily.james_stein(dims)
+        consts = sm.matrix_constants(js, dims)
+        assert consts.w_eta is None
+        w = np.exp(np.random.default_rng(53).uniform(-10, 5, 200_000))
+        for kind in (MK.XI1_ETA1, MK.XI1_TR_ETA1):
+            assert sm.positive_definite_certified(kind, js, dims, consts)
+            l_perp, l_axis = sm.matrix_eigen_parts(kind, w, js, dims, consts)
+            assert np.all(l_perp > 0.0) and np.all(l_axis > 0.0)
+
+    def test_no_xi_root_is_not_certified(self, pp_consts):
+        # Without a xi root the xi scaling is identically one and nothing
+        # floors l_perp, so the XI1 kinds carry no certificate.
+        no_root = dataclasses.replace(pp_consts, w_xi=None, gamma_xi=None)
+        for kind in (MK.XI1_ETA1, MK.XI1_TR_ETA1):
+            assert sm.positive_definite_certified(kind, PP, DIMS, no_root) is False
 
     def test_trace_is_valid_scalar_estimate(self, pp_consts):
         rng = np.random.default_rng(52)

@@ -118,6 +118,11 @@ class TestRoots:
         with pytest.raises(ValueError):
             solve_w_pn(JS, DIMS, 5.0)
 
+    @pytest.mark.parametrize("w_pn", [0.0, -0.5, float("nan")])
+    def test_gamma_needs_a_positive_root(self, w_pn):
+        with pytest.raises(ValueError, match="w_pn must be positive"):
+            gamma_pn(DIMS, w_pn)
+
     def test_gamma_identity(self):
         w = solve_w_pn(JS, DIMS, alpha_pn(JS, DIMS))
         assert gamma_pn(DIMS, w) == pytest.approx(5.0 * (1.0 + w) / 12.0, rel=1e-15)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import steinmse as sm
 from _oracles import quadratic_root
 from steinmse._rootfind import bracketed_root
-from steinmse.mse_improved import a_of_w, alpha_pn
-from steinmse.umvue import g_functions
+from steinmse.mse_improved import alpha_pn
+from steinmse.umvue import a_of_w, g_functions
 
 EPS = sys.float_info.epsilon
 

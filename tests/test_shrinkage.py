@@ -178,6 +178,23 @@ def test_canonicalize_rejects_rank_deficiency():
         sm.canonicalize_regression(a, np.arange(10.0))
 
 
+@pytest.mark.parametrize("design, response, match", [
+    (np.arange(6.0), np.arange(6.0), "2-D"),
+    (np.eye(6)[:, :3], np.arange(5.0), "response length"),
+    (np.eye(3), np.arange(3.0), "more observations than regressors"),
+    (np.eye(6)[:, :3], np.array([1.0, 2.0, 3.0, 0.0, 0.0, 0.0]), "fits the data exactly"),
+], ids=["one-dimensional-design", "short-response", "no-residual-df", "exact-fit"])
+def test_canonicalize_rejects_unusable_inputs(design, response, match):
+    with pytest.raises(ValueError, match=match):
+        sm.canonicalize_regression(design, response)
+
+
+def test_apply_estimator_rejects_an_observation_of_another_length():
+    dims = sm.ProblemDims(5, 5)
+    with pytest.raises(ValueError, match="length 4, expected p=5"):
+        sm.apply_estimator(sm.Observation(np.ones(4), 1.0), sm.family_from_name("js", dims), dims)
+
+
 def test_true_risk_zero_phi_is_exact():
     dims = sm.ProblemDims(5, 5)
     assert sm.true_risk(_zero_family(), dims, 3.0) == 5.0

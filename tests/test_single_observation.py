@@ -9,14 +9,16 @@ observation.
 """
 
 import pickle
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import steinmse as sm
-from steinmse import umvue
+from steinmse import shrinkage, umvue
 from steinmse.confidence import _set_geometry
-from steinmse.umvue import GFunctions, _kernel_at, _unbiased_matrix_parts
+from steinmse.umvue import _kernel_at, _kernel_terms, _matrix_parts_from
 
 MK = sm.MatrixEstimatorKind
 TABLE_DIMS = [(5, 5), (10, 5), (5, 10), (10, 10)]
@@ -56,7 +58,7 @@ def test_every_estimate_is_its_m1_array_path_bit_for_bit(p, n, fam_name):
             assert sm.estimate_mse(kind, obs, fam, dims, sc) == want, (kind, obs.w)
         assert sm.umvue_mse(obs, fam, dims) == \
             sm.estimate_mse_at(sm.MseEstimatorKind.UMVUE, w, s, fam, dims)[0]
-        iso, g3 = (v[0] for v in _unbiased_matrix_parts(w, fam, dims))
+        iso, g3 = (v[0] for v in _matrix_parts_from(*_kernel_terms(fam, dims, w), w, dims))
         for kind in MK:
             l_perp, l_axis = (v[0] for v in sm.matrix_eigen_parts(kind, w, fam, dims, mc))
             unclamped = l_perp == iso and l_axis == iso + g3
@@ -75,33 +77,61 @@ def test_every_estimate_is_its_m1_array_path_bit_for_bit(p, n, fam_name):
                 assert (got.shape.iso, got.shape.axial) == (want.iso, want.axial), variant
 
 
-def _counting_g_functions(counts):
-    """``g_functions`` whose g1 counts its calls per family."""
-    real = umvue.g_functions
-
-    def wrapped(fam, dims):
-        gf = real(fam, dims)
-
-        def g1(w):
-            counts[fam.label] = counts.get(fam.label, 0) + 1
-            return gf.g1(w)
-
-        return GFunctions(g1, gf.g2, gf.g3, gf.g)
-
-    return wrapped
-
-
-def test_one_observation_evaluates_the_kernel_once_per_family(monkeypatch):
-    dims = sm.ProblemDims(5, 10)
-    fams = [sm.family_from_name(name, dims) for name in FAMILIES]
-    consts = [(sm.shrinkage_constants(f, dims), sm.matrix_constants(f, dims)) for f in fams]
+def _count_calls(names, fn):
+    """Run fn() and count, by name, the calls of the ``umvue`` and
+    ``shrinkage`` functions in ``names`` (closures included), however they
+    are reached: through ``GFunctions``, another kernel or a bound partial."""
+    files = {umvue.__file__, shrinkage.__file__}
     counts = {}
-    monkeypatch.setattr(umvue, "g_functions", _counting_g_functions(counts))
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in names and code.co_filename in files:
+            counts[code.co_name] = counts.get(code.co_name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_one_observation_evaluates_the_kernel_once_per_family():
+    # Every g1 and g2 evaluation is counted, including those a kernel makes
+    # through another (g3 reads g2), over two passes of every estimate.
+    dims = sm.ProblemDims(5, 10)
     obs = sm.Observation([0.4, -1.1, 0.3, 0.9, 0.2], 2.5)
-    for fam, (sc, mc) in zip(fams, consts):
-        for _ in range(2):  # a second pass reads the memo
-            _estimate_everything(obs, fam, dims, sc, mc)
-    assert counts == {"james-stein": 1, "positive-part": 1}
+    for name in FAMILIES:
+        fam = sm.family_from_name(name, dims)
+        sc, mc = sm.shrinkage_constants(fam, dims), sm.matrix_constants(fam, dims)
+
+        def twice():
+            for _ in range(2):  # a second pass reads the memo
+                _estimate_everything(obs, fam, dims, sc, mc)
+
+        assert _count_calls({"g1", "g2"}, twice) == {"g1": 1, "g2": 1}, name
+        w = 1.7 * obs.w  # a fresh W: one memo miss reads phi once too
+        got = _count_calls({"g1", "g2", "phi"}, lambda: _kernel_at(fam, dims, w))
+        assert got == {"g1": 1, "g2": 1, "phi": 1}, name
+
+
+def test_a_custom_family_makes_two_quadratures_per_observation():
+    # A custom family's g1 and g2 are one tail quadrature each, so one
+    # observation and family costs two ``g_transform`` calls, whatever it asks.
+    dims = sm.ProblemDims(5, 5)
+    rng = np.random.default_rng(5)
+    observations = [sm.Observation(rng.standard_normal(5), s) for s in (0.7, 3.0)]
+    for name in FAMILIES:
+        built_in = sm.family_from_name(name, dims)
+        fam = sm.ShrinkageFamily.custom(built_in.phi, built_in.phi_prime, label="clone")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the scan-boundary warning
+            sc, mc = sm.shrinkage_constants(fam, dims), sm.matrix_constants(fam, dims)
+        for obs in observations:
+            got = _count_calls({"g_transform"},
+                               lambda: _estimate_everything(obs, fam, dims, sc, mc))
+            assert got == {"g_transform": 2}, (name, obs.w)
 
 
 def test_two_families_on_one_observation_get_their_own_values():

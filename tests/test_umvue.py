@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steinmse as sm
-from steinmse.umvue import g_functions
+from steinmse.umvue import a_of_w, g_functions
 from _oracles import dense_quad_form, g_kernels_mpmath, js_plus_alpha_quad
 
 
@@ -56,6 +56,16 @@ class TestAxialMatrix:
         with pytest.raises(ValueError):
             sm.AxialMatrix(3, 1.0, 1.0, 0.0, np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("dim, scale, axis, match", [
+        (0, 1.0, [], "dim must be at least 1"),
+        (3, 0.0, [1.0, 0.0, 0.0], "scale must be positive"),
+        (3, math.inf, [1.0, 0.0, 0.0], "scale must be positive"),
+        (3, 1.0, [1.0, 0.0], "axis must have length 3"),
+    ])
+    def test_rejects_bad_parts(self, dim, scale, axis, match):
+        with pytest.raises(ValueError, match=match):
+            sm.AxialMatrix(dim, scale, 1.0, 0.0, np.array(axis))
+
     def test_logdet_requires_positive_definite(self):
         u = np.array([1.0, 0.0, 0.0])
         m = sm.AxialMatrix(3, 1.0, 0.5, -0.7, u)
@@ -84,28 +94,38 @@ class TestGTransform:
             assert got == pytest.approx(2.0 * (DIMS.p - 2.0) / ((DIMS.n + 2.0) ** 2 * w),
                                         rel=1e-8)
 
+    @pytest.mark.parametrize("w", [[1.0, 0.0], [-2.0], [math.nan]])
+    def test_rejects_nonpositive_w(self, w):
+        with pytest.raises(ValueError, match="w must be positive"):
+            sm.g_transform(lambda t: 1.0 / t, DIMS, np.array(w))
+
 
 class TestGFunctions:
     def test_js_values(self):
         gf = g_functions(JS, DIMS)
         assert float(gf.g1(1.0)) == pytest.approx(6.0 / 49.0, rel=1e-14)
         assert float(gf.g3(1.0)) == pytest.approx(21.0 / 49.0, rel=1e-14)
-        assert float(gf.g(1.0)) == pytest.approx(18.0 / 49.0, rel=1e-14)
+        assert float(gf.g2(1.0)) == pytest.approx(12.0 / 49.0, rel=1e-14)
+        # a(W) = (n/p)(p g1 - g2 - phi^2/W), with p g1 - g2 = 18/49 here.
+        assert float(a_of_w(JS, DIMS, 1.0)) == pytest.approx(9.0 / 49.0, rel=1e-14)
 
     @given(p=st.integers(3, 60), n=st.integers(1, 60),
            log_w=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
            name=st.sampled_from(["james-stein", "positive-part"]))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_identities_hold_for_all_families(self, p, n, log_w, name):
-        # g3 = g2 + phi^2/W and g = p g1 - g2 at random (p, n) and W over
-        # six decades, on both sides of the positive-part kink.
+        # g3 = g2 + phi^2/W and a(W) = (n/p)(p g1 - g2 - phi^2/W) at random
+        # (p, n) and W over six decades, on both sides of the positive-part
+        # kink.
         dims = sm.ProblemDims(p, n)
         fam = sm.family_from_name(name, dims)
         w = 10.0 ** np.array(log_w)
         gf = g_functions(fam, dims)
         phi = np.asarray(fam.phi(w))
         np.testing.assert_allclose(gf.g3(w), np.asarray(gf.g2(w)) + phi * phi / w, rtol=1e-12)
-        np.testing.assert_allclose(gf.g(w), p * np.asarray(gf.g1(w)) - gf.g2(w), rtol=1e-12)
+        np.testing.assert_allclose(a_of_w(fam, dims, w),
+                                   (n / p) * (p * np.asarray(gf.g1(w)) - gf.g2(w) - phi * phi / w),
+                                   rtol=1e-12)
 
     def test_quadrature_matches_closed_forms(self):
         # General-path kernels for a clone of the constant rule agree with
@@ -116,7 +136,7 @@ class TestGFunctions:
         w = np.geomspace(0.1, 10.0, 7)
         np.testing.assert_allclose(gf_q.g1(w), gf_c.g1(w), rtol=1e-8)
         np.testing.assert_allclose(gf_q.g3(w), gf_c.g3(w), rtol=1e-8)
-        np.testing.assert_allclose(gf_q.g(w), gf_c.g(w), rtol=1e-8)
+        np.testing.assert_allclose(gf_q.g2(w), gf_c.g2(w), rtol=1e-8)
 
     @pytest.mark.parametrize("p,n", [(5, 5), (10, 5), (5, 10), (10, 10)])
     @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
@@ -252,7 +272,7 @@ class TestUmvueMse:
         k = DIMS.shrink_constant
         gf = g_functions(PP, DIMS)
         right = np.nextafter(k, np.inf)
-        for fn in (gf.g1, gf.g3, gf.g):
+        for fn in (gf.g1, gf.g2, gf.g3):
             assert float(fn(k)) == pytest.approx(float(fn(right)), rel=1e-9)
 
     def test_rejects_zero_w(self):
