@@ -2,17 +2,19 @@
 
 The F quantile is obtained by inverting the regularized incomplete beta
 representation of the CDF; the same representation gives the partial
-moments of a chi-square ratio in closed form (``ratio_partial_moments``,
-``ratio_inverse_square_above``) and the mean of any function of that ratio
-as a Beta-weighted quadrature (``ratio_expectation``). A noncentral
-chi-square is a Poisson mixture of central ones; ``poisson_weights`` gives
-the mixture weights. Every kernel is the module's own, on numpy alone: the
-incomplete beta and log-beta (``_betainc_pair``, ``_log_beta``) from
-``math.lgamma`` and a continued fraction, and the package's one quadrature,
-adaptive tanh-sinh (``_integrate``). All random draws come from counter-based
-Philox streams keyed by (seed, stream_id): the same key always reproduces
-the same draws, no matter which thread or process asks for them, so
-experiments can be sharded arbitrarily without changing a single number.
+moments of a chi-square ratio in closed form, at one k
+(``ratio_partial_moments``) or as arrays over k = k0 + 2l from one
+incomplete-beta ladder per moment (``ratio_moment_ladder``), and the mean of
+any function of that ratio as a Beta-weighted quadrature
+(``ratio_expectation``). A noncentral chi-square is a Poisson mixture of
+central ones; ``poisson_weights`` gives the mixture weights. Every kernel is
+the module's own, on numpy alone: the incomplete beta and log-beta
+(``_betainc_pair``, ``_log_beta``) from ``math.lgamma`` and a continued
+fraction, and the package's one quadrature, adaptive tanh-sinh
+(``_integrate``). All random draws come from counter-based Philox streams
+keyed by (seed, stream_id): the same key always reproduces the same draws,
+no matter which thread or process asks for them, so experiments can be
+sharded arbitrarily without changing a single number.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "f_quantile",
     "poisson_weights",
     "ratio_partial_moments",
-    "ratio_inverse_square_above",
+    "ratio_moment_ladder",
     "ratio_expectation",
 ]
 
@@ -86,9 +88,22 @@ def _lgamma_remainder(a: float) -> float:
     """
     if a < 10.0:
         return math.lgamma(a) - (a - 0.5) * math.log(a) + a - _HALF_LOG_2PI
+    return _stirling_series(a)
+
+
+def _stirling_series(a):
+    """The Stirling series of ``_lgamma_remainder``, for a float or an array a >= 10."""
     r = 1.0 / (a * a)
     return (1.0 / 12.0 + r * (-1.0 / 360.0 + r * (1.0 / 1260.0 + r * (-1.0 / 1680.0 + r * (
         1.0 / 1188.0 + r * (-691.0 / 360360.0 + r / 156.0)))))) / a
+
+
+def _lgamma_remainders(a: np.ndarray) -> np.ndarray:
+    """``_lgamma_remainder`` over an array a > 0."""
+    out = _stirling_series(np.maximum(a, 10.0))
+    small = a < 10.0
+    out[small] = [_lgamma_remainder(v) for v in a[small].tolist()]
+    return out
 
 
 def _beta_front(a: float, b: float, x: float) -> float:
@@ -106,6 +121,17 @@ def _beta_front(a: float, b: float, x: float) -> float:
     log_1mx = math.log1p(-d / nu) if abs(d) < 0.5 * nu else math.log((1.0 - x) / nu)
     return math.exp(a * log_x + b * log_1mx + 0.5 * math.log(a * nu / (2.0 * math.pi))
                     + _lgamma_remainder(s) - _lgamma_remainder(a) - _lgamma_remainder(b))
+
+
+def _beta_fronts(a: np.ndarray, b: float, x: float) -> np.ndarray:
+    """``_beta_front`` over an array of a > 0 at one b > 0 and 0 < x < 1."""
+    s = a + b
+    mu, nu = a / s, b / s
+    d = x - mu
+    log_x = np.where(abs(d) < 0.5 * mu, np.log1p(d / mu), np.log(x / mu))
+    log_1mx = np.where(abs(d) < 0.5 * nu, np.log1p(-d / nu), np.log((1.0 - x) / nu))
+    return np.exp(a * log_x + b * log_1mx + 0.5 * np.log(a * nu / (2.0 * math.pi))
+                  + _lgamma_remainders(s) - _lgamma_remainders(a) - _lgamma_remainder(b))
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:
@@ -196,6 +222,16 @@ def f_quantile(q: float, d1: int, d2: int) -> float:
     return x
 
 
+def _check_moment_args(k: int, n: int, c: float):
+    k = _check_df(k)
+    n = _check_df(n, "n")
+    if k <= 2:
+        raise ValueError("E[1/W] needs k > 2")
+    if not 0.0 <= c < 2.0 ** 53:
+        raise ValueError("the cut c must lie in [0, 2**53), where c/(1+c) < 1")
+    return k, n
+
+
 @lru_cache(maxsize=256)
 def ratio_partial_moments(k: int, n: int, c: float):
     """(P(W < c), E[1/W; W > c], E[W; W < c]) for W = U/V, with U ~ chi^2_k
@@ -203,25 +239,33 @@ def ratio_partial_moments(k: int, n: int, c: float):
 
     W/(1+W) is Beta(k/2, n/2), so with x = c/(1+c), a = k/2, b = n/2:
     P(W < c) = I_x(a, b), E[1/W; W > c] = n/(k-2) (1 - I_x(a-1, b+1)), and
-    E[W; W < c] = B_x(a+1, b-1)/B(a, b). The first two share one continued
-    fraction through I_x(a-1, b+1) = I_x(a, b) + x^{a-1} (1-x)^b / (b B(a, b)).
-    For n > 2 the third is a/(b-1) I_x(a+1, b-1). For n = 1 and n = 2,
-    where b - 1 <= 0 and I_x(a+1, b-1) is undefined, the unregularized
-    B_x(a+1, b-1) = x^{a+1} (1-x)^{b-1} / (a+1) * CF still holds, with CF
-    the same continued fraction (DLMF §8.17(v)), so one incomplete-beta
-    algorithm serves every n. Cached, since both moment curves ask for the
-    same (k, n, c) at every j.
+    E[W; W < c] = B_x(a+1, b-1)/B(a, b) (``_partial_tails``). Cached: the
+    beta_j scan of ``matrix_constants`` asks for each (k, n, c) once per
+    moment curve, and every ``matrix_constants`` call for the same family
+    and dims repeats the scan. ``ratio_moment_ladder`` gives the same bits
+    at its block boundaries without this cache.
     """
-    k = _check_df(k)
-    n = _check_df(n, "n")
-    if k <= 2:
-        raise ValueError("E[1/W] needs k > 2")
-    if not 0.0 <= c < 2.0 ** 53:
-        raise ValueError("the cut c must lie in [0, 2**53), where c/(1+c) < 1")
-    a, b = 0.5 * k, 0.5 * n
+    k, n = _check_moment_args(k, n, c)
     x = c / (1.0 + c)
     if x == 0.0:
         return 0.0, n / (k - 2.0), 0.0
+    below, above, w_below = _partial_tails(k, n, x)
+    return below, n / (k - 2.0) * above, w_below
+
+
+def _partial_tails(k: int, n: int, x: float):
+    """(I_x(a, b), 1 - I_x(a-1, b+1), B_x(a+1, b-1)/B(a, b)) for a = k/2 > 1,
+    b = n/2 and 0 < x < 1, from two continued fractions.
+
+    The first two share one fraction through
+    I_x(a-1, b+1) = I_x(a, b) + x^{a-1} (1-x)^b / (b B(a, b)). For n > 2 the
+    third is a/(b-1) I_x(a+1, b-1). For n = 1 and n = 2, where b - 1 <= 0
+    and I_x(a+1, b-1) is undefined, the unregularized
+    B_x(a+1, b-1) = x^{a+1} (1-x)^{b-1} / (a+1) * CF still holds, with CF
+    the same continued fraction (DLMF §8.17(v)), so one incomplete-beta
+    algorithm serves every n.
+    """
+    a, b = 0.5 * k, 0.5 * n
     # One prefactor x^a (1-x)^b / B(a, b) serves all three incomplete betas;
     # the shifted ones differ from it by ratios of powers and beta functions.
     front = _beta_front(a, b, x)
@@ -235,40 +279,101 @@ def ratio_partial_moments(k: int, n: int, c: float):
     else:
         above = _betainc_split(a - 1.0, b + 1.0, x, gap * (1.0 - x) * (a - 1.0))[1]
         below = 1.0 - (above + gap)
-    inv_above = n / (k - 2.0) * above
     if n > 2:
         front_next = front * x * (b - 1.0) / ((1.0 - x) * a)
-        return below, inv_above, a / (b - 1.0) * _betainc_split(a + 1.0, b - 1.0, x, front_next)[0]
-    below_moment = front * x / ((1.0 - x) * (a + 1.0)) * _beta_fraction(a + 1.0, b - 1.0, x)
-    return below, inv_above, below_moment
+        return below, above, a / (b - 1.0) * _betainc_split(a + 1.0, b - 1.0, x, front_next)[0]
+    return below, above, front * x / ((1.0 - x) * (a + 1.0)) * _beta_fraction(a + 1.0, b - 1.0, x)
 
 
-def ratio_inverse_square_above(k: int, n: int, c: float) -> float:
-    """E[1/W^2; W > c] for W = U/V, with U ~ chi^2_k and V ~ chi^2_n
-    independent, k > 4 and a finite cut c >= 0.
+# Steps per block of ``ratio_moment_ladder``: one continued fraction per
+# moment at every block boundary, and at most this many ladder steps between.
+_LADDER_BLOCK = 64
 
-    With x = c/(1+c), it is n(n+2)/((k-2)(k-4)) (1 - I_x(k/2 - 2, n/2 + 2)),
-    by the same Beta law of W/(1+W) as ``ratio_partial_moments``.
+
+def ratio_moment_ladder(k0: int, n: int, c: float, steps, inverse_square: bool = False):
+    """Arrays of (P(W < c), E[1/W; W > c], E[W; W < c], E[1/W^2; W > c]) over
+    k = k0 + 2l for l in ``steps`` (nonnegative integers), with W = U/V,
+    U ~ chi^2_k and V ~ chi^2_n independent, k0 > 2 and 0 <= c < 2**53. The
+    last is None unless ``inverse_square``, which needs k0 > 4.
+
+    Each moment is an incomplete-beta ladder in a = k/2 at fixed b = n/2 and
+    x = c/(1+c) (DLMF §8.17(iv)). With F(a) = x^a (1-x)^b / B(a, b):
+    P(W < c) = I_x(a, b) falls by F(a)/a from a to a + 1;
+    E[1/W; W > c] = n/(k-2) (1 - I_x(a-1, b+1)), whose tail grows by
+    F(a) (1-x)/(x b); E[W; W < c]/a falls by F(a) x / ((1-x) a (a+1)); and
+    E[1/W^2; W > c] = n(n+2)/((k-2)(k-4)) (1 - I_x(a-2, b+2)), whose tail
+    grows by F(a) ((1-x)/x)^2 (a-1)/(b(b+1)). The F(a) are formed directly
+    (``_beta_fronts``); a running product of their ratios overflows.
+
+    The steps are cut into blocks of ``_LADDER_BLOCK`` from l = 0. At each
+    block boundary the moments come from the continued fractions of
+    ``ratio_partial_moments``, with its bits, and inside a block each ladder
+    runs from a boundary in the direction in which its terms add: the tails
+    below c down from the block's top, the tails above c up from its bottom.
+    So a value depends on (k0, n, c, l) alone, not on the other steps asked
+    for. At c = 0 the moments are the closed forms 0, n/(k-2), 0 and
+    n(n+2)/((k-2)(k-4)).
     """
-    k = _check_df(k)
-    n = _check_df(n, "n")
-    if k <= 4:
+    k0, n = _check_moment_args(k0, n, c)
+    if inverse_square and k0 <= 4:
         raise ValueError("E[1/W^2] needs k > 4")
-    if not 0.0 <= c < math.inf:
-        raise ValueError("the cut c must be finite and nonnegative")
+    steps = np.asarray(steps, dtype=np.int64)
+    if steps.ndim != 1 or np.any(steps < 0):
+        raise ValueError("steps must be a 1-D array of nonnegative integers")
+    k = k0 + 2.0 * steps
     x = c / (1.0 + c)
-    tail = _betainc_pair(0.5 * k - 2.0, 0.5 * n + 2.0, x)[1]
-    return n * (n + 2.0) / ((k - 2.0) * (k - 4.0)) * tail
+    if x == 0.0:
+        inv2 = n * (n + 2.0) / ((k - 2.0) * (k - 4.0)) if inverse_square else None
+        return np.zeros(k.shape), n / (k - 2.0), np.zeros(k.shape), inv2
+    size, b = _LADDER_BLOCK, 0.5 * n
+    block, col = np.divmod(steps, size)
+    inside = col > 0
+    # The blocks a ladder runs in, and the boundaries it or a step needs
+    # (sets, since np.unique imports numpy.ma, 6 ms of a cold start).
+    rows = np.array(sorted(set(block[inside].tolist())), dtype=np.int64)
+    row_of = np.searchsorted(rows, block[inside])
+    ends = np.array(sorted(set(block[~inside].tolist() + rows.tolist() + (rows + 1).tolist())),
+                    dtype=np.int64)
+    kb = k0 + 2 * size * ends
+    anchors = np.array([_partial_tails(kk, n, x) + (
+        _betainc_pair(0.5 * kk - 2.0, b + 2.0, x)[1] if inverse_square else 0.0,)
+        for kk in kb.tolist()]).reshape(-1, 4)
+    # (P(W < c), 1 - I_x(a-1, b+1), E[W; W < c], 1 - I_x(a-2, b+2)) at every step
+    tails = anchors[np.searchsorted(ends, block)]
+    if rows.size:
+        bottom, cols = np.searchsorted(ends, rows), col[inside]
+        a = 0.5 * k0 + (size * rows)[:, None] + np.arange(size)
+        front = _beta_fronts(a, b, x)
+
+        def up(anchor, rise):  # anchor + rise[0] + ... + rise[r-1] at r = cols
+            return np.cumsum(np.column_stack([anchor[bottom], rise[:, :-1]]), axis=1)[row_of, cols]
+
+        def down(anchor, fall):  # the top anchor + fall[-1] + ... + fall[r] at r = cols
+            tail = np.column_stack([anchor[bottom + 1], fall[:, :0:-1]])
+            return np.cumsum(tail, axis=1)[row_of, size - cols]
+
+        tails[inside, 0] = down(anchors[:, 0], front / a)
+        tails[inside, 1] = up(anchors[:, 1], front * ((1.0 - x) / (x * b)))
+        fall = front * (x / (1.0 - x)) / (a * (a + 1.0))
+        tails[inside, 2] = 0.5 * k[inside] * down(anchors[:, 2] / (0.5 * kb), fall)
+        if inverse_square:
+            rise = front * (((1.0 - x) / x) ** 2 / (b * (b + 1.0))) * (a - 1.0)
+            tails[inside, 3] = up(anchors[:, 3], rise)
+    inv2 = n * (n + 2.0) / ((k - 2.0) * (k - 4.0)) * tails[:, 3] if inverse_square else None
+    return tails[:, 0], n / (k - 2.0) * tails[:, 1], tails[:, 2], inv2
 
 
 def poisson_weights(mean: float):
     """(j0, w) with w[i] = P(N = j0 + i) for N ~ Poisson(mean).
 
-    The log probabilities j log(mean) - mean - lgamma(j + 1) are formed on
-    a window of 9 sqrt(mean) + 40 indices either side of the mode; the
-    ends below 1e-17 of the modal term are dropped and the rest are scaled
-    to sum to one. The mass left out is below 1e-15, and the number of
-    terms grows like sqrt(mean).
+    The log ratios log(P(j)/P(m)) to the mode m = floor(mean) are summed
+    outward from it, from P(j)/P(j-1) = mean/j, on a window of
+    9 sqrt(mean) + 40 indices either side; the ends below 1e-17 of the
+    modal term are dropped and the rest are scaled to sum to one. No term
+    of size j log(mean) has to cancel, so a weight is good to about 1e-13
+    at mean = 5e5, where log probabilities from lgamma were 2e-9 off. The
+    mass left out is below 1e-15, and the number of terms grows like
+    sqrt(mean).
     """
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"the Poisson mean must be finite and nonnegative, got {mean!r}")
@@ -276,12 +381,12 @@ def poisson_weights(mean: float):
         return 0, np.ones(1)
     mode = int(mean)
     half = int(9.0 * math.sqrt(mean)) + 40
-    j = np.arange(max(mode - half, 0), mode + half + 1, dtype=float)
-    log_w = j * math.log(mean) - mean - np.array([math.lgamma(v + 1.0) for v in j.tolist()])
-    log_w -= log_w.max()
+    lo = max(mode - half, 0)
+    log_w = np.concatenate([np.cumsum(np.log(np.arange(mode, lo, -1) / mean))[::-1], [0.0],
+                            np.cumsum(np.log(mean / np.arange(mode + 1, mode + half + 1)))])
     keep = np.flatnonzero(log_w >= math.log(1e-17))
     w = np.exp(log_w[keep[0]:keep[-1] + 1])
-    return int(j[keep[0]]), w / w.sum()
+    return lo + int(keep[0]), w / w.sum()
 
 
 # Tanh-sinh nodes x = 1/(1 + e^{-pi sinh t}) at t = i/16, |t| <= 4 (Takahasi & Mori

@@ -298,17 +298,24 @@ def _loss_stats(losses: list, base_idx):
     return out
 
 
-def _risk_curve(cfg: ExperimentConfig, domain: int, kinds: tuple, umvue, constants, loss: str,
-                losses_at) -> RiskTable:
-    """One risk curve of ``kinds``: ``losses_at(point)`` returns the block
-    score fn(s, w, xx, x_theta) of per-kind loss arrays. The diff columns
-    pair each kind with the ``umvue`` kind, nan when it is not in the run."""
+def _risk_curve(cfg: ExperimentConfig, domain: int, kinds: tuple, umvue, constants, truth,
+                loss: str, losses_at) -> RiskTable:
+    """One risk curve of ``kinds``: ``truth(fam, dims)`` gives the exact
+    truth over the whole noncentrality grid, asked for once per (dims,
+    family), and ``losses_at(point, truth)`` the block score
+    fn(s, w, xx, x_theta) of per-kind loss arrays at one point. The diff
+    columns pair each kind with the ``umvue`` kind, nan when it is not in
+    the run."""
     base_idx = kinds.index(umvue) if umvue in kinds else None
     if not any(k.needs_constants for k in kinds):
         constants = None
+    truths = {}
 
     def scorer(pt):
-        losses = losses_at(pt)
+        key = (pt.fam_name, pt.dims)
+        if key not in truths:
+            truths[key] = dict(zip(cfg.lambda_grid, truth(pt.fam, pt.dims)))
+        losses = losses_at(pt, truths[key][pt.lam])
         return lambda *block: _loss_stats(losses(*block), base_idx)
 
     rows, totals = [], _grid(cfg, domain, constants, scorer)
@@ -337,9 +344,8 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
     if loss not in ("mse", "reduction"):
         raise ValueError("loss must be 'mse' or 'reduction'")
 
-    def losses_at(pt):
+    def losses_at(pt, r_true):
         p, n = pt.dims.p, pt.dims.n
-        r_true = true_risk(pt.fam, pt.dims, pt.lam)
         target = r_true if loss == "mse" else p - r_true
 
         def losses(s, w, _xx, _x_theta):
@@ -355,7 +361,9 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
         return losses
 
     return _risk_curve(cfg, _DOMAIN_MSE_CURVE, cfg.estimator_kinds, MseEstimatorKind.UMVUE,
-                       lambda _name, fam, dims: shrinkage_constants(fam, dims), loss, losses_at)
+                       lambda _name, fam, dims: shrinkage_constants(fam, dims),
+                       lambda fam, dims: true_risk(fam, dims, cfg.lambda_grid).tolist(),
+                       loss, losses_at)
 
 
 def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
@@ -388,9 +396,9 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     if loss not in ("matrix", "reduction"):
         raise ValueError("loss must be 'matrix' or 'reduction'")
 
-    def losses_at(pt):
+    def losses_at(pt, truth):
         p, n, lam = pt.dims.p, pt.dims.n, pt.lam
-        a, b = true_mse_matrix(pt.fam, pt.dims, lam)
+        a, b = truth
         if loss == "reduction":
             a, b = 1.0 - a, -b
         tr_m = p * a + b * lam
@@ -409,8 +417,12 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
 
         return losses
 
+    def truth(fam, dims):
+        a, b = true_mse_matrix(fam, dims, cfg.lambda_grid)
+        return list(zip(a.tolist(), b.tolist()))
+
     return _risk_curve(cfg, _DOMAIN_MATRIX_CURVE, cfg.matrix_kinds, MatrixEstimatorKind.UMVUE,
-                       _matrix_constants_from(consts_map), loss, losses_at)
+                       _matrix_constants_from(consts_map), truth, loss, losses_at)
 
 
 def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bracketed_root
-from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_mean,
+from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_means,
                         _require_dims_match)
 from .umvue import _observed_kernel, _unbiased_mse, a_of_w
 
@@ -84,7 +84,7 @@ def alpha_pn(fam: ShrinkageFamily, dims: ProblemDims) -> float:
     vouches that phi(W)/W is nonincreasing so the reduction really is
     maximized at zero signal (true for both built-in families).
     """
-    return _reduction_mean(fam, dims, dims.p)
+    return float(_reduction_means(fam, dims, [0])[0])
 
 
 def solve_w_pn(fam: ShrinkageFamily, dims: ProblemDims, alpha: float) -> float:

@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (poisson_weights, ratio_expectation, ratio_inverse_square_above,
-                            ratio_partial_moments)
+from .distributions import poisson_weights, ratio_expectation, ratio_moment_ladder
 
 __all__ = [
     "FamilyKind",
@@ -287,72 +286,118 @@ def _require_dims_match(fam: ShrinkageFamily, dims: ProblemDims) -> None:
         raise ValueError(f"this {fam.label} family was built for other dims than {dims}")
 
 
-def _reduction_mean(fam: ShrinkageFamily, dims: ProblemDims, k: int) -> float:
-    """Mean of ``risk_reduction_integrand`` over W = U/V, U ~ chi^2_k, V ~ chi^2_n.
+def _reduction_means(fam: ShrinkageFamily, dims: ProblemDims, steps) -> np.ndarray:
+    """Means of ``risk_reduction_integrand`` over W = U/V, U ~ chi^2_k and
+    V ~ chi^2_n, for k = p + 2l, l in ``steps``.
 
     Closed forms for the built-in families: n(p-2)^2/((n+2)(k-2)) for the
     James-Stein rule, and for the positive-part rule the partial moments of
-    W on either side of the kink c = (p-2)/(n+2), where the integrand is
-    2p - (n-2)W below and c(p-2)/W above. Custom families get one
-    quadrature (``ratio_expectation``).
+    W on either side of the kink c = (p-2)/(n+2) (``ratio_moment_ladder``
+    from k = p), where the integrand is 2p - (n-2)W below and c(p-2)/W
+    above. Custom families get one quadrature per k (``ratio_expectation``).
     """
-    _require_dims_match(fam, dims)
     p, n = dims.p, dims.n
+    k = p + 2 * np.asarray(steps, dtype=np.int64)
+    if not fam.has_closed_forms:
+        return np.array([ratio_expectation(lambda w: risk_reduction_integrand(fam, dims, w), kk, n)
+                         for kk in k.tolist()])
+    _require_dims_match(fam, dims)
     if fam.kind is FamilyKind.JAMES_STEIN:
         return n * (p - 2.0) / (n + 2.0) * ((p - 2.0) / (k - 2.0))
-    if fam.kind is FamilyKind.POSITIVE_PART:
-        c = dims.shrink_constant
-        below, inv_above, w_below = ratio_partial_moments(k, n, c)
-        return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above
-    return ratio_expectation(lambda w: risk_reduction_integrand(fam, dims, w), k, n)
+    c = dims.shrink_constant
+    below, inv_above, w_below, _ = ratio_moment_ladder(p, n, c, steps)
+    return 2.0 * p * below - (n - 2.0) * w_below + c * (p - 2.0) * inv_above
 
 
-def _shrink_factor_moments(fam: ShrinkageFamily, dims: ProblemDims, k: int):
-    """(E[h], E[h^2]) for h = 1 - phi(W)/W over W = U/V, U ~ chi^2_k, V ~ chi^2_n.
+def _shrink_factor_tables(fam: ShrinkageFamily, dims: ProblemDims, steps):
+    """(G, G2, D) over k = p + 2 + 2l for l in ``steps``: G = E[g] and
+    G2 = E[g^2] for g = phi(W)/W over W = U/V, U ~ chi^2_k, V ~ chi^2_n, and
+    D = G(k) - G(k+2), read only where l + 1 is the next step.
 
-    Both built-in rules have h = 0 below a cut (c for the positive part, 0
-    for James-Stein) and h = 1 - c/W above it, so the partial moments
-    P(W > cut), E[1/W; W > cut] and E[1/W^2; W > cut] give both means.
+    Both built-in rules have g = 1 below a cut (c for the positive part, 0
+    for James-Stein) and c/W above it, so the partial moments from
+    ``ratio_moment_ladder`` give G and G2. For them D is the cancellation-free
+    (2c/k) E[1/W; W > c]: a chi^2_{k+2} density is u/k times a chi^2_k one,
+    so G(k) - G(k+2) = -(2/k) E[W g'(W)] over chi^2_k, and W g'(W) is -c/W
+    above the cut and 0 below it. Custom families get one quadrature per k
+    for each of G and G2, and D = G(k) - G(k+2).
     """
+    k = dims.p + 2 + 2 * np.asarray(steps, dtype=np.int64)
     if not fam.has_closed_forms:
-        return (ratio_expectation(lambda w: shrink_factors(fam, w), k, dims.n),
-                ratio_expectation(lambda w: shrink_factors(fam, w) ** 2, k, dims.n))
+        def g(w):
+            return np.asarray(fam.phi(w), dtype=float) / w
+
+        tables = np.array([(ratio_expectation(g, kk, dims.n),
+                            ratio_expectation(lambda w: g(w) ** 2, kk, dims.n))
+                           for kk in k.tolist()]).reshape(-1, 2)
+        mean, square = tables[:, 0], tables[:, 1]
+        return mean, square, mean - np.append(mean[1:], 0.0)
     _require_dims_match(fam, dims)
     c = dims.shrink_constant
     cut = c if fam.kind is FamilyKind.POSITIVE_PART else 0.0
-    below, inv_above, _ = ratio_partial_moments(k, dims.n, cut)
-    inv2_above = ratio_inverse_square_above(k, dims.n, cut)
-    return 1.0 - below - c * inv_above, 1.0 - below - 2.0 * c * inv_above + c * c * inv2_above
+    below, inv_above, _, inv2_above = ratio_moment_ladder(dims.p + 2, dims.n, cut, steps,
+                                                          inverse_square=True)
+    return below + c * inv_above, below + c * c * inv2_above, 2.0 * c / k * inv_above
 
 
-def true_risk(fam: ShrinkageFamily, dims: ProblemDims, lam: float) -> float:
-    """Exact risk of the rule at noncentrality lam (sigma^2 = 1 units).
+def _mixture_windows(lam, extra: int = 0):
+    """The Poisson(lam/2) weights (j0, w) of each lam in ``lam`` (a scalar or
+    an array), and the sorted steps j0 .. j0 + len(w) - 1 + ``extra`` that
+    they cover. A negative or non-finite lam raises ValueError."""
+    windows = [poisson_weights(0.5 * v) for v in np.ravel(np.asarray(lam, dtype=float)).tolist()]
+    spans = np.sort(np.concatenate([np.arange(j0, j0 + len(w) + extra) for j0, w in windows]
+                                   + [np.zeros(0, dtype=int)]))
+    return windows, spans[np.diff(spans, prepend=-1) > 0]  # np.unique would import numpy.ma
+
+
+def _shaped(lam, values: list):
+    """``values``, one per lam, as a float for a scalar lam, else an array of lam's shape."""
+    shape = np.shape(lam)
+    return values[0] if shape == () else np.array(values).reshape(shape)
+
+
+def true_risk(fam: ShrinkageFamily, dims: ProblemDims, lam):
+    """Exact risk of the rule at noncentrality lam (sigma^2 = 1 units), a
+    float for a scalar lam and an array of lam's shape for an array.
 
     ||X||^2 ~ chi^2_p(lam) is a Poisson(lam/2) mixture of chi^2_{p+2j}, so
     the risk is p - sum_j P(j) m(p + 2j), with m(k) the mean of
-    ``risk_reduction_integrand`` over W = chi^2_k / chi^2_n. It does not
-    depend on the true scale or on the direction of theta, and at lam = 0
-    it is exactly p - ``alpha_pn``. A negative or non-finite lam raises
-    ValueError.
+    ``risk_reduction_integrand`` over W = chi^2_k / chi^2_n, taken once for
+    every k that some lam needs and summed exactly (``math.fsum``). So a
+    lam's risk has the same bits alone as in a grid. It does not depend on
+    the true scale or on the direction of theta, and at lam = 0 it is
+    exactly p - ``alpha_pn``. A negative or non-finite lam raises ValueError.
     """
-    j0, weights = poisson_weights(0.5 * lam)
-    means = [_reduction_mean(fam, dims, dims.p + 2 * (j0 + i)) for i in range(len(weights))]
-    return dims.p - float(np.dot(weights, means))
+    windows, steps = _mixture_windows(lam)
+    means = _reduction_means(fam, dims, steps)
+    risks = []
+    for j0, w in windows:
+        i = int(np.searchsorted(steps, j0))
+        risks.append(dims.p - math.fsum(w * means[i:i + len(w)]))
+    return _shaped(lam, risks)
 
 
-def true_mse_matrix(fam: ShrinkageFamily, dims: ProblemDims, lam: float):
+def true_mse_matrix(fam: ShrinkageFamily, dims: ProblemDims, lam):
     """Exact MSE matrix E[(delta - theta)(delta - theta)'] = a I + b theta theta'.
 
-    Returns (a, b). With h = 1 - phi(W)/W, the Judge & Bock (1978) identity
+    Returns (a, b), floats for a scalar lam and arrays of lam's shape for
+    an array. With h = 1 - g, g = phi(W)/W, the Judge & Bock (1978) identity
     E[f(||X||^2) X X'] = E[f(chi^2_{p+2}(lam))] I + E[f(chi^2_{p+4}(lam))] theta theta'
     gives a = E[h^2] at chi^2_{p+2}(lam) and
-    b = E[h^2] at chi^2_{p+4}(lam) - 2 E[h] at chi^2_{p+2}(lam) + 1, each a
-    Poisson(lam/2) mixture over central chi-squares. The trace p a + b lam
-    is ``true_risk``.
+    b = E[h^2] at chi^2_{p+4}(lam) - 2 E[h] at chi^2_{p+2}(lam) + 1
+      = E[g^2] at chi^2_{p+4}(lam) + 2 (E[g] at chi^2_{p+2}(lam) - E[g] at chi^2_{p+4}(lam)),
+    each a Poisson(lam/2) mixture over central chi-squares. b is summed in
+    the second form from its per-k terms (``_shrink_factor_tables``), so no
+    O(1) numbers cancel where b is small (b ~ 1e-12 at lam = 1e6). The trace
+    p a + b lam is ``true_risk``. As there, each lam's values have the same
+    bits alone as in a grid.
     """
-    j0, weights = poisson_weights(0.5 * lam)
-    moments = np.array([_shrink_factor_moments(fam, dims, dims.p + 2 + 2 * (j0 + i))
-                        for i in range(len(weights) + 1)])
-    a = float(np.dot(weights, moments[:-1, 1]))
-    b = float(np.dot(weights, moments[1:, 1]) - 2.0 * np.dot(weights, moments[:-1, 0]) + 1.0)
-    return a, b
+    windows, steps = _mixture_windows(lam, extra=1)
+    mean, square, drop = _shrink_factor_tables(fam, dims, steps)
+    a_values, b_values = [], []
+    for j0, w in windows:
+        i = int(np.searchsorted(steps, j0))
+        at, up = slice(i, i + len(w)), slice(i + 1, i + 1 + len(w))
+        a_values.append(math.fsum(w * (1.0 - 2.0 * mean[at] + square[at])))
+        b_values.append(math.fsum(w * (square[up] + 2.0 * drop[at])))
+    return _shaped(lam, a_values), _shaped(lam, b_values)

@@ -5,6 +5,8 @@ the library path it checks: elementary closed forms, direct quadrature,
 dense linear algebra, or exact moment identities for chi-square ratios.
 """
 
+import functools
+
 import mpmath
 import numpy as np
 from scipy.integrate import quad
@@ -98,6 +100,69 @@ def ratio_moments_mpmath(k, n, c, dps=40):
                    / ((a + 1) * mpmath.beta(a, b)))
         inv2 = n * (n + 2) / mpmath.mpf((k - 2) * (k - 4)) * upper(a - 2, b + 2) if k > 4 else None
         return lower(a, b), n / mpmath.mpf(k - 2) * upper(a - 1, b + 1), w_below, inv2
+
+
+@functools.lru_cache(maxsize=None)
+def truth_mpmath(name, p, n, lam, dps=40):
+    """(risk, a, b) of the built-in rule ``name`` at noncentrality lam, as
+    mpmath numbers at ``dps`` digits, without the Stein identity: a and b
+    from the Judge & Bock mixtures of h = 1 - g, g = c/W for James-Stein and
+    min(1, c/W) for the positive part, c = (p-2)/(n+2), in the plain form
+    a = E[h^2]_{p+2}, b = E[h^2]_{p+4} - 2 E[h]_{p+2} + 1, whose
+    cancellation the working precision absorbs; the risk is the trace
+    p a + lam b. E_k[.] is the Poisson(lam/2) mixture over chi^2_{k+2j}, on
+    the mode +- 15 standard deviations (the mass left out is below 1e-45).
+
+    Per k, E[g] = P(W < cut) + c E[1/W; W > cut] and
+    E[g^2] = P(W < cut) + c^2 E[1/W^2; W > cut] for W = chi^2_k / chi^2_n,
+    with cut = c or 0, from the Beta law of W/(1+W) at x = cut/(1+cut): each
+    tail is an ``mpmath.betainc``. The tails below the cut fall as k grows;
+    from the first k where the largest, I_x(k/2 - 2, n/2 + 2), is below
+    10^-(dps+10) by its first term and a geometric bound on the rest, they
+    are dropped and the tails above the cut are 1, which spares the sums at
+    lam = 1e6.
+    """
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(p - 2) / (n + 2)
+        cut = c if name == "positive-part" else mpmath.mpf(0)
+        x, half_n = cut / (1 + cut), mpmath.mpf(n) / 2
+        # Poisson weights relative to the mode's, by P(j+1)/P(j) = mean/(j+1).
+        mean, mode = mpmath.mpf(lam) / 2, int(lam / 2)
+        half = int(15 * mpmath.sqrt(mean)) + 20 if lam else 0
+        js = range(max(mode - half, 0), mode + half + 1)
+        weights = {mode: mpmath.mpf(1)}
+        for j in range(mode + 1, js.stop):
+            weights[j] = weights[j - 1] * mean / j
+        for j in range(mode - 1, js.start - 1, -1):
+            weights[j] = weights[j + 1] * (j + 1) / mean
+        weights = [weights[j] for j in js]
+        total = mpmath.fsum(weights)
+        h_moments, dropped = {}, cut == 0
+        for k in sorted({p + 2 + 2 * j for j in js} | {p + 4 + 2 * j for j in js}):
+            a = mpmath.mpf(k) / 2
+            inv, inv2 = n / (2 * a - 2), n * (n + 2) / ((2 * a - 2) * (2 * a - 4))
+            if not dropped:
+                ratio = max(x, x * (a + half_n) / (a - 1))  # of the I_x(a-2, b+2) terms
+                log_first = ((a - 2) * mpmath.log(x) + (half_n + 2) * mpmath.log1p(-x)
+                             - mpmath.log(a - 2) - mpmath.log(mpmath.beta(a - 2, half_n + 2)))
+                dropped = ratio < 1 and (log_first - mpmath.log1p(-ratio)
+                                         < -(dps + 10) * mpmath.log(10))
+            if dropped:
+                g, g2 = c * inv, c * c * inv2
+            else:
+                below = mpmath.betainc(a, half_n, 0, x, regularized=True)
+                g = below + c * inv * mpmath.betainc(a - 1, half_n + 1, x, 1, regularized=True)
+                g2 = below + c * c * inv2 * mpmath.betainc(a - 2, half_n + 2, x, 1,
+                                                           regularized=True)
+            h_moments[k] = (1 - g, 1 - 2 * g + g2)
+
+        def mixture(k0, which):
+            return mpmath.fsum(w * h_moments[k0 + 2 * j][which]
+                               for j, w in zip(js, weights)) / total
+
+        a = mixture(p + 2, 1)
+        b = mixture(p + 4, 1) - 2 * mixture(p + 2, 0) + 1
+        return p * a + lam * b, a, b
 
 
 def js_plus_alpha_quad(p, n):

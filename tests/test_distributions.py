@@ -12,9 +12,8 @@ from scipy.special import betainc, betaincc, betaln
 import steinmse as sm
 from _oracles import (chi2_cdf_df4_quad, chi2_pdf, f_quantile_by_quadrature,
                       ratio_chi2_density, ratio_moments_mpmath)
-from steinmse.distributions import (_beta_fraction, _betainc_pair, poisson_weights,
-                                    ratio_expectation, ratio_inverse_square_above,
-                                    ratio_partial_moments)
+from steinmse.distributions import (_LADDER_BLOCK, _beta_fraction, _betainc_pair, poisson_weights,
+                                    ratio_expectation, ratio_moment_ladder, ratio_partial_moments)
 
 
 def test_chi2_pdf_exponential_case():
@@ -118,19 +117,27 @@ def test_poisson_weights_rejects_bad_mean(mean):
         poisson_weights(mean)
 
 
+def _inverse_square_above(k, n, c):
+    """E[1/W^2; W > c] at k > 4 from the ladder up from k = 5 or 6."""
+    k0 = 5 + (k - 5) % 2
+    return ratio_moment_ladder(k0, n, c, [(k - k0) // 2], inverse_square=True)[3][0]
+
+
 @pytest.mark.parametrize("k,n,c", [(5, 5, 0.0), (7, 5, 0.4286), (12, 1, 0.5), (9, 10, 2.0)])
 def test_inverse_square_above_matches_quadrature(k, n, c):
     # Oracle: direct quadrature of w^-2 against the chi-square ratio density.
     val, _ = quad(lambda w: ratio_chi2_density(w, k, n) / (w * w), c, np.inf,
                   epsabs=0.0, epsrel=1e-12, limit=400)
-    assert ratio_inverse_square_above(k, n, c) == pytest.approx(val, rel=1e-9)
+    assert _inverse_square_above(k, n, c) == pytest.approx(val, rel=1e-9)
 
 
 def test_inverse_square_above_domain_errors():
+    with pytest.raises(ValueError, match="needs k > 4"):
+        ratio_moment_ladder(4, 5, 0.0, [1], inverse_square=True)
     with pytest.raises(ValueError):
-        ratio_inverse_square_above(4, 5, 0.0)
-    with pytest.raises(ValueError):
-        ratio_inverse_square_above(6, 5, -1.0)
+        ratio_moment_ladder(6, 5, -1.0, [0], inverse_square=True)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        ratio_moment_ladder(6, 5, 0.5, [-1])
 
 
 def test_f_quantile_median_symmetry():
@@ -240,15 +247,18 @@ def test_betainc_pair_complement_and_contiguous_relation(a, b, x):
 def test_partial_moments_match_mpmath(p, n):
     # The three partial moments and E[1/W^2; W > c] at the positive-part
     # cut, for k = p + 2j across the j-scan, against 40-digit references.
+    # Each k is checked both in the scalar and in the ladders from k = p
+    # (and from k = 5 or 6 for E[1/W^2]), which cross a block boundary.
     c = (p - 2.0) / (n + 2.0)
-    for j in (0, 1, 3, 10, 50, 200):
-        k = p + 2 * j
+    ks = [p + 2 * j for j in (0, 1, 3, 10, 50, 200)]
+    ladder = ratio_moment_ladder(p, n, c, [(k - p) // 2 for k in ks])
+    for i, k in enumerate(ks):
         ref = ratio_moments_mpmath(k, n, c)
-        inv2 = ratio_inverse_square_above(k, n, c) if k > 4 else None
-        got = ratio_partial_moments(k, n, c) + (inv2,)
-        for g, r in zip(got, ref):
-            if r is not None:
-                assert g == pytest.approx(float(r), rel=5e-13), (k, n)
+        inv2 = _inverse_square_above(k, n, c) if k > 4 else None
+        for got in (ratio_partial_moments(k, n, c), tuple(m[i] for m in ladder[:3])):
+            for g, r in zip(got + (inv2,), ref):
+                if r is not None:
+                    assert g == pytest.approx(float(r), rel=5e-13), (k, n)
 
 
 @pytest.mark.parametrize("c", [0.01, 0.3, 1.0, 4.0, 60.0])
@@ -256,11 +266,28 @@ def test_partial_moments_match_mpmath(p, n):
 def test_partial_moments_match_mpmath_on_both_sides_of_the_mean(k, n, c):
     # Cuts far below and far above the mean of W, so that each tail is
     # computed both directly and as a complement.
+    # The ladder reaches k from k = 3 or 4.
     ref = ratio_moments_mpmath(k, n, c)
-    inv2 = ratio_inverse_square_above(k, n, c) if k > 4 else None
-    for g, r in zip(ratio_partial_moments(k, n, c) + (inv2,), ref):
-        if r is not None:
-            assert g == pytest.approx(float(r), rel=5e-13)
+    inv2 = _inverse_square_above(k, n, c) if k > 4 else None
+    ladder = ratio_moment_ladder(3 + (k - 3) % 2, n, c, [(k - 3) // 2])
+    for got in (ratio_partial_moments(k, n, c), tuple(m[0] for m in ladder[:3])):
+        for g, r in zip(got + (inv2,), ref):
+            if r is not None:
+                assert g == pytest.approx(float(r), rel=5e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k0=st.integers(5, 400), n=st.integers(1, 400), c=st.floats(0.01, 100.0),
+       steps=st.lists(st.integers(0, 4 * _LADDER_BLOCK), min_size=1, max_size=12))
+def test_ladder_value_depends_on_its_step_alone(k0, n, c, steps):
+    # Every step has the bits it has when asked for alone, and at a block
+    # boundary the bits of the scalar continued fractions.
+    ladder = ratio_moment_ladder(k0, n, c, steps, inverse_square=True)
+    for i, l in enumerate(steps):
+        alone = ratio_moment_ladder(k0, n, c, [l], inverse_square=True)
+        assert [m[i] for m in ladder] == [m[0] for m in alone]
+        if l % _LADDER_BLOCK == 0:
+            assert tuple(m[i] for m in ladder[:3]) == ratio_partial_moments(k0 + 2 * l, n, c)
 
 
 def test_partial_moment_below_cut_at_large_odd_n():
@@ -299,7 +326,7 @@ def test_partial_moments_reject_bad_cut(c):
     with pytest.raises(ValueError):
         ratio_partial_moments(5, 5, c)
     with pytest.raises(ValueError):
-        ratio_inverse_square_above(6, 5, c)
+        ratio_moment_ladder(6, 5, c, [0], inverse_square=True)
 
 
 def test_partial_moments_reject_cut_where_x_rounds_to_one():

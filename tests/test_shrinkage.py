@@ -9,9 +9,11 @@ import steinmse as sm
 from steinmse.matrix_improved import b_of_w, beta_j
 from steinmse.mse_improved import alpha_pn, solve_w_pn
 from steinmse.umvue import g_functions
-from _oracles import mse_matrix_monte_carlo, true_risk_monte_carlo
+from _oracles import mse_matrix_monte_carlo, true_risk_monte_carlo, truth_mpmath
 
 TABLE_DIMS = ((5, 5), (10, 5), (5, 10), (10, 10))
+ORACLE_DIMS = TABLE_DIMS + ((3, 1), (5, 310), (200, 1000))
+FAMILIES = ("james-stein", "positive-part")
 
 
 def _zero_family():
@@ -271,6 +273,62 @@ def test_matrix_trace_is_scalar_risk(p, n, lam, fam_name):
     fam = sm.family_from_name(fam_name, dims)
     a, b = sm.true_mse_matrix(fam, dims, lam)
     assert p * a + b * lam == pytest.approx(sm.true_risk(fam, dims, lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("fam_name", FAMILIES)
+@pytest.mark.parametrize("p,n", ORACLE_DIMS)
+def test_exact_truth_matches_mpmath(p, n, fam_name):
+    # The oracle takes a and b from the Judge & Bock mixtures in their plain
+    # form at 40 digits and the risk as the trace p a + lam b, so it shares
+    # neither the Stein-identity form of the risk nor the per-k terms of b.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    lams = (0.0, 1.0, 20.0, 300.0)
+    got = (sm.true_risk(fam, dims, lams),) + sm.true_mse_matrix(fam, dims, lams)
+    for i, lam in enumerate(lams):
+        for g, ref in zip(got, truth_mpmath(fam_name, p, n, lam)):
+            assert g[i] == pytest.approx(float(ref), rel=5e-13), lam
+
+
+@pytest.mark.parametrize("fam_name", FAMILIES)
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 5)])
+def test_matrix_b_at_large_signal_matches_mpmath(p, n, fam_name):
+    # b is about 1e-12 at lam = 1e6; formed as E[h^2] - 2 E[h] + 1 from O(1)
+    # mixtures, it was 2.7e-4 off at James-Stein (3,1). The test suite makes
+    # every RuntimeWarning an error, so none fires up to lam = 1e6.
+    dims = sm.ProblemDims(p, n)
+    _, b = sm.true_mse_matrix(sm.family_from_name(fam_name, dims), dims, 1e6)
+    assert b == pytest.approx(float(truth_mpmath(fam_name, p, n, 1e6)[2]), rel=1e-12)
+
+
+@pytest.mark.parametrize("fam_name", FAMILIES)
+@pytest.mark.parametrize("p,n", ORACLE_DIMS)
+def test_matrix_trace_is_scalar_risk_up_to_large_signal(p, n, fam_name):
+    # At (200, 1000) and lam = 0 the risk p - m(p) keeps 1/155 of m(p) and a
+    # is a like difference, so each is 1e-13 off the 40-digit oracle
+    # (which holds them to 5e-13) from 2e-15 moments, and they differ by 1.5e-13.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    lams = np.array([0.0, 3.0, 50.0, 200.0, 1e4, 1e6])
+    a, b = sm.true_mse_matrix(fam, dims, lams)
+    rtol = 2e-13 if (p, n) == (200, 1000) else 1e-13
+    np.testing.assert_allclose(p * a + b * lams, sm.true_risk(fam, dims, lams), rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("fam_name", FAMILIES)
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 5), (200, 1000)])
+def test_truth_of_a_noncentrality_has_the_same_bits_alone_and_in_a_grid(p, n, fam_name):
+    # Overlapping and far-apart Poisson windows, out of order, and a 2-D grid.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    lams = np.array([[20.0, 0.0, 1.0], [300.0, 1e4, 1e6]])
+    risks = sm.true_risk(fam, dims, lams)
+    a, b = sm.true_mse_matrix(fam, dims, lams)
+    assert risks.shape == a.shape == b.shape == lams.shape
+    for i in np.ndindex(lams.shape):
+        lam = float(lams[i])
+        assert sm.true_risk(fam, dims, lam) == risks[i]
+        assert sm.true_mse_matrix(fam, dims, lam) == (a[i], b[i])
 
 
 def test_family_from_name_aliases():
