@@ -5,14 +5,14 @@ quadratic_form(center - theta) / p <= threshold, where the quadratic form
 inverts an AxialMatrix shape exactly (O(p), no dense solves). The
 baseline ``C0`` is the F-pivot ball around X; ``C3`` recenters it at the
 shrinkage estimate; ``C1`` / ``C2`` reshape it with the positive-definite
-MSE-matrix estimates; the starred variants rescale the threshold so their
-volume equals C0's exactly while keeping the estimated shape.
+MSE-matrix estimates; the starred variants keep the estimated shape and
+rescale the threshold so that their volume is C0's by construction.
 
 ``_set_geometry`` computes the sets of a tuple of specs for m observations
 from length-m arrays alone: S, W and, for membership, the row statistics
-||x||^2 and x'theta. It makes each distinct shape (one per matrix kind)
-once. The coverage engine in ``experiments`` calls it per block of draws;
-``build_confidence_set`` is its m = 1, one-spec case.
+||x||^2 and x'theta. It makes each shape (one per matrix kind) and C0's
+log-volume at each level (C3's and the starred sets' too) once. The coverage
+engine calls it per block of draws; ``build_confidence_set`` is its m = 1 case.
 
 Volumes include the p^{p/2} factor coming from the "/p" inside the Q
 statistics; it is common to every variant, so volume ratios are
@@ -93,9 +93,12 @@ class ConfidenceResult:
     contains_truth: bool | None
 
     def contains(self, theta) -> bool:
-        """Closed-set membership: quadratic form / p <= threshold."""
-        d = self.center - np.asarray(theta, dtype=float)
-        return bool(quad_form_inv(self.shape, d) / self.shape.dim <= self.quadratic_radius)
+        """Closed-set membership of a finite length-p theta: quadratic form / p <= threshold."""
+        theta = _vector(theta, self.shape.dim)
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite")
+        return bool(quad_form_inv(self.shape, self.center - theta) / self.shape.dim
+                    <= self.quadratic_radius)
 
 
 def _require_positive_definite(m: AxialMatrix, context: str):
@@ -116,15 +119,20 @@ def _log_volume(logdet, c, p):
     return 0.5 * logdet + 0.5 * p * np.log(c * p * np.pi) - math.lgamma(0.5 * p + 1.0)
 
 
+def _vector(d, p: int) -> np.ndarray:
+    d = np.asarray(d, dtype=float).reshape(-1)
+    if d.shape != (p,):
+        raise ValueError(f"vector has length {d.shape[0]}, expected {p}")
+    return d
+
+
 def quad_form_inv(m: AxialMatrix, d) -> float:
     """d' M^{-1} d for an AxialMatrix M, computed in O(p).
 
     Uses the rank-one inverse: with t = u'd,
     d'M^{-1}d = ((||d||^2 - t^2)/iso + t^2/(iso+axial)) / scale.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.shape != (m.dim,):
-        raise ValueError(f"vector has length {d.shape[0]}, expected {m.dim}")
+    d = _vector(d, m.dim)
     _require_positive_definite(m, "inverse quadratic form")
     t = float(m.axis @ d)
     return _inv_quad(float(d @ d) - t * t, t * t, m.iso, m.iso + m.axial, m.scale)
@@ -146,8 +154,8 @@ def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
     return float(np.exp(log_volume))
 
 
-_SetGeometry = namedtuple("_SetGeometry", ["l_perp", "l_axis", "logdet", "quantile", "radius",
-                                           "log_volume", "q", "covered"])
+_SetGeometry = namedtuple("_SetGeometry", ["l_perp", "l_axis", "logdet", "radius", "log_volume",
+                                           "q", "covered"])
 
 
 def _row_distances(f, xx, x_theta, theta_theta):
@@ -165,22 +173,22 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
     variant but C0 is centred at delta = (1 - phi(W)/W) x.
 
     Returns one geometry per spec: the shape's eigenvalue factors and
-    log-determinant, the F quantile c at its level, the threshold (scalar
-    c, or (S/n) c / |M|^{1/p} for the starred variants, which makes their
+    log-determinant, the threshold (the F quantile c at the spec's level,
+    or (S/n) c / |M|^{1/p} for the starred variants, which makes their
     volume C0's), the log-volume and, given ``rows``, a matrix shape's
     quadratic form q and whether the set contains theta. A spec reuses the
-    shape and q of an earlier spec of its kind, and C3 C0's log-volume at
-    the same level; the quantile comes from ``f_quantile``, which is
-    memoised. Every matrix shape clamps ``unbiased``, the unbiased
-    eigenvalue factors (l_perp, l_axis) at w, which are computed here unless
-    given.
+    shape and q of an earlier spec of its kind; C0, C3 and the starred sets
+    share C0's log-volume array at each level. The quantile comes from
+    ``f_quantile``, which is memoised. Every matrix shape clamps
+    ``unbiased``, the unbiased eigenvalue factors (l_perp, l_axis) at w,
+    computed here unless given; a factor that is not positive is refused.
     """
-    p, n = dims.p, dims.n
+    p, n, s_n = dims.p, dims.n, s / dims.n
     if rows is not None:  # d'd per center; u'd at delta, where every matrix shape sits
         dd_x, dd_delta, t = _row_distances(shrink_factors(fam, w), *rows)
         tt, ps = t * t, p * s
         perp = dd_delta - tt
-    out = []
+    out, c0_log_volumes = [], {}
     for spec in specs:
         kind = spec.matrix_kind
         twin = next((g for prev, g in zip(specs, out) if prev.matrix_kind is kind), None)
@@ -189,29 +197,31 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
         elif kind is None:
             # M = (S/n) I: the quadratic form and log-determinant in closed form.
             l_perp = l_axis = np.full_like(s, 1.0 / n)
-            logdet = p * np.log(s / n)
+            logdet = p * np.log(s_n)
         else:
             if unbiased is None:
-                if not np.all(w > 0):
+                if not w.min() > 0:
                     raise ValueError(f"variant {spec.variant.value}: W must be positive")
                 unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, fam, dims)
             l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, dims, consts)
-            if np.any(l_perp <= 0) or np.any(l_axis <= 0):
+            if not (l_perp.min() > 0 and l_axis.min() > 0):
                 raise ValueError(f"variant {spec.variant.value}: matrix estimate lost positive "
                                  "definiteness; check the certificates for these dimensions")
             logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
         c = f_quantile(spec.level, p, n)
         starred = spec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR)
-        radius = (s / n) * c * np.exp(-logdet / p) if starred else c
-        same_set = kind is None and twin is not None and twin.quantile == c  # C0 and C3
-        log_volume = twin.log_volume if same_set else _log_volume(logdet, radius, p)
+        radius = s_n * c * np.exp(-logdet / p) if starred else c
+        c0_volume = kind is None or starred  # C3 by its shape, C1*/C2* by their threshold
+        if c0_volume and c not in c0_log_volumes:
+            c0_log_volumes[c] = _log_volume(logdet if kind is None else p * np.log(s_n), c, p)
+        log_volume = c0_log_volumes[c] if c0_volume else _log_volume(logdet, radius, p)
         covered = q = None
         if rows is not None and kind is None:
             covered = (dd_x if spec.variant is ConfidenceVariant.C0 else dd_delta) * n / ps <= c
         elif rows is not None:
             q = twin.q if twin is not None else _inv_quad(perp, tt, l_perp, l_axis, s) / p
             covered = q <= radius
-        out.append(_SetGeometry(l_perp, l_axis, logdet, c, radius, log_volume, q, covered))
+        out.append(_SetGeometry(l_perp, l_axis, logdet, radius, log_volume, q, covered))
     return out
 
 

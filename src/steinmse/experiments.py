@@ -448,9 +448,9 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
         def score(s, w, xx, x_theta):
             geos = _set_geometry(s, w, variants, pt.fam, pt.dims, pt.consts,
                                  (xx, x_theta, pt.lam))
-            volumes = {id(g.log_volume): g.log_volume for g in geos}  # C0 and C3 share one
-            volumes = {key: np.exp(v).sum() for key, v in volumes.items()}
-            return np.array([(g.covered.sum(), volumes[id(g.log_volume)]) for g in geos])
+            sums = {id(g.log_volume): g.log_volume for g in geos}  # C0, C3, C1*, C2*: one per level
+            sums = {key: np.exp(v).sum() for key, v in sums.items()}
+            return np.array([(np.count_nonzero(g.covered), sums[id(g.log_volume)]) for g in geos])
         return score
 
     rows, totals = [], _grid(cfg, _DOMAIN_COVERAGE, constants, scorer)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinmse as sm
 from _oracles import dense_quad_form, observation_draws
@@ -194,6 +196,29 @@ class TestBuildConfidenceSet:
         with pytest.raises(ValueError):
             sm.ConfidenceSpec(CV.C0, level=1.0)
 
+    # theta must be a finite vector of length p: numpy would broadcast a
+    # scalar over every coordinate, and a NaN would read as "not covered".
+    @pytest.mark.parametrize("theta", [0.5, [0.5]], ids=["scalar", "length-1"])
+    def test_a_scalar_theta_is_refused(self, theta):
+        obs = sm.Observation([1.0, 0.4, -0.2, 0.8, 0.3], 1.5)
+        with pytest.raises(ValueError, match="vector has length 1, expected 5"):
+            sm.build_confidence_set(sm.ConfidenceSpec(CV.C0), obs, PP, DIMS, theta=theta)
+
+    @pytest.mark.parametrize("length", [2, 4, 6])
+    def test_a_theta_of_another_length_is_refused(self, consts, length):
+        obs = sm.Observation([1.0, 0.4, -0.2, 0.8, 0.3], 1.5)
+        res = sm.build_confidence_set(sm.ConfidenceSpec(CV.C1), obs, PP, DIMS, consts)
+        with pytest.raises(ValueError, match=f"vector has length {length}, expected 5"):
+            res.contains(np.zeros(length))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_theta_is_refused(self, consts, bad):
+        obs = sm.Observation([1.0, 0.4, -0.2, 0.8, 0.3], 1.5)
+        theta = np.array([0.0, bad, 0.0, 0.0, 0.0])
+        for variant in (CV.C0, CV.C2_STAR):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                sm.build_confidence_set(sm.ConfidenceSpec(variant), obs, PP, DIMS, consts, theta)
+
 
 @pytest.mark.parametrize("variant", [CV.C1, CV.C2_STAR])
 def test_batch_geometry_refuses_a_nonpositive_w(consts, variant):
@@ -214,6 +239,72 @@ def test_batch_geometry_refuses_a_shape_that_lost_definiteness(consts, variant):
     s, w = np.array([1.0, 1.0]), np.array([1e-3, 4.0])
     with pytest.raises(ValueError, match="lost positive definiteness"):
         _set_geometry(s, w, (sm.ConfidenceSpec(variant),), PP, DIMS, broken)
+
+
+@pytest.mark.parametrize("variant", [CV.C1, CV.C2, CV.C1_STAR, CV.C2_STAR])
+@pytest.mark.parametrize("where", [0, 1], ids=["l_perp", "l_axis"])
+def test_batch_geometry_refuses_a_nan_shape_factor(consts, variant, where):
+    # A NaN factor, say from a custom phi, would otherwise be scored as "not
+    # covered" with a NaN volume.
+    from steinmse.confidence import _set_geometry
+
+    s, w = np.array([1.0, 1.0]), np.array([2.0, 4.0])
+    unbiased = [np.full(2, 0.1), np.full(2, 0.2)]
+    unbiased[where][1] = np.nan
+    with pytest.raises(ValueError, match="lost positive definiteness"):
+        _set_geometry(s, w, (sm.ConfidenceSpec(variant),), PP, DIMS, consts,
+                      unbiased=tuple(unbiased))
+
+
+def test_default_specs_make_three_log_volumes(consts):
+    # C0, C3, C1* and C2* all have C0's volume at 0.95: one array for the
+    # four, one each for C1 and C2.
+    from steinmse.confidence import _set_geometry
+
+    rng = np.random.default_rng(63)
+    s = rng.chisquare(DIMS.n, 64)
+    w = rng.noncentral_chisquare(DIMS.p, 2.0, 64) / s
+    geos = _set_geometry(s, w, tuple(sm.ConfidenceSpec(v) for v in CV), PP, DIMS, consts)
+    assert len({id(g.log_volume) for g in geos}) == 3
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(p=st.integers(3, 60), n=st.integers(1, 60),
+       fam_name=st.sampled_from(("james-stein", "positive-part")),
+       order=st.permutations(list(CV)), count=st.integers(1, len(CV)),
+       levels=st.lists(st.sampled_from((0.8, 0.9, 0.95)), min_size=len(CV), max_size=len(CV)),
+       with_theta=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_geometry_is_each_specs_own_in_any_order(p, n, fam_name, order, count, levels,
+                                                        with_theta, seed):
+    # Whatever comes first, a starred set before C0 included, every set is the
+    # one its spec gets alone, and C0, C3 and the starred sets have C0's
+    # log-volume at their level: p log(S/n) through ``_log_volume``. A shape
+    # not certified positive definite at these dims may be refused, so its
+    # variants sit out.
+    from steinmse.confidence import _log_volume, _set_geometry
+
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    consts = sm.matrix_constants(fam, dims)
+    kinds = {v: sm.ConfidenceSpec(v).matrix_kind for v in order}
+    order = [v for v in order if kinds[v] is None
+             or sm.positive_definite_certified(kinds[v], fam, dims, consts)]
+    rng = np.random.default_rng(seed)
+    theta = np.full(p, rng.uniform(0.0, 2.0))
+    x = theta + rng.standard_normal((64, p))
+    s = rng.chisquare(n, 64)
+    xx = np.einsum("ij,ij->i", x, x)
+    rows = (xx, x @ theta, theta @ theta) if with_theta else None
+    specs = tuple(sm.ConfidenceSpec(v, level) for v, level in zip(order[:count], levels))
+    shared = _set_geometry(s, xx / s, specs, fam, dims, consts, rows)
+    assert len(shared) == len(specs)
+    for spec, geo in zip(specs, shared):
+        single, = _set_geometry(s, xx / s, (spec,), fam, dims, consts, rows)
+        for field, got, want in zip(geo._fields, geo, single):
+            assert got is None and want is None or np.array_equal(got, want), (spec, field)
+        if spec.matrix_kind is None or spec.variant in (CV.C1_STAR, CV.C2_STAR):
+            c0 = _log_volume(p * np.log(s / n), sm.f_quantile(spec.level, p, n), p)
+            assert np.array_equal(geo.log_volume, c0), spec
 
 
 @pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])

@@ -326,14 +326,19 @@ def test_coverage_curve_baseline_pivot():
 
 
 def test_coverage_star_volume_ratio_exact():
-    cfg = _small_cfg(lambda_grid=(1.0,), reps=5000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        table = sm.run_coverage_curve(cfg)
-    by_variant = {r.variant: r for r in table.rows}
-    assert by_variant["c1*"].volume_ratio_vs_c0 == pytest.approx(1.0, abs=1e-12)
-    assert by_variant["c2*"].volume_ratio_vs_c0 == pytest.approx(1.0, abs=1e-12)
-    assert by_variant["c3"].volume_ratio_vs_c0 == pytest.approx(1.0, abs=1e-12)
+    # C3 has C0's shape and a starred set's threshold gives it C0's volume,
+    # so their rows carry C0's mean volume to the bit and a volume ratio of
+    # exactly 1, at every table dims and both families.
+    table_dims = (DIMS, sm.ProblemDims(10, 5), sm.ProblemDims(5, 10), sm.ProblemDims(10, 10))
+    cfg = _small_cfg(dims_list=table_dims, families=("james-stein", "positive-part"),
+                     lambda_grid=(0.0, 2.0, 20.0), reps=256)
+    table = sm.run_coverage_curve(cfg)
+    c0 = {(r.p, r.n, r.family, r.lam): r.mean_volume for r in table.rows if r.variant == "c0"}
+    same = [r for r in table.rows if r.variant in ("c3", "c1*", "c2*")]
+    assert len(same) == 72
+    for row in same:
+        assert row.mean_volume == c0[(row.p, row.n, row.family, row.lam)], row
+        assert row.volume_ratio_vs_c0 == 1.0, row
 
 
 def test_coverage_matches_scalar_construction():
