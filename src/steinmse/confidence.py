@@ -154,8 +154,8 @@ def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
     return float(np.exp(log_volume))
 
 
-_SetGeometry = namedtuple("_SetGeometry", ["l_perp", "l_axis", "logdet", "radius", "log_volume",
-                                           "q", "covered"])
+_SetGeometry = namedtuple("_SetGeometry", ["l_perp", "l_axis", "logdet", "c", "radius",
+                                           "log_volume", "q", "covered"])
 
 
 def _row_distances(f, xx, x_theta, theta_theta):
@@ -173,8 +173,8 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
     variant but C0 is centred at delta = (1 - phi(W)/W) x.
 
     Returns one geometry per spec: the shape's eigenvalue factors and
-    log-determinant, the threshold (the F quantile c at the spec's level,
-    or (S/n) c / |M|^{1/p} for the starred variants, which makes their
+    log-determinant, the F quantile c at the spec's level, the threshold
+    (c, or (S/n) c / |M|^{1/p} for the starred variants, which makes their
     volume C0's), the log-volume and, given ``rows``, a matrix shape's
     quadratic form q and whether the set contains theta. A spec reuses the
     shape and q of an earlier spec of its kind; C0, C3 and the starred sets
@@ -221,7 +221,7 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
         elif rows is not None:
             q = twin.q if twin is not None else _inv_quad(perp, tt, l_perp, l_axis, s) / p
             covered = q <= radius
-        out.append(_SetGeometry(l_perp, l_axis, logdet, radius, log_volume, q, covered))
+        out.append(_SetGeometry(l_perp, l_axis, logdet, c, radius, log_volume, q, covered))
     return out
 
 
@@ -231,10 +231,12 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
     """Assemble the requested confidence set for one observation.
 
     The centre is x for C0 and the shrinkage estimate otherwise; shape and
-    threshold are the m = 1 case of ``_set_geometry``. Volume and
-    ``contains_truth`` (given ``theta``) are those of the returned set, so
-    they agree with ``ConfidenceResult.contains`` on the boundary. At x = 0
-    the axis is e1; matrix-shaped variants then raise.
+    threshold are the m = 1 case of ``_set_geometry``. ``contains_truth``
+    (given ``theta``) is that of the returned set, so it agrees with
+    ``ConfidenceResult.contains`` on the boundary. The volume is the
+    returned set's; a starred set's is C0's, taken from C0's shape (S/n) I
+    and the level's quantile, so the two are equal. At x = 0 the axis is
+    e1; matrix-shaped variants then raise.
     """
     center = (obs.x.copy() if cspec.variant is ConfidenceVariant.C0
               else apply_estimator(obs, fam, dims))
@@ -247,5 +249,8 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
                        unbiased=unbiased)
     shape = _axial_estimate(obs, iso, g3, g.l_perp[0], g.l_axis[0])
     radius = float(np.ravel(g.radius)[0])
-    result = ConfidenceResult(center, radius, shape, ellipsoid_volume(shape, radius), None)
+    starred = cspec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR)
+    volume = (ellipsoid_volume(AxialMatrix(dims.p, obs.s, 1.0 / dims.n, 0.0, obs.axis), g.c)
+              if starred else ellipsoid_volume(shape, radius))
+    result = ConfidenceResult(center, radius, shape, volume, None)
     return result if theta is None else replace(result, contains_truth=result.contains(theta))

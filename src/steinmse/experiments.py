@@ -2,7 +2,11 @@
 
 All three curves walk one grid, ``_grid``: dims x family x noncentrality,
 with replications in fixed-size blocks, each block from its own
-counter-based stream. Every score reads X only through ||X||^2 and X'theta,
+counter-based stream. A curve hands the grid one set-up per (family,
+dims), which makes the constants and the exact truth that point needs and
+refuses a point it cannot score (coverage refuses a matrix shape without
+its positive-definiteness certificate); every set-up runs before the
+first block is drawn. Every score reads X only through ||X||^2 and X'theta,
 so one executor worker draws each block's per-row statistics
 (S, W, ||X||^2, X'theta) straight from their joint law (``_draw``: three
 length-m fills whatever p is, no (m, p) array of X), up to two blocks
@@ -33,13 +37,14 @@ import math
 import os
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .confidence import ConfidenceSpec, ConfidenceVariant, _set_geometry
 from .distributions import RngStream
 from .matrix_improved import (MatrixConstants, MatrixEstimatorKind, _clamp_eigen_parts,
-                              matrix_constants, matrix_eigen_parts)
+                              matrix_constants, matrix_eigen_parts, positive_definite_certified)
 from .mse_improved import MseEstimatorKind, _clamp_mse, estimate_mse_at, shrinkage_constants
 from .shrinkage import (ProblemDims, _family_kind, family_from_name, true_mse_matrix,
                         true_risk)
@@ -233,18 +238,25 @@ def _drawn(jobs):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-_GridPoint = namedtuple("_GridPoint", ["dims", "fam_name", "fam", "consts", "lam"])
+def _grid(cfg: ExperimentConfig, domain: int, setup) -> tuple:
+    """Walk the dims x family x noncentrality grid of ``cfg``.
 
+    ``setup(family_name, fam, dims)`` returns (constants, score): the
+    constants the scores use (None if none) and score(lambda_index), the
+    block score fn(s, w, xx, x_theta) of a block's row statistics
+    (``_draw``) at that noncentrality. Every set-up runs, once per (dims,
+    family), before the first block is drawn, so a set-up that refuses its
+    point stops the run before any work on the blocks. Each block comes from
+    its own stream of ``domain`` (``_drawn``) at mu = sqrt(lambda); the
+    scores are summed in block order.
 
-def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
-    """[(point, total)] over the dims x family x noncentrality grid of ``cfg``.
-
-    ``constants(family_name, fam, dims)``, when not None, supplies the
-    constants once per (dims, family); ``scorer(point)`` returns the block
-    score fn(s, w, xx, x_theta) of a block's row statistics (``_draw``).
-    Each block comes from its own stream of ``domain`` (``_drawn``) at
-    mu = sqrt(lambda); the scores are summed in block order.
+    Returns ([(dims, family_name, lambda, total)] in walk order, and the
+    metadata record: per (family, dims), the constants used, with their
+    provenance; of the beta moments only beta2 enters an estimate).
     """
+    walk = [(dims, name) for dims in cfg.dims_list for name in cfg.families]
+    setups = [setup(name, family_from_name(name, dims), dims) for dims, name in walk]
+    used = {(name, dims): c for (dims, name), (c, _) in zip(walk, setups) if c is not None}
     sizes = _block_sizes(cfg.reps)
     blocks = _drawn(
         (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, dims.p, math.sqrt(lam), dims.n)
@@ -252,29 +264,17 @@ def _grid(cfg: ExperimentConfig, domain: int, constants, scorer) -> list:
         for li, lam in enumerate(cfg.lambda_grid) for bi, m in enumerate(sizes))
     totals = []
     try:
-        for di, dims in enumerate(cfg.dims_list):
-            for fam_name in cfg.families:
-                fam = family_from_name(fam_name, dims)
-                consts = None if constants is None else constants(fam_name, fam, dims)
-                for lam in cfg.lambda_grid:
-                    pt = _GridPoint(dims, fam_name, fam, consts, lam)
-                    score = scorer(pt)
-                    totals.append((pt, np.sum(np.stack([score(*next(blocks)) for _ in sizes]),
-                                              axis=0)))
+        for (dims, name), (_, score) in zip(walk, setups):
+            for li, lam in enumerate(cfg.lambda_grid):
+                at = score(li)
+                totals.append((dims, name, lam,
+                               np.sum(np.stack([at(*next(blocks)) for _ in sizes]), axis=0)))
     finally:
         blocks.close()
-    return totals
-
-
-def _constants_used(totals) -> list:
-    """Per (family, dims) of a walk, the constants its points used, with
-    their provenance, for the run metadata; of the beta moments only beta2
-    enters an estimate. Empty when the run needed no constants."""
-    used = {(pt.fam_name, pt.dims): pt.consts for pt, _ in totals if pt.consts is not None}
-    return [{"family": name, "p": dims.p, "n": dims.n,
-             **({"beta2": c.beta.beta2} if isinstance(c, MatrixConstants) else {}),
-             **{k: v for k, v in vars(c).items() if k != "beta"}}
-            for (name, dims), c in used.items()]
+    return totals, [{"family": name, "p": dims.p, "n": dims.n,
+                     **({"beta2": c.beta.beta2} if isinstance(c, MatrixConstants) else {}),
+                     **{k: v for k, v in vars(c).items() if k != "beta"}}
+                    for (name, dims), c in used.items()]
 
 
 def _mean_and_stderr(total: float, total_sq: float, m: int):
@@ -285,48 +285,34 @@ def _mean_and_stderr(total: float, total_sq: float, m: int):
     return mean, math.sqrt(var / m)
 
 
-def _loss_stats(losses: list, base_idx):
-    """Reduce per-kind loss arrays into (sum, sum^2, dsum, dsum^2) rows."""
+def _loss_stats(losses: list, kinds: tuple, umvue):
+    """Reduce the loss arrays of ``kinds`` into (sum, sum^2, dsum, dsum^2)
+    rows; the d columns pair each kind with the ``umvue`` kind, nan when it
+    is not in the run."""
     out = np.full((len(losses), 4), np.nan)
+    base = losses[kinds.index(umvue)] if umvue in kinds else None
     for ki, lvals in enumerate(losses):
         out[ki, 0] = lvals.sum()
         out[ki, 1] = (lvals * lvals).sum()
-        if base_idx is not None:
-            d = lvals - losses[base_idx]
+        if base is not None:
+            d = lvals - base
             out[ki, 2] = d.sum()
             out[ki, 3] = (d * d).sum()
     return out
 
 
-def _risk_curve(cfg: ExperimentConfig, domain: int, kinds: tuple, umvue, constants, truth,
-                loss: str, losses_at) -> RiskTable:
-    """One risk curve of ``kinds``: ``truth(fam, dims)`` gives the exact
-    truth over the whole noncentrality grid, asked for once per (dims,
-    family), and ``losses_at(point, truth)`` the block score
-    fn(s, w, xx, x_theta) of per-kind loss arrays at one point. The diff
-    columns pair each kind with the ``umvue`` kind, nan when it is not in
-    the run."""
-    base_idx = kinds.index(umvue) if umvue in kinds else None
-    if not any(k.needs_constants for k in kinds):
-        constants = None
-    truths = {}
-
-    def scorer(pt):
-        key = (pt.fam_name, pt.dims)
-        if key not in truths:
-            truths[key] = dict(zip(cfg.lambda_grid, truth(pt.fam, pt.dims)))
-        losses = losses_at(pt, truths[key][pt.lam])
-        return lambda *block: _loss_stats(losses(*block), base_idx)
-
-    rows, totals = [], _grid(cfg, domain, constants, scorer)
-    for pt, agg in totals:
+def _risk_curve(cfg: ExperimentConfig, domain: int, kinds: tuple, loss: str,
+                setup) -> RiskTable:
+    """One risk curve of ``kinds`` on the ``_grid`` set-up ``setup``, whose
+    block scores are ``_loss_stats`` rows."""
+    rows, (totals, used) = [], _grid(cfg, domain, setup)
+    for dims, name, lam, agg in totals:
         for ki, kind in enumerate(kinds):
             risk, stderr = _mean_and_stderr(agg[ki, 0], agg[ki, 1], cfg.reps)
             dmean, dse = _mean_and_stderr(agg[ki, 2], agg[ki, 3], cfg.reps)
-            rows.append(RiskRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam, kind.value, risk,
-                                stderr, dmean, dse))
+            rows.append(RiskRow(dims.p, dims.n, name, lam, kind.value, risk, stderr, dmean, dse))
     meta = cfg.metadata()
-    meta["loss"], meta["constants"] = loss, _constants_used(totals)
+    meta["loss"], meta["constants"] = loss, used
     return RiskTable("risk_curve", RiskRow._fields, rows, meta)
 
 
@@ -343,27 +329,24 @@ def run_mse_risk_curve(cfg: ExperimentConfig, loss: str = "mse") -> RiskTable:
     """
     if loss not in ("mse", "reduction"):
         raise ValueError("loss must be 'mse' or 'reduction'")
+    needs_constants = any(k.needs_constants for k in cfg.estimator_kinds)
 
-    def losses_at(pt, r_true):
-        p, n = pt.dims.p, pt.dims.n
-        target = r_true if loss == "mse" else p - r_true
+    def setup(_name, fam, dims):
+        consts = shrinkage_constants(fam, dims) if needs_constants else None
+        truth, p, n = true_risk(fam, dims, cfg.lambda_grid).tolist(), dims.p, dims.n
 
-        def losses(s, w, _xx, _x_theta):
-            base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, pt.fam, pt.dims)
+        def losses(target, s, w, _xx, _x_theta):
+            base = estimate_mse_at(MseEstimatorKind.UMVUE, w, s, fam, dims)
             out = []
             for kind in cfg.estimator_kinds:
-                est = _clamp_mse(kind, base, w, s, pt.dims, pt.consts)
+                est = _clamp_mse(kind, base, w, s, dims, consts)
                 if loss == "reduction":
                     est = p * s / n - est
                 out.append((est - target) ** 2)
-            return out
+            return _loss_stats(out, cfg.estimator_kinds, MseEstimatorKind.UMVUE)
+        return consts, lambda li: partial(losses, truth[li] if loss == "mse" else p - truth[li])
 
-        return losses
-
-    return _risk_curve(cfg, _DOMAIN_MSE_CURVE, cfg.estimator_kinds, MseEstimatorKind.UMVUE,
-                       lambda _name, fam, dims: shrinkage_constants(fam, dims),
-                       lambda fam, dims: true_risk(fam, dims, cfg.lambda_grid).tolist(),
-                       loss, losses_at)
+    return _risk_curve(cfg, _DOMAIN_MSE_CURVE, cfg.estimator_kinds, loss, setup)
 
 
 def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
@@ -373,12 +356,11 @@ def _matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p):
     return tr_hat2 - 2.0 * tr_cross + tr_m2
 
 
-def _matrix_constants_from(consts_map: dict | None):
-    """The ``_grid`` constants hook: the precomputed entry when given."""
-    def constants(fam_name, fam, dims):
-        found = (consts_map or {}).get((fam_name, dims))
-        return matrix_constants(fam, dims) if found is None else found
-    return constants
+def _matrix_constants(consts_map: dict | None, fam_name: str, fam, dims: ProblemDims):
+    """The matrix constants of (fam_name, dims): the ``consts_map`` entry
+    when given, else computed."""
+    found = (consts_map or {}).get((fam_name, dims))
+    return matrix_constants(fam, dims) if found is None else found
 
 
 def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
@@ -395,34 +377,31 @@ def run_matrix_risk_curve(cfg: ExperimentConfig, loss: str = "matrix",
     """
     if loss not in ("matrix", "reduction"):
         raise ValueError("loss must be 'matrix' or 'reduction'")
+    needs_constants = any(k.needs_constants for k in cfg.matrix_kinds)
 
-    def losses_at(pt, truth):
-        p, n, lam = pt.dims.p, pt.dims.n, pt.lam
-        a, b = truth
-        if loss == "reduction":
-            a, b = 1.0 - a, -b
-        tr_m = p * a + b * lam
-        tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
+    def setup(name, fam, dims):
+        consts = _matrix_constants(consts_map, name, fam, dims) if needs_constants else None
+        a_grid, b_grid = (v.tolist() for v in true_mse_matrix(fam, dims, cfg.lambda_grid))
+        p, n = dims.p, dims.n
 
-        def losses(s, w, xx, x_theta):
+        def losses(li, s, w, xx, x_theta):
+            a, b, lam = a_grid[li], b_grid[li], cfg.lambda_grid[li]
+            if loss == "reduction":
+                a, b = 1.0 - a, -b
+            tr_m = p * a + b * lam
+            tr_m2 = p * a * a + 2.0 * a * b * lam + b * b * lam * lam
             u_m_u = a + b * x_theta * x_theta / xx
-            unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, pt.fam, pt.dims)
+            unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, fam, dims)
             out = []
             for kind in cfg.matrix_kinds:
-                l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, pt.dims, pt.consts)
+                l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, dims, consts)
                 if loss == "reduction":
                     l_perp, l_axis = 1.0 / n - l_perp, 1.0 / n - l_axis
                 out.append(_matrix_loss(s, l_perp, l_axis, u_m_u, tr_m, tr_m2, p))
-            return out
+            return _loss_stats(out, cfg.matrix_kinds, MatrixEstimatorKind.UMVUE)
+        return consts, lambda li: partial(losses, li)
 
-        return losses
-
-    def truth(fam, dims):
-        a, b = true_mse_matrix(fam, dims, cfg.lambda_grid)
-        return list(zip(a.tolist(), b.tolist()))
-
-    return _risk_curve(cfg, _DOMAIN_MATRIX_CURVE, cfg.matrix_kinds, MatrixEstimatorKind.UMVUE,
-                       _matrix_constants_from(consts_map), truth, loss, losses_at)
+    return _risk_curve(cfg, _DOMAIN_MATRIX_CURVE, cfg.matrix_kinds, loss, setup)
 
 
 def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
@@ -433,7 +412,10 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     volume, and the mean-volume ratio against C0 at the same grid point
     (nan when C0 is not among the variants). Rows carry no level, so a
     variant may appear only once. The default is every variant at the 95%
-    level.
+    level. A variant whose matrix shape ``positive_definite_certified``
+    does not certify at a (family, dims) of the grid is refused with
+    ValueError before any block is drawn: without the certificate, some W
+    makes that shape lose positive definiteness.
     """
     variants = (tuple(ConfidenceSpec(v) for v in ConfidenceVariant) if variants is None
                 else tuple(variants))
@@ -441,32 +423,38 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
     if len(set(listed)) < len(listed):
         raise ValueError("each confidence variant may appear only once: rows carry no level")
     c0_idx = listed.index(ConfidenceVariant.C0) if ConfidenceVariant.C0 in listed else None
-    constants = (_matrix_constants_from(consts_map)
-                 if any(v.matrix_kind is not None for v in variants) else None)
+    shaped = [spec for spec in variants if spec.matrix_kind is not None]
 
-    def scorer(pt):
-        def score(s, w, xx, x_theta):
-            geos = _set_geometry(s, w, variants, pt.fam, pt.dims, pt.consts,
-                                 (xx, x_theta, pt.lam))
+    def setup(name, fam, dims):
+        consts = _matrix_constants(consts_map, name, fam, dims) if shaped else None
+        for kind in dict.fromkeys(spec.matrix_kind for spec in shaped):
+            if not positive_definite_certified(kind, fam, dims, consts):
+                refused = ", ".join(s.variant.value for s in shaped if s.matrix_kind is kind)
+                raise ValueError(f"variant {refused}: the {kind.value} shape is not certified "
+                                 f"positive definite at p = {dims.p}, n = {dims.n} for the "
+                                 f"{name} family")
+
+        def score(lam, s, w, xx, x_theta):
+            geos = _set_geometry(s, w, variants, fam, dims, consts, (xx, x_theta, lam))
             sums = {id(g.log_volume): g.log_volume for g in geos}  # C0, C3, C1*, C2*: one per level
             sums = {key: np.exp(v).sum() for key, v in sums.items()}
             return np.array([(np.count_nonzero(g.covered), sums[id(g.log_volume)]) for g in geos])
-        return score
+        return consts, lambda li: partial(score, cfg.lambda_grid[li])
 
-    rows, totals = [], _grid(cfg, _DOMAIN_COVERAGE, constants, scorer)
-    for pt, agg in totals:
+    rows, (totals, used) = [], _grid(cfg, _DOMAIN_COVERAGE, setup)
+    for dims, name, lam, agg in totals:
         c0_vol = None if c0_idx is None else agg[c0_idx, 1] / cfg.reps
         for vi, spec in enumerate(variants):
             cov = agg[vi, 0] / cfg.reps
             se = math.sqrt(max(cov * (1.0 - cov), 0.0) / cfg.reps)
             vol = agg[vi, 1] / cfg.reps
             ratio = float("nan") if c0_vol in (None, 0.0) else vol / c0_vol
-            rows.append(CoverageRow(pt.dims.p, pt.dims.n, pt.fam_name, pt.lam,
-                                    spec.variant.value, cov, se, vol, ratio))
+            rows.append(CoverageRow(dims.p, dims.n, name, lam, spec.variant.value, cov, se, vol,
+                                    ratio))
     meta = cfg.metadata()
     meta["variants"] = [v.variant.value for v in variants]
     meta["levels"] = [v.level for v in variants]
-    meta["constants"] = _constants_used(totals)
+    meta["constants"] = used
     return CoverageTable("coverage_curve", CoverageRow._fields, rows, meta)
 
 

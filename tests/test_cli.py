@@ -168,6 +168,23 @@ def test_coverage_smoke(capsys):
     assert out.splitlines()[0].startswith("p,n,family,lam,variant,coverage")
 
 
+def test_coverage_refuses_an_uncertified_shape_on_one_line(capsys):
+    # The default variants at (17, 21) include C1, whose xi1-tr shape has
+    # no positive-definiteness certificate there: a numerical failure named
+    # on one line, with nothing written. Without C1 and C1* the run works.
+    args = ["coverage", "--p", "17", "--n", "21", "--lambdas", "0", "--reps", "500",
+            "--seed", "1"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: variant c1, c1*: the xi1-tr shape is not "
+                            "certified positive definite at p = 17, n = 21 for the js-plus "
+                            "family\n")
+    assert captured.out == ""
+    assert main(args + ["--variants", "c0,c2,c3,c2star"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[4] for r in rows[1:]] == ["c0", "c2", "c3", "c2*"]
+
+
 def test_canonicalize_roundtrip(tmp_path, capsys):
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 5))

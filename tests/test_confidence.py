@@ -354,3 +354,22 @@ def test_matrix_shape_is_the_matrix_estimate(fam_name):
                 assert (got.dim, got.scale, got.iso, got.axial) == \
                     (want.dim, want.scale, want.iso, want.axial), variant
                 assert np.array_equal(got.axis, want.axis)
+
+
+@pytest.mark.parametrize("fam_name", ["james-stein", "positive-part"])
+def test_starred_volume_is_c0s(fam_name):
+    # A starred set's threshold makes its volume C0's, and the built set
+    # reports C0's volume to the bit, as the coverage curves do, for the
+    # same observation and level; through the starred shape's own
+    # log-determinant it would miss in the last bits.
+    rng = np.random.default_rng(2007)
+    for p, n in [(5, 5), (10, 5), (5, 10), (10, 10)]:
+        dims = sm.ProblemDims(p, n)
+        fam = sm.family_from_name(fam_name, dims)
+        consts = sm.matrix_constants(fam, dims)
+        for x, s in observation_draws(rng, p, n, 200):
+            obs = sm.Observation(x, s)
+            c0 = sm.build_confidence_set(sm.ConfidenceSpec(CV.C0), obs, fam, dims, consts)
+            for variant in (CV.C1_STAR, CV.C2_STAR):
+                got = sm.build_confidence_set(sm.ConfidenceSpec(variant), obs, fam, dims, consts)
+                assert got.volume == c0.volume, (p, n, variant)

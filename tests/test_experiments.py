@@ -284,29 +284,36 @@ def test_curve_blocks_match_the_exact_truth():
     cfg = _small_cfg(dims_list=_TABLE_DIMS, families=("james-stein", "positive-part"),
                      lambda_grid=lambdas, reps=reps)
 
-    def mse_scorer(pt):
+    def mse_setup(_name, fam, dims):
         def score(s, w, _xx, _x_theta):
-            est = sm.estimate_mse_at(K.UMVUE, w, s, pt.fam, pt.dims)
+            est = sm.estimate_mse_at(K.UMVUE, w, s, fam, dims)
             return np.array([est.sum(), (est * est).sum()])
-        return score
+        return None, lambda _li: score
 
-    for pt, totals in _grid(cfg, _DOMAIN_MSE_CURVE, None, mse_scorer):
-        assert _mean_within(totals, sm.true_risk(pt.fam, pt.dims, pt.lam), reps), pt
+    for dims, name, lam, totals in _grid(cfg, _DOMAIN_MSE_CURVE, mse_setup)[0]:
+        pt = (name, dims, lam)
+        fam = sm.family_from_name(name, dims)
+        assert _mean_within(totals, sm.true_risk(fam, dims, lam), reps), pt
 
-    def matrix_scorer(pt):
-        def score(s, w, xx, x_theta):
-            iso, g3 = _matrix_parts_from(*_kernel_terms(pt.fam, pt.dims, w), w, pt.dims)
-            trace = s * (pt.dims.p * iso + g3)
-            along = s * (pt.lam * iso + g3 * x_theta * x_theta / xx)
-            return np.array([trace.sum(), (trace * trace).sum(),
-                             along.sum(), (along * along).sum()])
-        return score
+    def matrix_setup(_name, fam, dims):
+        def score(li):
+            lam = lambdas[li]
 
-    for pt, totals in _grid(cfg, _DOMAIN_MATRIX_CURVE, None, matrix_scorer):
-        a, b = sm.true_mse_matrix(pt.fam, pt.dims, pt.lam)
-        assert _mean_within(totals[:2], pt.dims.p * a + b * pt.lam, reps), pt
-        if pt.lam > 0:
-            assert _mean_within(totals[2:], pt.lam * (a + b * pt.lam), reps), pt
+            def at(s, w, xx, x_theta):
+                iso, g3 = _matrix_parts_from(*_kernel_terms(fam, dims, w), w, dims)
+                trace = s * (dims.p * iso + g3)
+                along = s * (lam * iso + g3 * x_theta * x_theta / xx)
+                return np.array([trace.sum(), (trace * trace).sum(),
+                                 along.sum(), (along * along).sum()])
+            return at
+        return None, score
+
+    for dims, name, lam, totals in _grid(cfg, _DOMAIN_MATRIX_CURVE, matrix_setup)[0]:
+        pt = (name, dims, lam)
+        a, b = sm.true_mse_matrix(sm.family_from_name(name, dims), dims, lam)
+        assert _mean_within(totals[:2], dims.p * a + b * lam, reps), pt
+        if lam > 0:
+            assert _mean_within(totals[2:], lam * (a + b * lam), reps), pt
 
     table = sm.run_coverage_curve(cfg, (sm.ConfidenceSpec(sm.ConfidenceVariant.C0),))
     assert len(table.rows) == len(_TABLE_DIMS) * 2 * len(lambdas)
@@ -486,6 +493,72 @@ def test_each_block_is_scored_once(monkeypatch):
     assert counts == {"matrix_eigen_parts": blocks}
 
 
+def test_each_setup_runs_once_before_the_first_draw(monkeypatch):
+    # Each curve sets up every (family, dims) of the walk once, constants
+    # and exact truth, and all of them before the first block is drawn.
+    import steinmse.experiments as experiments
+
+    events = []
+
+    def logged(name):
+        fn = getattr(experiments, name)
+
+        def wrapped(*args, **kwargs):
+            events.append(name if name == "_draw" else (name, args[0].kind, args[1]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, wrapped)
+
+    for name in ("_draw", "true_risk", "true_mse_matrix", "shrinkage_constants",
+                 "matrix_constants"):
+        logged(name)
+    dims_list, families = (DIMS, sm.ProblemDims(3, 2)), ("james-stein", "positive-part")
+    cfg = _small_cfg(dims_list=dims_list, families=families, lambda_grid=(0.0, 3.0), reps=10,
+                     estimator_kinds=(K.UMVUE, K.PSI1_TR), matrix_kinds=(MK.UMVUE, MK.XI2_ETA2))
+    walk = [(sm.family_from_name(name, dims).kind, dims) for dims in dims_list
+            for name in families]
+    for run, made in ((sm.run_mse_risk_curve, ("shrinkage_constants", "true_risk")),
+                      (sm.run_matrix_risk_curve, ("matrix_constants", "true_mse_matrix")),
+                      (sm.run_coverage_curve, ("matrix_constants",))):
+        events.clear()
+        run(cfg)
+        first = events.index("_draw")
+        assert events[first:] == ["_draw"] * len(walk) * len(cfg.lambda_grid), run.__name__
+        assert events[:first] == [(name, *point) for point in walk for name in made], \
+            run.__name__
+
+
+def test_coverage_refuses_an_uncertified_shape_before_any_draw(monkeypatch):
+    # At (17, 21) positive-part the xi1-tr shape of C1 and C1* carries no
+    # certificate, and some W makes its l_perp negative. The run is refused
+    # while it is set up, naming the variants, the shape, the dims and the
+    # family; without C1 and C1* the same run goes through.
+    import steinmse.experiments as experiments
+
+    draws = []
+    draw = experiments._draw
+
+    def counted(*args):
+        draws.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "_draw", counted)
+    dims = sm.ProblemDims(17, 21)
+    fam = sm.family_from_name("positive-part", dims)
+    assert not sm.positive_definite_certified(MK.XI1_TR_ETA1, fam, dims,
+                                              sm.matrix_constants(fam, dims))
+    cfg = _small_cfg(dims_list=(dims,), lambda_grid=(0.0,), reps=500, seed=1)
+    with pytest.raises(ValueError, match=r"variant c1, c1\*: the xi1-tr shape is not certified "
+                                         r"positive definite at p = 17, n = 21 for the "
+                                         r"positive-part family"):
+        sm.run_coverage_curve(cfg)
+    assert draws == []
+    kept = tuple(sm.ConfidenceSpec(v) for v in (sm.ConfidenceVariant.C0, sm.ConfidenceVariant.C2,
+                                                sm.ConfidenceVariant.C3,
+                                                sm.ConfidenceVariant.C2_STAR))
+    table = sm.run_coverage_curve(cfg, kept)
+    assert [r.variant for r in table.rows] == ["c0", "c2", "c3", "c2*"] and draws == [1]
+
+
 def _lookahead_cfg():
     import steinmse.experiments as experiments
     return _small_cfg(dims_list=(DIMS, sm.ProblemDims(3, 2)),
@@ -503,25 +576,29 @@ def test_lookahead_hands_each_point_its_own_blocks():
     before = threading.active_count()
     got = []
 
-    def scorer(pt):
-        def record(*block):
-            assert threading.active_count() == before + 1  # one worker, no more
-            got.append((pt, *(a.copy() for a in block)))
-            return np.ones(1)
-        return record
+    def setup(name, _fam, dims):
+        def score(li):
+            pt = (dims, name, cfg.lambda_grid[li])
 
-    walked = _grid(cfg, _DOMAIN_COVERAGE, None, scorer)
-    assert threading.active_count() == before
+            def record(*block):
+                assert threading.active_count() == before + 1  # one worker, no more
+                got.append((pt, *(a.copy() for a in block)))
+                return np.ones(1)
+            return record
+        return None, score
+
+    walked, used = _grid(cfg, _DOMAIN_COVERAGE, setup)
+    assert threading.active_count() == before and used == []
     assert len(walked) == len(keys) and len(got) == len(keys) * len(sizes)
-    for (fi, di, li), (pt, total) in zip(keys, walked):
-        assert (pt.fam_name, pt.dims, pt.lam) == (cfg.families[fi], cfg.dims_list[di],
-                                                  cfg.lambda_grid[li])
+    for (fi, di, li), (dims, name, lam, total) in zip(keys, walked):
+        assert (name, dims, lam) == (cfg.families[fi], cfg.dims_list[di], cfg.lambda_grid[li])
         assert total.tolist() == [len(sizes)]
     for i, (pt, *block) in enumerate(got):
         key, bi = keys[i // len(sizes)], i % len(sizes)
-        assert pt is walked[i // len(sizes)][0]
+        assert pt == walked[i // len(sizes)][:3]
+        dims, _, lam = pt
         want = _draw(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi).generator(), sizes[bi],
-                     pt.dims.p, math.sqrt(pt.lam), pt.dims.n)
+                     dims.p, math.sqrt(lam), dims.n)
         assert len(block) == len(want) == 4
         assert all(np.array_equal(a, b) for a, b in zip(block, want))
 
@@ -534,15 +611,19 @@ def test_block_scorers_receive_only_row_statistics(monkeypatch):
 
     grid, seen = experiments._grid, []
 
-    def checked_grid(cfg, domain, constants, scorer):
-        def checked_scorer(pt):
-            score = scorer(pt)
+    def checked_grid(cfg, domain, setup):
+        def checked_setup(name, fam, dims):
+            consts, score = setup(name, fam, dims)
 
-            def checked(*block):
-                seen.append([(type(a), a.shape) for a in block])
-                return score(*block)
-            return checked
-        return grid(cfg, domain, constants, checked_scorer)
+            def checked_score(li):
+                at = score(li)
+
+                def checked(*block):
+                    seen.append([(type(a), a.shape) for a in block])
+                    return at(*block)
+                return checked
+            return consts, checked_score
+        return grid(cfg, domain, checked_setup)
 
     monkeypatch.setattr(experiments, "_grid", checked_grid)
     cfg = _small_cfg(lambda_grid=(0.0, 3.0), reps=2 * experiments.BLOCK + 7,
@@ -687,8 +768,8 @@ def test_failed_score_after_the_first_point_joins_the_worker(monkeypatch):
     monkeypatch.setattr(experiments, "_draw", counted)
     before = threading.active_count()
     with pytest.raises(ZeroDivisionError, match="second point"):
-        experiments._grid(_lookahead_cfg(), experiments._DOMAIN_MSE_CURVE, None,
-                          lambda pt: score)
+        experiments._grid(_lookahead_cfg(), experiments._DOMAIN_MSE_CURVE,
+                          lambda *_: (None, lambda _li: score))
     assert threading.active_count() == before
     assert len(taken) == 4 and len(drawn) <= 6
 

@@ -487,3 +487,27 @@ def test_every_kind_is_a_clamp_of_the_unbiased_factors(fam_name, p, n):
         for got in (_clamp_eigen_parts(kind, *unbiased, w, dims, consts),
                     _written_out(kind, w, fam, dims, consts)):
             assert np.array_equal(got[0], public[0]) and np.array_equal(got[1], public[1]), kind
+
+
+def test_certificate_holds_exactly_where_the_clamped_factors_stay_positive():
+    # For the two shapes of the confidence sets (C1's xi1-tr, C2's xi2-tr),
+    # at every p, n <= 25 and both families, the certificate holds exactly
+    # where both clamped factors stay positive on a W grid over twelve
+    # decades: each of the 124 uncertified triples loses a factor somewhere
+    # on it, so refusing an uncertified shape turns away only runs that can
+    # fail.
+    w = np.geomspace(1e-8, 1e4, 2001)
+    uncertified = 0
+    for p in range(3, 26):
+        for n in range(1, 26):
+            dims = sm.ProblemDims(p, n)
+            for fam_name in ("james-stein", "positive-part"):
+                fam = sm.family_from_name(fam_name, dims)
+                consts = sm.matrix_constants(fam, dims)
+                for kind in (MK.XI1_TR_ETA1, MK.XI2_TR_ETA2):
+                    certified = sm.positive_definite_certified(kind, fam, dims, consts)
+                    l_perp, l_axis = sm.matrix_eigen_parts(kind, w, fam, dims, consts)
+                    positive = bool(l_perp.min() > 0.0 and l_axis.min() > 0.0)
+                    assert certified == positive, (p, n, fam_name, kind)
+                    uncertified += not certified
+    assert uncertified == 124
