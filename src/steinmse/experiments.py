@@ -7,17 +7,20 @@ dims), which makes the constants and the exact truth that point needs and
 refuses a point it cannot score (coverage refuses a matrix shape without
 its positive-definiteness certificate); every set-up runs before the
 first block is drawn. Every score reads X only through ||X||^2 and X'theta,
-so one executor worker draws each block's per-row statistics
-(S, W, ||X||^2, X'theta) straight from their joint law (``_draw``: three
-length-m fills whatever p is, no (m, p) array of X), up to two blocks
-ahead. The calling thread scores the blocks serially and sums their
-partials in block order. The block layout depends only on the
-configuration, and the worker changes no number, so a rerun yields
-bit-identical tables. Competing estimators are always evaluated on the same
-draws (paired design), which makes dominance comparisons sharp at modest
-replication counts. The risk curves score them against the exact truth,
-``true_risk`` and ``true_mse_matrix``, which involve no random draws, so the
-diff columns hold estimator noise alone.
+so a block is drawn as (Z, V, S), three length-m fills whatever p is, no
+(m, p) array of X (``_draw``), and each grid point forms its per-row
+statistics (S, W, ||X||^2, X'theta) from it with t = mu + Z
+(``_row_statistics``). The risk curves draw each (dims, block) once and
+score every (family, lambda) point on it (common random numbers); coverage
+draws each point's blocks from its own streams, so its C0 rows stay
+independent across the grid. Blocks are drawn and scored serially, one
+block per dims at a time, and each point's partials are summed in block
+order. The block layout depends only on the configuration, so a rerun
+yields bit-identical tables. Competing estimators are always evaluated on
+the same draws (paired design), which makes dominance comparisons sharp at
+modest replication counts. The risk curves score them against the exact
+truth, ``true_risk`` and ``true_mse_matrix``, which involve no random
+draws, so the diff columns hold estimator noise alone.
 
 Each block evaluates the unbiased kernels once, and every estimator kind
 is a clamp of them. Coverage curves take every confidence-set quantity
@@ -35,7 +38,7 @@ import csv
 import json
 import math
 import os
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -74,6 +77,10 @@ _STREAM_FIELDS = (("family", 4, 56), ("dims", 8, 48), ("lambda", 16, 32), ("bloc
 _DOMAIN_MSE_CURVE = 3
 _DOMAIN_MATRIX_CURVE = 4
 _DOMAIN_COVERAGE = 5
+# Domains whose points share one draw per (dims, block). Not coverage: C0
+# reads only ||X - theta||^2 = Z^2 + V and S, so shared draws would give
+# every C0 row of a run the same count.
+_SHARED_DRAWS = (_DOMAIN_MSE_CURVE, _DOMAIN_MATRIX_CURVE)
 
 _DEFAULT_MSE_KINDS = (MseEstimatorKind.UMVUE, MseEstimatorKind.PSI0,
                       MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR)
@@ -88,12 +95,12 @@ class ExperimentConfig:
     Each grid point is a noncentrality lambda = theta'theta: risks and
     coverages depend on theta only through it, so the draws and scores read
     mu = sqrt(lambda) and lambda, and no theta vector is built. threads and
-    const_reps are ignored: blocks are
-    drawn up to two ahead by one executor worker, scored serially and
-    summed in block order, and the shrinkage and matrix constants involve
-    no random draws. Both are still accepted for configurations written
-    when they mattered. Building a configuration checks the family names
-    and that the grid and block counts fit the stream-id fields.
+    const_reps are ignored: blocks are drawn and scored serially, and the
+    constants involve no random draws. Both are still accepted for
+    configurations written when they mattered. Building a configuration
+    checks the family names, that no dims, family or noncentrality repeats
+    (its rows could not be told apart) and that the grid and block counts
+    fit the stream-id fields.
     """
 
     dims_list: tuple = (ProblemDims(5, 5),)
@@ -117,8 +124,11 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         RngStream(self.seed)  # the seed must name a stream: an integer in [0, 2**64)
-        for name in self.families:
-            _family_kind(name)
+        keys = {"dims_list": self.dims_list, "families": tuple(map(_family_kind, self.families)),
+                "lambda_grid": self.lambda_grid}
+        for name, entries in keys.items():
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} lists an entry more than once")
         counts = (len(self.families), len(self.dims_list), len(self.lambda_grid),
                   len(range(0, self.reps, BLOCK)))
         for (name, bits, _), count in zip(_STREAM_FIELDS, counts):
@@ -199,43 +209,25 @@ def _block_sizes(reps: int):
     return [min(BLOCK, reps - start) for start in range(0, reps, BLOCK)]
 
 
-def _draw(g: np.random.Generator, m: int, p: int, mu: float, n: int):
-    """One block's row statistics (S, W, ||X||^2, X'theta) for m draws
-    X ~ N_p(theta, I) with ||theta|| = mu, drawn from their joint law rather
-    than from X. t = X'theta/mu ~ N(mu, 1) and V = ||X||^2 - t^2 ~
-    chi^2_{p-1} are independent of each other and of S ~ chi^2_n, so a block
-    is three length-m fills in the order t, V, S whatever p is (V is 0 at
-    p = 1), with ||X||^2 = t^2 + V and X'theta = mu t, exactly 0 at mu = 0.
-    No direction of theta enters."""
-    t = mu + g.standard_normal(m)
+def _draw(g: np.random.Generator, m: int, p: int, n: int):
+    """One block's draws (Z, V, S) for m rows of X ~ N_p(theta, I), none of
+    which depends on theta: t = X'theta/||theta|| = ||theta|| + Z, and
+    V = ||X||^2 - t^2 ~ chi^2_{p-1} is independent of Z ~ N(0, 1) and of
+    S ~ chi^2_n. Three length-m fills in that order whatever p is; V is 0,
+    unfilled, at p = 1."""
+    z = g.standard_normal(m)
+    v = g.chisquare(p - 1, m) if p > 1 else 0.0
+    return z, v, g.chisquare(n, m)
+
+
+def _row_statistics(mu: float, z, v, s):
+    """The row statistics (S, W, ||X||^2, X'theta) of the draws (Z, V, S) at
+    ||theta|| = mu: t = mu + Z, ||X||^2 = t^2 + V and X'theta = mu t,
+    exactly 0 at mu = 0. No direction of theta enters."""
+    t = mu + z
     xx = t * t
-    if p > 1:
-        xx += g.chisquare(p - 1, m)
-    s = g.chisquare(n, m)
+    xx += v
     return s, xx / s, xx, mu * t
-
-
-def _drawn(jobs):
-    """Yield ``_draw(*args)`` for each ``args`` of ``jobs``, in order, drawn
-    by one executor worker at most two blocks ahead. ``jobs`` runs on
-    the calling thread, so the worker runs only numpy's array work (the
-    three fills and the row arithmetic), which releases the GIL. A failed
-    draw raises at its turn; closing the generator cancels the draws not
-    yet started and joins the worker."""
-    # Imported here, since it loads logging, which the CLI's import avoids.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(1, thread_name_prefix="steinmse-draw")
-    try:
-        ahead = deque()
-        for args in jobs:
-            ahead.append(pool.submit(_draw, *args))
-            if len(ahead) > 2:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _grid(cfg: ExperimentConfig, domain: int, setup) -> tuple:
@@ -244,11 +236,14 @@ def _grid(cfg: ExperimentConfig, domain: int, setup) -> tuple:
     ``setup(family_name, fam, dims)`` returns (constants, score): the
     constants the scores use (None if none) and score(lambda_index), the
     block score fn(s, w, xx, x_theta) of a block's row statistics
-    (``_draw``) at that noncentrality. Every set-up runs, once per (dims,
-    family), before the first block is drawn, so a set-up that refuses its
-    point stops the run before any work on the blocks. Each block comes from
-    its own stream of ``domain`` (``_drawn``) at mu = sqrt(lambda); the
-    scores are summed in block order.
+    (``_row_statistics``) at that noncentrality. Every set-up runs, once per
+    (dims, family), before the first block is drawn, so a set-up that
+    refuses its point stops the run before any work on the blocks.
+
+    Within each dims the blocks are outermost. A ``_SHARED_DRAWS`` domain
+    draws each block once, from stream (dims, block), for every (family,
+    lambda) point; another draws each point's block from stream (family,
+    dims, lambda, block). Each point sums its partials in block order.
 
     Returns ([(dims, family_name, lambda, total)] in walk order, and the
     metadata record: per (family, dims), the constants used, with their
@@ -257,20 +252,21 @@ def _grid(cfg: ExperimentConfig, domain: int, setup) -> tuple:
     walk = [(dims, name) for dims in cfg.dims_list for name in cfg.families]
     setups = [setup(name, family_from_name(name, dims), dims) for dims, name in walk]
     used = {(name, dims): c for (dims, name), (c, _) in zip(walk, setups) if c is not None}
-    sizes = _block_sizes(cfg.reps)
-    blocks = _drawn(
-        (_stream(cfg.seed, domain, fi, di, li, bi).generator(), m, dims.p, math.sqrt(lam), dims.n)
-        for di, dims in enumerate(cfg.dims_list) for fi in range(len(cfg.families))
-        for li, lam in enumerate(cfg.lambda_grid) for bi, m in enumerate(sizes))
+    mus = [math.sqrt(lam) for lam in cfg.lambda_grid]
+    points = [(fi, li) for fi in range(len(cfg.families)) for li in range(len(mus))]
     totals = []
-    try:
-        for (dims, name), (_, score) in zip(walk, setups):
-            for li, lam in enumerate(cfg.lambda_grid):
-                at = score(li)
-                totals.append((dims, name, lam,
-                               np.sum(np.stack([at(*next(blocks)) for _ in sizes]), axis=0)))
-    finally:
-        blocks.close()
+    for di, dims in enumerate(cfg.dims_list):
+        scores = [setups[di * len(cfg.families) + fi][1](li) for fi, li in points]
+        parts = [[] for _ in points]
+        for bi, m in enumerate(_block_sizes(cfg.reps)):
+            shared = (_draw(_stream(cfg.seed, domain, 0, di, 0, bi).generator(), m, dims.p,
+                            dims.n) if domain in _SHARED_DRAWS else None)
+            for (fi, li), at, part in zip(points, scores, parts):
+                block = shared if shared is not None else _draw(
+                    _stream(cfg.seed, domain, fi, di, li, bi).generator(), m, dims.p, dims.n)
+                part.append(at(*_row_statistics(mus[li], *block)))
+        totals += [(dims, cfg.families[fi], cfg.lambda_grid[li], np.sum(np.stack(part), axis=0))
+                   for (fi, li), part in zip(points, parts)]
     return totals, [{"family": name, "p": dims.p, "n": dims.n,
                      **({"beta2": c.beta.beta2} if isinstance(c, MatrixConstants) else {}),
                      **{k: v for k, v in vars(c).items() if k != "beta"}}

@@ -269,6 +269,23 @@ def test_lambda_grid_wider_than_its_stream_field_is_usage_error(capsys, monkeypa
 
 
 @pytest.mark.parametrize("command", ["risk-curve", "coverage"])
+@pytest.mark.parametrize("lambdas", ["1,1", "0,2,2.0"])
+def test_repeated_lambda_is_usage_error(capsys, monkeypatch, command, lambdas):
+    # Its rows could not be told apart; refused before any curve work starts.
+    import steinmse.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the curve ran")
+
+    for name in ("run_mse_risk_curve", "run_coverage_curve"):
+        monkeypatch.setattr(cli, name, never)
+    code = main([command, "--p", "5", "--n", "5", "--lambdas", lambdas, "--reps", "10",
+                 "--seed", "1"])
+    assert code == 2
+    assert "lambda_grid lists an entry more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["risk-curve", "coverage"])
 def test_threads_flag_is_gone(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--p", "5", "--n", "5", "--lambdas", "0", "--reps", "10",

@@ -28,8 +28,8 @@ def _small_cfg(**overrides):
 
 def _replay(stream, m, theta, n, dtype=float):
     """One block re-drawn from its stream in the order ``experiments._draw``
-    draws it: t ~ N(mu, 1), V ~ chi^2_{p-1} (none at p = 1), S ~ chi^2_n,
-    with mu = ||theta||. Returns (x, s, t, v), where x is an (m, p) array in
+    draws it: t = mu + Z for Z ~ N(0, 1), V ~ chi^2_{p-1} (none at p = 1),
+    S ~ chi^2_n, with mu = ||theta||. Returns (x, s, t, v), where x is an (m, p) array in
     ``dtype`` with exactly these statistics: x = t theta/mu + sqrt(V) e, for
     unit vectors e orthogonal to theta drawn from an unrelated stream, with
     the grid direction (1, ..., 1)/sqrt(p) in place of theta/mu at mu = 0."""
@@ -242,10 +242,11 @@ def test_drawn_row_statistics_follow_their_law(p, lam):
     # = 2 lam, S ~ chi^2_n independent of both, and W = ||X||^2/S. Each
     # sample moment lies within 5 of its standard errors (taken from the
     # sample) of the closed form; at lam = 0, X'theta is exactly 0.
-    from steinmse.experiments import _draw
+    from steinmse.experiments import _draw, _row_statistics
 
     m, n = 2 ** 16, 7
-    s, w, xx, x_theta = _draw(sm.RngStream(41, p).generator(), m, p, math.sqrt(lam), n)
+    s, w, xx, x_theta = _row_statistics(math.sqrt(lam), *_draw(sm.RngStream(41, p).generator(),
+                                                                m, p, n))
     assert np.array_equal(w, xx / s)
     if lam == 0.0:
         assert np.all(x_theta == 0.0)
@@ -495,7 +496,9 @@ def test_each_block_is_scored_once(monkeypatch):
 
 def test_each_setup_runs_once_before_the_first_draw(monkeypatch):
     # Each curve sets up every (family, dims) of the walk once, constants
-    # and exact truth, and all of them before the first block is drawn.
+    # and exact truth, and all of them before the first block is drawn. A
+    # risk curve then draws each (dims, block) once; coverage draws every
+    # (family, dims, lambda, block).
     import steinmse.experiments as experiments
 
     events = []
@@ -512,17 +515,23 @@ def test_each_setup_runs_once_before_the_first_draw(monkeypatch):
                  "matrix_constants"):
         logged(name)
     dims_list, families = (DIMS, sm.ProblemDims(3, 2)), ("james-stein", "positive-part")
-    cfg = _small_cfg(dims_list=dims_list, families=families, lambda_grid=(0.0, 3.0), reps=10,
-                     estimator_kinds=(K.UMVUE, K.PSI1_TR), matrix_kinds=(MK.UMVUE, MK.XI2_ETA2))
+    cfg = _small_cfg(dims_list=dims_list, families=families, lambda_grid=(0.0, 3.0),
+                     reps=experiments.BLOCK + 1, estimator_kinds=(K.UMVUE, K.PSI1_TR),
+                     matrix_kinds=(MK.UMVUE, MK.XI2_ETA2))
     walk = [(sm.family_from_name(name, dims).kind, dims) for dims in dims_list
             for name in families]
-    for run, made in ((sm.run_mse_risk_curve, ("shrinkage_constants", "true_risk")),
-                      (sm.run_matrix_risk_curve, ("matrix_constants", "true_mse_matrix")),
-                      (sm.run_coverage_curve, ("matrix_constants",))):
+    blocks = 2
+    for run, made, draws in (
+            (sm.run_mse_risk_curve, ("shrinkage_constants", "true_risk"),
+             len(dims_list) * blocks),
+            (sm.run_matrix_risk_curve, ("matrix_constants", "true_mse_matrix"),
+             len(dims_list) * blocks),
+            (sm.run_coverage_curve, ("matrix_constants",),
+             len(walk) * len(cfg.lambda_grid) * blocks)):
         events.clear()
         run(cfg)
         first = events.index("_draw")
-        assert events[first:] == ["_draw"] * len(walk) * len(cfg.lambda_grid), run.__name__
+        assert events[first:] == ["_draw"] * draws, run.__name__
         assert events[:first] == [(name, *point) for point in walk for name in made], \
             run.__name__
 
@@ -567,46 +576,53 @@ def _lookahead_cfg():
 
 
 def test_lookahead_hands_each_point_its_own_blocks():
-    from steinmse.experiments import _DOMAIN_COVERAGE, _block_sizes, _draw, _grid, _stream
+    # Every point of the walk scores each of its blocks once, in block
+    # order, and gets the row statistics at its own noncentrality: of the
+    # shared (dims, block) draw on a risk curve, of its own (family, dims,
+    # lambda, block) stream on coverage.
+    import steinmse.experiments as experiments
+    from steinmse.experiments import _block_sizes, _draw, _grid, _row_statistics, _stream
 
     cfg = _lookahead_cfg()
     sizes = _block_sizes(cfg.reps)
     assert len(sizes) == 3
     keys = [(fi, di, li) for di in range(2) for fi in range(2) for li in range(3)]
-    before = threading.active_count()
-    got = []
+    got = {}
 
     def setup(name, _fam, dims):
         def score(li):
             pt = (dims, name, cfg.lambda_grid[li])
 
             def record(*block):
-                assert threading.active_count() == before + 1  # one worker, no more
-                got.append((pt, *(a.copy() for a in block)))
+                got.setdefault(pt, []).append([a.copy() for a in block])
                 return np.ones(1)
             return record
         return None, score
 
-    walked, used = _grid(cfg, _DOMAIN_COVERAGE, setup)
-    assert threading.active_count() == before and used == []
-    assert len(walked) == len(keys) and len(got) == len(keys) * len(sizes)
-    for (fi, di, li), (dims, name, lam, total) in zip(keys, walked):
-        assert (name, dims, lam) == (cfg.families[fi], cfg.dims_list[di], cfg.lambda_grid[li])
-        assert total.tolist() == [len(sizes)]
-    for i, (pt, *block) in enumerate(got):
-        key, bi = keys[i // len(sizes)], i % len(sizes)
-        assert pt == walked[i // len(sizes)][:3]
-        dims, _, lam = pt
-        want = _draw(_stream(cfg.seed, _DOMAIN_COVERAGE, *key, bi).generator(), sizes[bi],
-                     dims.p, math.sqrt(lam), dims.n)
-        assert len(block) == len(want) == 4
-        assert all(np.array_equal(a, b) for a, b in zip(block, want))
+    for domain in (experiments._DOMAIN_MSE_CURVE, experiments._DOMAIN_MATRIX_CURVE,
+                   experiments._DOMAIN_COVERAGE):
+        shared = domain != experiments._DOMAIN_COVERAGE
+        got.clear()
+        walked, used = _grid(cfg, domain, setup)
+        assert used == [] and len(walked) == len(keys) == len(got)
+        for (fi, di, li), (dims, name, lam, total) in zip(keys, walked):
+            assert (name, dims, lam) == (cfg.families[fi], cfg.dims_list[di],
+                                         cfg.lambda_grid[li])
+            assert total.tolist() == [len(sizes)]
+            blocks = got[(dims, name, lam)]
+            assert len(blocks) == len(sizes)
+            for bi, block in enumerate(blocks):
+                key = (0, di, 0, bi) if shared else (fi, di, li, bi)
+                want = _row_statistics(math.sqrt(lam), *_draw(
+                    _stream(cfg.seed, domain, *key).generator(), sizes[bi], dims.p, dims.n))
+                assert len(block) == len(want) == 4
+                assert all(np.array_equal(a, b) for a, b in zip(block, want)), (domain, key)
 
 
 def test_block_scorers_receive_only_row_statistics(monkeypatch):
-    # The worker draws each block as per-row statistics, so every array a
-    # block scorer sees, in the coverage curve and both risk curves, is one
-    # value per draw: no (m, p) array reaches the scoring thread.
+    # Each block is drawn as per-row statistics, so every array a block
+    # scorer sees, in the coverage curve and both risk curves, is one value
+    # per draw: no (m, p) array reaches a scorer.
     import steinmse.experiments as experiments
 
     grid, seen = experiments._grid, []
@@ -628,8 +644,8 @@ def test_block_scorers_receive_only_row_statistics(monkeypatch):
     monkeypatch.setattr(experiments, "_grid", checked_grid)
     cfg = _small_cfg(lambda_grid=(0.0, 3.0), reps=2 * experiments.BLOCK + 7,
                      estimator_kinds=tuple(K), matrix_kinds=tuple(MK))
-    want = [[(np.ndarray, (m,))] * 4 for _ in cfg.lambda_grid
-            for m in experiments._block_sizes(cfg.reps)]
+    want = [[(np.ndarray, (m,))] * 4 for m in experiments._block_sizes(cfg.reps)
+            for _ in cfg.lambda_grid]
     for run in (sm.run_coverage_curve, sm.run_mse_risk_curve, sm.run_matrix_risk_curve):
         seen.clear()
         run(cfg)
@@ -651,16 +667,17 @@ def test_row_distances_hold_to_a_few_ulps(p, n, lam, family, seed, data):
     # held against the same quantity summed over the (m, p) draws in long
     # double, within 6 ulps of the scale of its terms (2.4 was the worst seen
     # over 768,000 draws at these ranges) plus the underflow level. The block
-    # is drawn as row statistics (t, V, S); the (m, p) draws they describe,
+    # is drawn as (Z, V, S), with t = ||theta|| + Z; the (m, p) draws they describe,
     # x = t theta/||theta|| + sqrt(V) e, are built in long double.
     from steinmse.confidence import _row_distances
-    from steinmse.experiments import _draw
+    from steinmse.experiments import _draw, _row_statistics
 
     direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
     assume(np.linalg.norm(direction) > 1e-3)
     theta = math.sqrt(lam) * direction / np.linalg.norm(direction)
     m = 256
-    s, w, xx, x_theta = _draw(sm.RngStream(seed).generator(), m, p, math.hypot(*theta), n)
+    s, w, xx, x_theta = _row_statistics(math.hypot(*theta),
+                                        *_draw(sm.RngStream(seed).generator(), m, p, n))
     xl, s_again, t, v = _replay(sm.RngStream(seed), m, theta, n, np.longdouble)
     assert np.array_equal(s, s_again) and np.array_equal(x_theta, math.hypot(*theta) * t)
     assert np.array_equal(xx, t * t + v) and np.array_equal(w, xx / s)
@@ -714,7 +731,7 @@ def test_curve_metadata_records_the_constants_used():
     assert sm.run_coverage_curve(plain, c0).metadata["constants"] == []
 
 
-def test_failed_draw_raises_from_the_curve_and_stops_the_worker(monkeypatch):
+def test_failed_draw_raises_from_the_curve(monkeypatch):
     import steinmse.experiments as experiments
 
     boom = FloatingPointError("third block")
@@ -728,27 +745,48 @@ def test_failed_draw_raises_from_the_curve_and_stops_the_worker(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(experiments, "_draw", failing)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError) as info:
-        sm.run_coverage_curve(_lookahead_cfg())
-    assert info.value is boom
+    for run in (sm.run_mse_risk_curve, sm.run_coverage_curve):
+        calls.clear()
+        with pytest.raises(FloatingPointError) as info:
+            run(_lookahead_cfg())
+        assert info.value is boom and len(calls) == 3, run.__name__
+
+
+def test_no_curve_run_starts_a_thread(monkeypatch):
+    # Blocks are drawn and scored on the calling thread: no thread is
+    # running beside it while a block is drawn, or after the run.
+    import steinmse.experiments as experiments
+
+    before, seen = threading.active_count(), []
+    draw = experiments._draw
+
+    def counted(*args):
+        seen.append(threading.active_count())
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "_draw", counted)
+    cfg = _lookahead_cfg()
+    for run in (sm.run_mse_risk_curve, sm.run_matrix_risk_curve, sm.run_coverage_curve):
+        seen.clear()
+        run(cfg)
+        assert seen and set(seen) == {before}, run.__name__
     assert threading.active_count() == before
 
 
-def test_failed_score_propagates_and_stops_the_worker(monkeypatch):
+def test_failed_score_propagates_from_the_curve(monkeypatch):
     import steinmse.experiments as experiments
 
     def failing(*args):
         raise ZeroDivisionError("first point")
 
     monkeypatch.setattr(experiments, "_set_geometry", failing)
-    before = threading.active_count()
     with pytest.raises(ZeroDivisionError, match="first point"):
         sm.run_coverage_curve(_lookahead_cfg())
-    assert threading.active_count() == before
 
 
-def test_failed_score_after_the_first_point_joins_the_worker(monkeypatch):
+def test_failed_score_after_the_first_point_stops_the_draws(monkeypatch):
+    # The fourth score fails: a risk curve has drawn its first shared block
+    # and coverage one block per point scored, and nothing more is drawn.
     import steinmse.experiments as experiments
 
     drawn, taken = [], []
@@ -760,29 +798,75 @@ def test_failed_score_after_the_first_point_joins_the_worker(monkeypatch):
 
     def score(*block):
         taken.append(1)
-        assert len(drawn) <= len(taken) + 2  # at most two blocks ahead
         if len(taken) > 3:
             raise ZeroDivisionError("second point")
         return np.zeros(1)
 
     monkeypatch.setattr(experiments, "_draw", counted)
-    before = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match="second point"):
-        experiments._grid(_lookahead_cfg(), experiments._DOMAIN_MSE_CURVE,
-                          lambda *_: (None, lambda _li: score))
-    assert threading.active_count() == before
-    assert len(taken) == 4 and len(drawn) <= 6
+    for domain, draws in ((experiments._DOMAIN_MSE_CURVE, 1), (experiments._DOMAIN_COVERAGE, 4)):
+        drawn.clear()
+        taken.clear()
+        with pytest.raises(ZeroDivisionError, match="second point"):
+            experiments._grid(_lookahead_cfg(), domain, lambda *_: (None, lambda _li: score))
+        assert len(taken) == 4 and len(drawn) == draws, domain
 
 
-@pytest.mark.parametrize("field, one, limit", [("families", "james-stein", 16),
-                                               ("dims_list", DIMS, 256),
-                                               ("lambda_grid", 1.0, 65536)])
+@pytest.mark.parametrize("field, one, limit", [("lambda_grid", 1.0, 65536),
+                                               ("dims_list", DIMS, 256)])
 def test_config_rejects_a_grid_wider_than_its_stream_field(field, one, limit):
     # Found when the configuration is built, not when the walk reaches
-    # the first index that does not fit.
-    sm.ExperimentConfig(**{field: (one,) * limit})
+    # the first index that does not fit. The family field holds 16, more
+    # than there are families to list.
+    def grid(count):
+        if field == "lambda_grid":
+            return tuple(one + i for i in range(count))
+        return tuple(sm.ProblemDims(one.p + i, one.n) for i in range(count))
+
+    sm.ExperimentConfig(**{field: grid(limit)})
     with pytest.raises(ValueError, match=f"{limit + 1} .* stream field"):
-        sm.ExperimentConfig(**{field: (one,) * (limit + 1)})
+        sm.ExperimentConfig(**{field: grid(limit + 1)})
+
+
+@pytest.mark.parametrize("field, entries", [
+    ("dims_list", (DIMS, sm.ProblemDims(3, 2), DIMS)),
+    ("families", ("james-stein", "positive-part", "james-stein")),
+    ("families", ("js", "james-stein")),
+    ("lambda_grid", (0.0, 1.0, 1)),
+    ("lambda_grid", (0.0, -0.0))])
+def test_config_rejects_repeated_entries(field, entries):
+    # A repeated dims, family (under any of its names) or noncentrality
+    # would write rows that cannot be told apart.
+    with pytest.raises(ValueError, match=f"^{field} lists an entry more than once$"):
+        sm.ExperimentConfig(**{field: entries})
+
+
+@pytest.mark.parametrize("run", [sm.run_mse_risk_curve, sm.run_matrix_risk_curve])
+def test_risk_row_depends_only_on_its_point(tmp_path, run):
+    # A risk curve draws each (dims, block) once for every family and
+    # noncentrality, so a row reads the same bytes whatever else the grid
+    # holds: the lambda = 5 rows of grid (0, 5) are those of grid (5,), and
+    # the positive-part rows are those of a positive-part-only run.
+    def lines(**overrides):
+        path = tmp_path / "risk.csv"
+        run(_small_cfg(reps=5000, **overrides)).write_csv(str(path))
+        return path.read_text().splitlines()[1:]
+
+    both = lines(lambda_grid=(0.0, 5.0), families=("james-stein", "positive-part"))
+    at5 = [line for line in both if line.split(",")[2:4] == ["positive-part", "5"]]
+    assert len(at5) == 2
+    assert at5 == lines(lambda_grid=(5.0,))
+    pp = [line for line in both if line.split(",")[2] == "positive-part"]
+    assert pp == lines(lambda_grid=(0.0, 5.0))
+
+
+def test_coverage_rows_draw_independent_blocks():
+    # Coverage draws each point from its own streams. Shared draws would
+    # give every C0 row the same count, since C0 reads only ||X - theta||^2
+    # and S, and the run's rows would no longer be independent trials.
+    cfg = _small_cfg(lambda_grid=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0), reps=8192)
+    table = sm.run_coverage_curve(cfg, (sm.ConfidenceSpec(sm.ConfidenceVariant.C0),))
+    hits = [round(row.coverage * cfg.reps) for row in table.rows]
+    assert len(hits) == 6 and len(set(hits)) > 1
 
 
 def test_config_rejects_more_blocks_than_the_block_field():
