@@ -25,7 +25,7 @@ import enum
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,11 +94,17 @@ class ConfidenceResult:
 
     def contains(self, theta) -> bool:
         """Closed-set membership of a finite length-p theta: quadratic form / p <= threshold."""
-        theta = _vector(theta, self.shape.dim)
-        if not np.isfinite(theta).all():
-            raise ValueError("theta must be finite")
-        return bool(quad_form_inv(self.shape, self.center - theta) / self.shape.dim
-                    <= self.quadratic_radius)
+        return _contains(self.center, self.quadratic_radius, self.shape, theta)
+
+
+def _contains(center, radius: float, shape: AxialMatrix, theta) -> bool:
+    """Membership of theta in the set of these fields, for ``contains`` and
+    for ``build_confidence_set`` before it builds the result: theta is
+    checked here, the difference by ``quad_form_inv``."""
+    theta = _vector(theta, shape.dim)
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    return bool(quad_form_inv(shape, center - theta) / shape.dim <= radius)
 
 
 def _require_positive_definite(m: AxialMatrix, context: str):
@@ -134,8 +140,8 @@ def quad_form_inv(m: AxialMatrix, d) -> float:
     """
     d = _vector(d, m.dim)
     _require_positive_definite(m, "inverse quadratic form")
-    t = float(m.axis @ d)
-    return _inv_quad(float(d @ d) - t * t, t * t, m.iso, m.iso + m.axial, m.scale)
+    t = float(m.axis.dot(d))
+    return _inv_quad(float(d.dot(d)) - t * t, t * t, m.iso, m.iso + m.axial, m.scale)
 
 
 def ellipsoid_volume(m: AxialMatrix, c: float) -> float:
@@ -168,8 +174,9 @@ def _row_distances(f, xx, x_theta, theta_theta):
 
 def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
                   consts: MatrixConstants | None = None, rows=None, unbiased=None) -> list:
-    """The sets of each spec in ``specs`` for s and w (m,) and, given
-    ``rows``, the row statistics (||x||^2, x'theta, theta'theta); every
+    """The sets of each spec in ``specs`` for s and w, (m,) arrays or, for
+    one observation, float64 scalars, and, given ``rows``, the row
+    statistics (||x||^2, x'theta, theta'theta); every
     variant but C0 is centred at delta = (1 - phi(W)/W) x.
 
     Returns one geometry per spec: the shape's eigenvalue factors and
@@ -204,7 +211,7 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
                     raise ValueError(f"variant {spec.variant.value}: W must be positive")
                 unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, fam, dims)
             l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, dims, consts)
-            if not (l_perp.min() > 0 and l_axis.min() > 0):
+            if not ((l_perp > 0) & (l_axis > 0)).all():
                 raise ValueError(f"variant {spec.variant.value}: matrix estimate lost positive "
                                  "definiteness; check the certificates for these dimensions")
             logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
@@ -244,13 +251,13 @@ def build_confidence_set(cspec: ConfidenceSpec, obs: Observation, fam: Shrinkage
         iso, g3, unbiased = 1.0 / dims.n, 0.0, None
     else:
         _, iso, g3 = _observed_kernel(obs, fam, dims)
-        unbiased = (np.array([iso]), np.array([iso + g3]))
-    g, = _set_geometry(np.array([obs.s]), np.array([obs.w]), (cspec,), fam, dims, consts,
+        unbiased = (np.float64(iso), np.float64(iso + g3))
+    g, = _set_geometry(np.float64(obs.s), np.float64(obs.w), (cspec,), fam, dims, consts,
                        unbiased=unbiased)
-    shape = _axial_estimate(obs, iso, g3, g.l_perp[0], g.l_axis[0])
-    radius = float(np.ravel(g.radius)[0])
+    shape = _axial_estimate(obs, iso, g3, g.l_perp, g.l_axis)
+    radius = float(g.radius)
     starred = cspec.variant in (ConfidenceVariant.C1_STAR, ConfidenceVariant.C2_STAR)
     volume = (ellipsoid_volume(AxialMatrix(dims.p, obs.s, 1.0 / dims.n, 0.0, obs.axis), g.c)
               if starred else ellipsoid_volume(shape, radius))
-    result = ConfidenceResult(center, radius, shape, volume, None)
-    return result if theta is None else replace(result, contains_truth=result.contains(theta))
+    covered = None if theta is None else _contains(center, radius, shape, theta)
+    return ConfidenceResult(center, radius, shape, volume, covered)

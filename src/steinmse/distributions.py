@@ -232,7 +232,7 @@ def _check_moment_args(k: int, n: int, c: float):
     return k, n
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def ratio_partial_moments(k: int, n: int, c: float):
     """(P(W < c), E[1/W; W > c], E[W; W < c]) for W = U/V, with U ~ chi^2_k
     and V ~ chi^2_n independent, k > 2 and a cut 0 <= c < 2**53.
@@ -242,8 +242,11 @@ def ratio_partial_moments(k: int, n: int, c: float):
     E[W; W < c] = B_x(a+1, b-1)/B(a, b) (``_partial_tails``). Cached: the
     beta_j scan of ``matrix_constants`` asks for each (k, n, c) once per
     moment curve, and every ``matrix_constants`` call for the same family
-    and dims repeats the scan. ``ratio_moment_ladder`` gives the same bits
-    at its block boundaries without this cache.
+    and dims repeats the scan. The cache holds 512 keys, more than the 424
+    that ``shrinkage_constants`` and ``matrix_constants`` ask for over the
+    four table dims and both built-in families, so a repeat of that cycle
+    recomputes nothing. ``ratio_moment_ladder`` gives the same bits at its
+    block boundaries without this cache.
     """
     k, n = _check_moment_args(k, n, c)
     x = c / (1.0 + c)

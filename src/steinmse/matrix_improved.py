@@ -290,15 +290,14 @@ def _clamp_eigen_parts(kind: MatrixEstimatorKind, l_perp, l_axis, w, dims: Probl
     if kind is MatrixEstimatorKind.UMVUE:
         return l_perp, l_axis
     p, n = dims.p, dims.n
-    upper_cap = (1.0 + w) / (n + p + 1.0)  # l_perp value forced by the xi truncation
     if kind is MatrixEstimatorKind.XI0_ETA0:
         # xi0 = max(min(1, 1/(n g1)), cap) and eta0 = min(1, (1/n + g3)/g1)
         # turn into exact clamps of the eigenvalue factors.
-        return np.minimum(np.maximum(l_perp, 0.0), upper_cap), np.maximum(l_axis, 0.0)
-    if consts is None:
+        l_perp, l_axis = np.maximum(l_perp, 0.0), np.maximum(l_axis, 0.0)
+    elif consts is None:
         raise ValueError(f"{kind.value} requires precomputed matrix constants")
-    beta2 = consts.beta.beta2
-    if kind in (MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI1_TR_ETA1):
+    elif kind in (MatrixEstimatorKind.XI1_ETA1, MatrixEstimatorKind.XI1_TR_ETA1):
+        beta2 = consts.beta.beta2
         if consts.w_xi is not None:
             q = (1.0 + consts.w_xi) * beta2 / (n + p + 2.0)
             l_perp = np.maximum(l_perp, 1.0 / n - q)
@@ -306,11 +305,12 @@ def _clamp_eigen_parts(kind: MatrixEstimatorKind, l_perp, l_axis, w, dims: Probl
             q_eta = (1.0 + consts.w_eta) * beta2 / (n + p + 2.0)
             l_axis = np.maximum(l_axis, 1.0 / n - q_eta)
     else:
-        q = beta2 / (n + 2.0)
+        q = consts.beta.beta2 / (n + 2.0)
         l_perp = np.maximum(l_perp, 1.0 / n - q)
         l_axis = np.maximum(l_axis, 1.0 / n - q)
-    if kind in (MatrixEstimatorKind.XI1_TR_ETA1, MatrixEstimatorKind.XI2_TR_ETA2):
-        l_perp = np.minimum(l_perp, upper_cap)
+    if kind in (MatrixEstimatorKind.XI0_ETA0, MatrixEstimatorKind.XI1_TR_ETA1,
+                MatrixEstimatorKind.XI2_TR_ETA2):  # the l_perp value forced by the xi truncation
+        l_perp = np.minimum(l_perp, (1.0 + w) / (n + p + 1.0))
     return l_perp, l_axis
 
 

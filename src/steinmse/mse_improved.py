@@ -143,20 +143,18 @@ def _clamp_mse(kind: MseEstimatorKind, base, w, s, dims: ProblemDims,
     if kind is MseEstimatorKind.TRUNCATED_ZERO:
         return np.maximum(base, 0.0)
     p, n = dims.p, dims.n
-    with np.errstate(over="ignore"):  # a cap beyond the largest double caps nothing
-        cap = p * s * (1.0 + w) / (n + p + 2.0)
     if kind is MseEstimatorKind.PSI0:
-        return np.minimum(np.maximum(base, 0.0), cap)
-    if consts is None:
+        out = np.maximum(base, 0.0)
+    elif consts is None:
         raise ValueError(f"{kind.value} requires precomputed shrinkage constants")
-    if kind in (MseEstimatorKind.PSI1, MseEstimatorKind.PSI1_TR):
-        floor = (p * s / n) * (1.0 - consts.gamma * consts.alpha / p)
+    elif kind in (MseEstimatorKind.PSI1, MseEstimatorKind.PSI1_TR):
+        out = np.maximum(base, (p * s / n) * (1.0 - consts.gamma * consts.alpha / p))
     else:
-        floor = (p * s / n) * (1.0 - consts.alpha / p)
-    out = np.maximum(base, floor)
-    if kind in (MseEstimatorKind.PSI1_TR, MseEstimatorKind.PSI2_TR):
-        out = np.minimum(out, cap)
-    return out
+        out = np.maximum(base, (p * s / n) * (1.0 - consts.alpha / p))
+    if kind in (MseEstimatorKind.PSI1, MseEstimatorKind.PSI2):
+        return out
+    with np.errstate(over="ignore"):  # a cap beyond the largest double caps nothing
+        return np.minimum(out, p * s * (1.0 + w) / (n + p + 2.0))
 
 
 def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: ProblemDims,

@@ -20,6 +20,7 @@ of W; for one observation ``_kernel_at`` evaluates g1, g2 and phi once per
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -62,7 +63,7 @@ class AxialMatrix:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
+        if not 0 < self.scale < math.inf:
             raise ValueError("scale must be positive and finite")
         axis = self.axis
         if not (isinstance(axis, np.ndarray) and axis.ndim == 1 and axis.dtype == float
@@ -71,7 +72,7 @@ class AxialMatrix:
             axis.setflags(write=False)
         if axis.shape != (self.dim,):
             raise ValueError(f"axis must have length {self.dim}")
-        norm = float(np.sqrt(axis @ axis))  # np.linalg.norm's arithmetic
+        norm = math.sqrt(axis.dot(axis))  # np.linalg.norm's arithmetic
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"axis must be a unit vector (norm {norm:.15g})")
         object.__setattr__(self, "axis", axis)

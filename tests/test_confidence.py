@@ -219,6 +219,24 @@ class TestBuildConfidenceSet:
             with pytest.raises(ValueError, match="theta must be finite"):
                 sm.build_confidence_set(sm.ConfidenceSpec(variant), obs, PP, DIMS, consts, theta)
 
+    # build_confidence_set and ConfidenceResult.contains check theta on one
+    # route: every variant refuses the same theta with the same message.
+    @pytest.mark.parametrize("variant", list(CV))
+    @pytest.mark.parametrize("theta, match", [
+        (np.zeros(4), "vector has length 4, expected 5"),
+        (np.zeros(6), "vector has length 6, expected 5"),
+        (np.array([0.0, np.nan, 0.0, 0.0, 0.0]), "theta must be finite"),
+        (np.array([0.0, 0.0, np.inf, 0.0, 0.0]), "theta must be finite"),
+        (np.array([-np.inf, 0.0, 0.0, 0.0, 0.0]), "theta must be finite"),
+    ], ids=["short", "long", "nan", "inf", "-inf"])
+    def test_a_bad_theta_is_refused_by_both_routes(self, consts, variant, theta, match):
+        obs = sm.Observation([0.9, -0.4, 1.3, 0.2, -0.6], 2.0)
+        spec = sm.ConfidenceSpec(variant)
+        with pytest.raises(ValueError, match=match):
+            sm.build_confidence_set(spec, obs, PP, DIMS, consts, theta=theta)
+        with pytest.raises(ValueError, match=match):
+            sm.build_confidence_set(spec, obs, PP, DIMS, consts).contains(theta)
+
 
 @pytest.mark.parametrize("variant", [CV.C1, CV.C2_STAR])
 def test_batch_geometry_refuses_a_nonpositive_w(consts, variant):

@@ -371,3 +371,23 @@ def test_divergent_integrals_raise_quickly(mean):
     with pytest.raises(RuntimeError):
         mean()
     assert time.perf_counter() - start < 1.0
+
+
+def test_partial_moment_cache_holds_the_table_constants_cycle():
+    # The constants of the four table dims and both families ask for 424
+    # distinct (k, n, c) keys in a fixed order; the cache must hold them all,
+    # or a repeat of the cycle recomputes every one.
+    def one_pass():
+        for p, n in [(5, 5), (10, 5), (5, 10), (10, 10)]:
+            dims = sm.ProblemDims(p, n)
+            for name in ("james-stein", "positive-part"):
+                fam = sm.family_from_name(name, dims)
+                sm.shrinkage_constants(fam, dims)
+                sm.matrix_constants(fam, dims)
+
+    one_pass()
+    before = ratio_partial_moments.cache_info()
+    one_pass()
+    after = ratio_partial_moments.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits

@@ -18,7 +18,7 @@ import pytest
 import steinmse as sm
 from steinmse import shrinkage, umvue
 from steinmse.confidence import _set_geometry
-from steinmse.umvue import _kernel_at, _kernel_terms, _matrix_parts_from
+from steinmse.umvue import _kernel_at, _kernel_terms, _matrix_parts_from, _observed_kernel
 
 MK = sm.MatrixEstimatorKind
 TABLE_DIMS = [(5, 5), (10, 5), (5, 10), (10, 10)]
@@ -209,3 +209,72 @@ def test_observations_and_axial_matrices_compare_by_identity():
     u = np.array([0.6, 0.8, 0.0])
     m, m2 = sm.AxialMatrix(3, 1.0, 1.0, 0.5, u), sm.AxialMatrix(3, 1.0, 1.0, 0.5, u)
     assert m == m and m != m2 and len({m, m2, m}) == 2
+
+
+def _on_c0_boundary(obs, fam, dims, level):
+    """A theta on C0's boundary: x moved along e1 until the quadratic form
+    over p equals the threshold, or the closest such double found."""
+    c0 = sm.build_confidence_set(sm.ConfidenceSpec(sm.ConfidenceVariant.C0, level), obs,
+                                 fam, dims)
+    theta = obs.x.copy()
+    theta[0] += np.sqrt(c0.quadratic_radius * dims.p * obs.s / dims.n)
+    for _ in range(64):  # a few ulps either way
+        q = sm.quad_form_inv(c0.shape, c0.center - theta) / dims.p
+        if q == c0.quadratic_radius:
+            break
+        theta[0] = np.nextafter(theta[0], obs.x[0] if q > c0.quadratic_radius else np.inf)
+    return theta
+
+
+@pytest.mark.parametrize("fam_name", FAMILIES)
+@pytest.mark.parametrize("p,n", TABLE_DIMS)
+def test_each_set_is_its_row_of_a_block_and_covers_as_it_contains(p, n, fam_name):
+    # build_confidence_set is the m = 1 case of _set_geometry: from the same
+    # unbiased factors its threshold and shape factors are, bit for bit, those
+    # of its row inside a 64-row block, and contains_truth is
+    # ConfidenceResult.contains of the set. The block is handed the memoised
+    # single-observation kernel: below the positive-part kink that kernel's
+    # power is a scalar one and can differ from the array kernel's in the
+    # last bit.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.family_from_name(fam_name, dims)
+    mc = sm.matrix_constants(fam, dims)
+    rng = np.random.default_rng(10 * p + n)
+    observations = _observations(rng, dims)
+    while len(observations) < 64:
+        x = rng.standard_normal(p) * rng.uniform(0.2, 3.0)
+        observations.append(sm.Observation(x, rng.chisquare(n)))
+    s = np.array([obs.s for obs in observations])
+    w = np.array([obs.w for obs in observations])
+    iso, g3 = np.array([_observed_kernel(obs, fam, dims)[1:] for obs in observations]).T
+    for level in (0.90, 0.95):
+        boundary = [_on_c0_boundary(obs, fam, dims, level) for obs in observations[:8]]
+        for variant in sm.ConfidenceVariant:
+            spec = sm.ConfidenceSpec(variant, level)
+            geo, = _set_geometry(s, w, (spec,), fam, dims, mc, unbiased=(iso, iso + g3))
+            radius = np.broadcast_to(geo.radius, w.shape)
+            for i, obs in enumerate(observations):
+                thetas = [rng.standard_normal(p) + obs.x] + boundary[i:i + 1]
+                for theta in thetas:
+                    got = sm.build_confidence_set(spec, obs, fam, dims, mc, theta=theta)
+                    assert got.quadratic_radius == radius[i], (variant, level, i)
+                    l_perp, l_axis = geo.l_perp[i], geo.l_axis[i]
+                    unclamped = spec.matrix_kind is None or (l_perp == iso[i] and
+                                                             l_axis == iso[i] + g3[i])
+                    assert got.shape.iso == l_perp, (variant, level, i)
+                    assert got.shape.axial == ((g3[i] if spec.matrix_kind else 0.0) if unclamped
+                                               else l_axis - l_perp), (variant, level, i)
+                    assert got.contains_truth is got.contains(theta), (variant, level, i)
+
+
+def test_a_theta_on_c0s_boundary_is_inside_it():
+    dims = sm.ProblemDims(5, 5)
+    fam = sm.ShrinkageFamily.james_stein(dims)
+    obs = sm.Observation([0.9, -0.4, 1.3, 0.2, -0.6], 2.0)
+    theta = _on_c0_boundary(obs, fam, dims, 0.95)
+    c0 = sm.build_confidence_set(sm.ConfidenceSpec(sm.ConfidenceVariant.C0), obs, fam, dims,
+                                 theta=theta)
+    assert sm.quad_form_inv(c0.shape, c0.center - theta) / dims.p == c0.quadratic_radius
+    assert c0.contains_truth is True and c0.contains(theta) is True
+    theta[0] = np.nextafter(theta[0], np.inf)
+    assert c0.contains(theta) is False

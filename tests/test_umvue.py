@@ -61,10 +61,32 @@ class TestAxialMatrix:
         (3, 0.0, [1.0, 0.0, 0.0], "scale must be positive"),
         (3, math.inf, [1.0, 0.0, 0.0], "scale must be positive"),
         (3, 1.0, [1.0, 0.0], "axis must have length 3"),
+        (3, -1.0, [1.0, 0.0, 0.0], "scale must be positive"),
+        (3, -math.inf, [1.0, 0.0, 0.0], "scale must be positive"),
+        (3, math.nan, [1.0, 0.0, 0.0], "scale must be positive"),
     ])
     def test_rejects_bad_parts(self, dim, scale, axis, match):
         with pytest.raises(ValueError, match=match):
             sm.AxialMatrix(dim, scale, 1.0, 0.0, np.array(axis))
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["copied", "shared"])
+    def test_axis_norm_tolerance_is_1e_12(self, read_only):
+        # A read-only axis that owns its data is kept without a copy, and
+        # is checked all the same.
+        def axis(values):
+            u = np.array(values, dtype=float)
+            u.setflags(write=not read_only)
+            return u
+
+        with pytest.raises(ValueError, match="axis must have length 3"):
+            sm.AxialMatrix(3, 1.0, 1.0, 0.0, axis([1.0, 0.0]))
+        for off in (1.1e-12, -1.1e-12):
+            with pytest.raises(ValueError, match="axis must be a unit vector"):
+                sm.AxialMatrix(3, 1.0, 1.0, 0.0, axis([1.0 + off, 0.0, 0.0]))
+        for off in (0.9e-12, -0.9e-12):
+            u = axis([1.0 + off, 0.0, 0.0])
+            m = sm.AxialMatrix(3, 1.0, 1.0, 0.0, u)
+            assert m.axis[0] == 1.0 + off and (m.axis is u) == read_only
 
     def test_logdet_requires_positive_definite(self):
         u = np.array([1.0, 0.0, 0.0])
