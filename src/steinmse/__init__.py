@@ -10,16 +10,14 @@ from .experiments import (CoverageTable, CsvTable, ExperimentConfig, RiskTable,
                           reproduce_tables, run_coverage_curve, run_matrix_risk_curve,
                           run_mse_risk_curve, write_plot_script, write_tables)
 from .matrix_improved import (BetaConstants, MatrixConstants, MatrixEstimatorKind,
-                              beta_constants, estimate_mse_matrix, matrix_constants,
-                              matrix_eigen_parts, positive_definite_certified)
+                              estimate_mse_matrix, matrix_constants, matrix_eigen_parts,
+                              positive_definite_certified)
 from .mse_improved import (MseEstimatorKind, ShrinkageConstants, estimate_mse, estimate_mse_at,
-                           psi1_positive_certified, shrinkage_constants,
-                           truncation_band_nonempty)
+                           psi1_positive_certified, shrinkage_constants)
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
                         ShrunkToOriginWarning, apply_estimator, canonicalize_regression,
-                        family_from_name, risk_reduction_integrand, shrink_factors,
-                        true_mse_matrix, true_risk)
-from .umvue import AxialMatrix, g_transform, umvue_mse, umvue_mse_matrix
+                        family_from_name, shrink_factors, true_mse_matrix, true_risk)
+from .umvue import AxialMatrix, umvue_mse, umvue_mse_matrix
 
 __version__ = "0.1.0"
 
@@ -28,12 +26,11 @@ __all__ = [
     "CoverageTable", "CsvTable", "ExperimentConfig", "FamilyKind", "MatrixConstants",
     "MatrixEstimatorKind", "MseEstimatorKind", "Observation", "ProblemDims", "RiskTable",
     "RngStream", "ShrinkageConstants", "ShrinkageFamily", "ShrunkToOriginWarning",
-    "apply_estimator", "beta_constants", "build_confidence_set", "canonicalize_regression",
-    "ellipsoid_volume", "estimate_mse", "estimate_mse_at", "estimate_mse_matrix", "f_quantile",
-    "family_from_name", "g_transform", "matrix_constants", "matrix_eigen_parts",
-    "positive_definite_certified", "psi1_positive_certified", "quad_form_inv",
-    "reproduce_tables", "risk_reduction_integrand", "run_coverage_curve",
+    "apply_estimator", "build_confidence_set", "canonicalize_regression", "ellipsoid_volume",
+    "estimate_mse", "estimate_mse_at", "estimate_mse_matrix", "f_quantile", "family_from_name",
+    "matrix_constants", "matrix_eigen_parts", "positive_definite_certified",
+    "psi1_positive_certified", "quad_form_inv", "reproduce_tables", "run_coverage_curve",
     "run_matrix_risk_curve", "run_mse_risk_curve", "shrink_factors", "shrinkage_constants",
-    "true_mse_matrix", "true_risk", "truncation_band_nonempty", "umvue_mse", "umvue_mse_matrix",
-    "write_plot_script", "write_tables",
+    "true_mse_matrix", "true_risk", "umvue_mse", "umvue_mse_matrix", "write_plot_script",
+    "write_tables",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 from ._rootfind import bracketed_root
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily, _reduction_means,
                         _require_dims_match)
-from .umvue import _observed_kernel, _unbiased_mse, a_of_w
+from .umvue import _finite_mse, _observed_kernel, a_of_w
 
 __all__ = [
     "MseEstimatorKind",
@@ -36,7 +36,6 @@ __all__ = [
     "estimate_mse",
     "estimate_mse_at",
     "psi1_positive_certified",
-    "truncation_band_nonempty",
 ]
 
 
@@ -159,35 +158,23 @@ def _clamp_mse(kind: MseEstimatorKind, base, w, s, dims: ProblemDims,
 
 def estimate_mse_at(kind: MseEstimatorKind, w, s, fam: ShrinkageFamily, dims: ProblemDims,
                     consts: ShrinkageConstants | None = None):
-    """Vectorized core: scalar MSE estimates from (W, S) arrays."""
+    """Vectorized core: scalar MSE estimates from (W, S) arrays, each a clamp
+    of the unbiased pS(1 - a(W))/n."""
     w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
-    return _clamp_mse(kind, _unbiased_mse(w, s, fam, dims), w, s, dims, consts)
+    base = dims.p * s / dims.n * (1.0 - a_of_w(fam, dims, w))
+    return _clamp_mse(kind, base, w, s, dims, consts)
 
 
 def estimate_mse(kind: MseEstimatorKind, obs: Observation, fam: ShrinkageFamily,
                  dims: ProblemDims, consts: ShrinkageConstants | None = None) -> float:
-    """Scalar MSE estimate of the requested kind for one observation."""
+    """Scalar MSE estimate of the requested kind for one observation; a
+    value beyond a double raises ValueError."""
     base = _observed_kernel(obs, fam, dims)[0]
-    return float(_clamp_mse(kind, base, obs.w, obs.s, dims, consts))
+    return _finite_mse(float(_clamp_mse(kind, base, obs.w, obs.s, dims, consts)), kind.value)
 
 
 def psi1_positive_certified(consts: ShrinkageConstants, dims: ProblemDims) -> bool:
     """True when gamma * alpha < p guarantees a strictly positive PSI1."""
     return consts.gamma * consts.alpha < dims.p
 
-
-def truncation_band_nonempty(fam: ShrinkageFamily, dims: ProblemDims) -> bool:
-    """Whether some W satisfies (1/a(W))(1 - n(1+W)/(n+p+2)) >= 1.
-
-    On that set the upper cap strictly binds below the zero-truncated
-    unbiased estimate, which is what makes PSI0 beat plain truncation at
-    zero. Checked on a grid covering the region where the condition can
-    hold (it forces n(1+W) < n+p+2, so W < (p+2)/n).
-    """
-    p, n = dims.p, dims.n
-    grid = np.linspace(1e-4, (p + 2.0) / n, 4001)
-    a = np.asarray(a_of_w(fam, dims, grid), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = (1.0 - n * (1.0 + grid) / (n + p + 2.0)) / a
-    return bool(np.any(lhs[a > 0] >= 1.0))

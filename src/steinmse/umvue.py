@@ -15,7 +15,8 @@ a whole array of W from one tanh-sinh quadrature.
 Every estimate clamps the unbiased kernel at W: pS(1 - a(W))/n and the
 matrix parts (1/n - g1(W), g3(W)). The block paths evaluate it on arrays
 of W; for one observation ``_kernel_at`` evaluates g1, g2 and phi once per
-(family, dims, W), and the observation's matrices share its read-only axis.
+(family, dims, W) on a one-row block, so each single-observation value is
+its block row, and the observation's matrices share its read-only axis.
 """
 
 from __future__ import annotations
@@ -197,13 +198,6 @@ def g_functions(fam: ShrinkageFamily, dims: ProblemDims) -> GFunctions:
     return GFunctions(g1, g2, g3)
 
 
-def _positive_w(obs: Observation) -> float:
-    w = obs.w
-    if not w > 0:
-        raise ValueError("the statistic W = ||x||^2 / s must be positive")
-    return w
-
-
 def _g3_from(g2, phi, w):
     """g3 = g2 + phi^2/W, as ``GFunctions.g3`` and every matrix estimate form it."""
     return g2 + phi * (phi / w)
@@ -229,11 +223,6 @@ def a_of_w(fam: ShrinkageFamily, dims: ProblemDims, w):
     return _a_from(*_kernel_terms(fam, dims, w), w, dims)
 
 
-def _unbiased_mse(w, s, fam: ShrinkageFamily, dims: ProblemDims):
-    """pS(1 - a(W))/n for (W, S) arrays; every scalar estimate clamps it."""
-    return dims.p * s / dims.n * (1.0 - a_of_w(fam, dims, w))
-
-
 def _matrix_parts_from(g1, g2, phi, w, dims: ProblemDims):
     """(1/n - g1(W), g3(W)) from the kernel terms at W: the isotropic and axial
     parts of the unbiased matrix estimate, whose factors are iso and iso + g3."""
@@ -242,18 +231,37 @@ def _matrix_parts_from(g1, g2, phi, w, dims: ProblemDims):
 
 @lru_cache(maxsize=32)
 def _kernel_at(fam: ShrinkageFamily, dims: ProblemDims, w: float):
-    """(a(W), 1/n - g1(W), g3(W)) at one W, as floats, from one evaluation of
-    g1, g2 and phi; memoised, so one observation's estimates share it."""
-    terms = _kernel_terms(fam, dims, np.asarray(w, dtype=float))
-    return (float(_a_from(*terms, w, dims)), *map(float, _matrix_parts_from(*terms, w, dims)))
+    """(a(W), 1/n - g1(W), g3(W)) at one W, as floats: the row of a one-row
+    block, so bit for bit what the block paths give that W, from one
+    evaluation of g1, g2 and phi; memoised, so one observation's estimates
+    share it. A kernel that is not finite (W so small that c/W overflows)
+    is refused."""
+    row = np.array([w])
+    with np.errstate(all="ignore"):
+        terms = _kernel_terms(fam, dims, row)
+        kernel = (_a_from(*terms, row, dims)[0],
+                  *(v[0] for v in _matrix_parts_from(*terms, row, dims)))
+    kernel = tuple(map(float, kernel))
+    if not all(map(math.isfinite, kernel)):
+        raise ValueError(f"the unbiased kernel at W = {w!r} is not finite")
+    return kernel
 
 
 def _observed_kernel(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims):
     """(pS(1 - a(W))/n, 1/n - g1(W), g3(W)) for one observation: the unbiased
     scalar estimate and matrix parts that every single-observation estimate
     clamps."""
-    a, iso, g3 = _kernel_at(fam, dims, _positive_w(obs))
+    if not obs.w > 0:
+        raise ValueError("the statistic W = ||x||^2 / s must be positive")
+    a, iso, g3 = _kernel_at(fam, dims, obs.w)
     return dims.p * obs.s / dims.n * (1.0 - a), iso, g3
+
+
+def _finite_mse(value: float, kind: str) -> float:
+    """One observation's MSE estimate of ``kind``, refused if it overflows."""
+    if not math.isfinite(value):
+        raise ValueError(f"the {kind} MSE estimate overflows a double ({value})")
+    return value
 
 
 def _axial_estimate(obs: Observation, iso: float, g3: float, l_perp, l_axis) -> AxialMatrix:
@@ -272,9 +280,9 @@ def umvue_mse(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> floa
 
     Negative values are possible for small W; repairing that without
     giving up risk is exactly what the improved estimators, each a clamp
-    of this estimate, are for.
+    of this estimate, are for. A value beyond a double raises ValueError.
     """
-    return _observed_kernel(obs, fam, dims)[0]
+    return _finite_mse(_observed_kernel(obs, fam, dims)[0], "umvue")
 
 
 def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -> AxialMatrix:

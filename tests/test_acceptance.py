@@ -14,7 +14,7 @@ import pytest
 
 import steinmse as sm
 from steinmse.mse_improved import alpha_pn, gamma_pn, solve_w_pn
-from steinmse.umvue import g_functions
+from steinmse.umvue import g_functions, g_transform
 from _oracles import quadratic_root
 
 K = sm.MseEstimatorKind
@@ -286,7 +286,7 @@ def test_criterion_10_oracle_equivalence():
                 return dims.p * np.asarray(gf.g1(w)) - np.asarray(gf.g2(w))
 
             for hfun, closed in ((h1, gf.g1), (h2, gf.g2), (h, g)):
-                got = sm.g_transform(hfun, dims, grid)
+                got = g_transform(hfun, dims, grid)
                 want = np.asarray(closed(grid), dtype=float)
                 denom = np.maximum(abs(want), 1e-12)
                 worst_quad = max(worst_quad, float(np.max(abs(got - want) / denom)))

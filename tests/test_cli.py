@@ -402,6 +402,19 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys, to_file):
     assert not out.exists()
 
 
+def test_an_overflowing_umvue_mse_is_one_numerical_failure_line(tmp_path, capsys):
+    # James-Stein at (5, 5) with W = 8.2e-134: the unbiased MSE estimate is
+    # -inf, refused by name before the JSON encoder meets it.
+    path = tmp_path / "x.csv"
+    path.write_text("7e71\n" * 5)
+    code = main(["estimate", "--p", "5", "--n", "5", "--x", str(path), "--s", "3e277",
+                 "--family", "james-stein", "--mse", "umvue"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: the umvue MSE estimate overflows a double (-inf)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_positive_part_at_large_n_is_estimated(x_csv, tmp_path, capsys):
     # Residual degrees of freedom in the hundreds: k^(-n/2) overflows a
@@ -540,7 +553,8 @@ fam = sm.ShrinkageFamily.custom(lambda w: k * w / (w + k), lambda w: k * k / (w 
 sm.shrinkage_constants(fam, dims)
 sm.matrix_constants(fam, dims)
 sm.umvue_mse(sm.Observation([1.0, -0.5, 0.3, 0.8, 0.2], 2.0), fam, dims)
-assert sm.g_transform(lambda t: k / t, dims, np.array([0.5, 2.0])).shape == (2,)
+from steinmse.umvue import g_transform
+assert g_transform(lambda t: k / t, dims, np.array([0.5, 2.0])).shape == (2,)
 """
     _modules_after(code)  # asserts that the interpreter exits cleanly
 

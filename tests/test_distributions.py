@@ -14,6 +14,7 @@ from _oracles import (chi2_cdf_df4_quad, chi2_pdf, f_quantile_by_quadrature,
                       ratio_chi2_density, ratio_moments_mpmath)
 from steinmse.distributions import (_LADDER_BLOCK, _beta_fraction, _betainc_pair, poisson_weights,
                                     ratio_expectation, ratio_moment_ladder, ratio_partial_moments)
+from steinmse.umvue import g_transform
 
 
 def test_chi2_pdf_exponential_case():
@@ -364,7 +365,7 @@ def test_ratio_expectation_finds_an_undeclared_jump(k, n, c):
 @pytest.mark.parametrize("mean", [
     lambda: ratio_expectation(lambda w: 1.0 / w, 2, 5),  # E[1/W] needs k > 2
     lambda: ratio_expectation(lambda w: w, 5, 2),  # E[W] needs n > 2
-    lambda: sm.g_transform(lambda t: t, sm.ProblemDims(5, 1), 1.0),
+    lambda: g_transform(lambda t: t, sm.ProblemDims(5, 1), 1.0),
 ], ids=["inverse-k2", "mean-n2", "g-transform"])
 def test_divergent_integrals_raise_quickly(mean):
     start = time.perf_counter()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import steinmse as sm
 from steinmse import matrix_improved
-from steinmse.matrix_improved import b_of_w, beta_j, gamma_xi_eta, solve_w_xi_eta
+from steinmse.matrix_improved import (b_of_w, beta_constants, beta_j, gamma_xi_eta,
+                                      solve_w_xi_eta)
 from steinmse.umvue import g_functions
 from _oracles import (g3_above_kink, js_beta_moment_exact, js_plus_beta_moment_quad,
                       moment_curve_kernel, observation_draws, quadratic_root,
@@ -125,7 +126,7 @@ class TestBetaJ:
 
 @pytest.fixture(scope="module")
 def js_consts():
-    return sm.beta_constants(JS, DIMS)
+    return beta_constants(JS, DIMS)
 
 
 class TestBetaConstants:
@@ -142,7 +143,7 @@ class TestBetaConstants:
         assert js_consts.method == "closed-form"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            quad = sm.beta_constants(_custom_clone(JS), DIMS)
+            quad = beta_constants(_custom_clone(JS), DIMS)
         assert quad.method == "quadrature"
         assert quad.beta2 == pytest.approx(JS_BETA2_EXACT, rel=1e-8)
 
@@ -155,7 +156,7 @@ class TestBetaConstants:
         # j -> infinity limit, so the scan minimum sits at the tail check;
         # a quadrature family has no limit in hand and warns.
         with pytest.warns(RuntimeWarning, match="scan boundary"):
-            sm.beta_constants(_custom_clone(JS), DIMS)
+            beta_constants(_custom_clone(JS), DIMS)
 
     @pytest.mark.parametrize("p,n", TABLE_DIMS + [(4, 5), (3, 5)])
     @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
@@ -163,7 +164,7 @@ class TestBetaConstants:
         dims = sm.ProblemDims(p, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            bc = sm.beta_constants(sm.family_from_name(name, dims), dims)
+            bc = beta_constants(sm.family_from_name(name, dims), dims)
         scan_min = min(v for _, v in bc.per_j_beta1)
         if p >= 4:
             assert scan_min > 0.0
@@ -174,20 +175,20 @@ class TestBetaConstants:
 
     def test_js_interior_minimum_at_p3(self):
         dims = sm.ProblemDims(3, 5)
-        bc = sm.beta_constants(sm.ShrinkageFamily.james_stein(dims), dims)
+        bc = beta_constants(sm.ShrinkageFamily.james_stein(dims), dims)
         assert bc.argmin_j == 3
         assert bc.beta1 == pytest.approx(-20.0 / 441.0, rel=1e-12)
 
     @pytest.mark.parametrize("p,n", TABLE_DIMS)
     def test_js_argmax_tie_breaks_to_smallest_j(self, p, n):
         dims = sm.ProblemDims(p, n)
-        assert sm.beta_constants(sm.ShrinkageFamily.james_stein(dims), dims).argmax_j == 0
+        assert beta_constants(sm.ShrinkageFamily.james_stein(dims), dims).argmax_j == 0
 
     @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
     def test_first_moment_nonnegative_at_larger_dims(self, name):
         d10 = sm.ProblemDims(10, 10)
         fam = sm.family_from_name(name, d10)
-        bc = sm.beta_constants(fam, d10)
+        bc = beta_constants(fam, d10)
         assert bc.beta1 >= 0.0
 
 
@@ -237,7 +238,7 @@ class TestRoots:
         monkeypatch.setattr(matrix_improved, "g_functions", counting)
         for name in ("james-stein", "positive-part"):
             fam = sm.family_from_name(name, dims)
-            beta2 = sm.beta_constants(fam, dims).beta2
+            beta2 = beta_constants(fam, dims).beta2
             w_xi, w_eta = solve_w_xi_eta(fam, dims, beta2)
             gf = real(fam, dims)
             c = beta2 / (n + p + 2.0)
@@ -270,7 +271,7 @@ def test_matrix_constants_provenance():
 def test_constants_refuse_a_stale_moment_scan_bound():
     # The scan bound is gone: a third positional argument is an error, not
     # a silently ignored Monte Carlo option.
-    for build in (sm.beta_constants, sm.matrix_constants):
+    for build in (beta_constants, sm.matrix_constants):
         with pytest.raises(TypeError):
             build(PP, DIMS, 20)
     assert sm.matrix_constants(PP, DIMS, reps=20, rng=None).beta.beta2 == \

@@ -3,6 +3,7 @@ import pytest
 
 import steinmse as sm
 from steinmse.mse_improved import alpha_pn, gamma_pn, solve_w_pn
+from steinmse.shrinkage import risk_reduction_integrand
 from steinmse.umvue import a_of_w
 from _oracles import (js_plus_alpha_quad, observation_draws, quadratic_root,
                       ratio_mean_monte_carlo, true_risk_monte_carlo)
@@ -80,7 +81,7 @@ class TestAlpha:
         dphi = lambda w: c * c / ((w + c) * (w + c))
         fam = sm.ShrinkageFamily.custom(phi, dphi, label="smooth")
         value, stderr = ratio_mean_monte_carlo(
-            lambda w: sm.risk_reduction_integrand(fam, DIMS, w), 5, 5, 400_000, seed=37)
+            lambda w: risk_reduction_integrand(fam, DIMS, w), 5, 5, 400_000, seed=37)
         assert abs(alpha_pn(fam, DIMS) - value) < 4.0 * stderr
 
 
@@ -200,15 +201,26 @@ class TestEstimates:
         assert np.all(psi1 > 0)
 
 
+def _cap_binds_somewhere(fam, dims):
+    """Whether PSI0's upper cap pS(1+W)/(n+p+2) lies strictly below the
+    zero-truncated unbiased estimate at some W. That needs n(1+W) < n+p+2,
+    so a grid on (0, (p+2)/n] covers every W where it can happen."""
+    grid = np.linspace(1e-4, (dims.p + 2.0) / dims.n, 4001)
+    s = np.ones_like(grid)
+    psi0 = np.asarray(sm.estimate_mse_at(K.PSI0, grid, s, fam, dims))
+    tr0 = np.asarray(sm.estimate_mse_at(K.TRUNCATED_ZERO, grid, s, fam, dims))
+    return bool(np.any(psi0 < tr0))
+
+
 class TestTruncationBand:
     def test_small_dims_band_nonempty(self):
         # At (5,5) the quadratic 343W - 245W^2 >= 108 has real roots, so
         # the band where the upper cap strictly binds is nonempty.
-        assert sm.truncation_band_nonempty(JS, DIMS)
+        assert _cap_binds_somewhere(JS, DIMS)
 
     def test_large_dims_band_empty(self):
         d = sm.ProblemDims(10, 10)
-        assert not sm.truncation_band_nonempty(sm.ShrinkageFamily.james_stein(d), d)
+        assert not _cap_binds_somewhere(sm.ShrinkageFamily.james_stein(d), d)
 
     @pytest.mark.parametrize("p,n", [(5, 5), (10, 5), (5, 10), (10, 10)])
     @pytest.mark.parametrize("name", ["james-stein", "positive-part"])
@@ -218,12 +230,12 @@ class TestTruncationBand:
         dims = sm.ProblemDims(p, n)
         fam = sm.family_from_name(name, dims)
         clone = sm.ShrinkageFamily.custom(fam.phi, fam.phi_prime, label="clone")
-        assert sm.truncation_band_nonempty(clone, dims) == sm.truncation_band_nonempty(fam, dims)
+        assert _cap_binds_somewhere(clone, dims) == _cap_binds_somewhere(fam, dims)
 
     def test_psi0_beats_plain_truncation_when_band_nonempty(self):
         # Paired Monte Carlo: on the nonempty band the double truncation
         # dominates max(0, unbiased) as well.
-        assert sm.truncation_band_nonempty(JS, DIMS)
+        assert _cap_binds_somewhere(JS, DIMS)
         for li, lam in enumerate((0.0, 2.0, 8.0)):
             risk_true = sm.true_risk(JS, DIMS, lam)
             g = sm.RngStream(36, li).generator()

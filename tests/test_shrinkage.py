@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import steinmse as sm
 from steinmse.matrix_improved import b_of_w, beta_j
 from steinmse.mse_improved import alpha_pn, solve_w_pn
+from steinmse.shrinkage import risk_reduction_integrand
 from steinmse.umvue import g_functions
 from _oracles import mse_matrix_monte_carlo, true_risk_monte_carlo, truth_mpmath
 
@@ -73,7 +74,7 @@ def test_discontinuous_phi_is_refused_wherever_phi_prime_is_read():
                 lambda: alpha_pn(fam, dims), lambda: beta_j(1, fam, dims, 0),
                 lambda: beta_j(2, fam, dims, 3), lambda: sm.shrinkage_constants(fam, dims),
                 lambda: sm.matrix_constants(fam, dims),
-                lambda: sm.risk_reduction_integrand(fam, dims, 2.0),
+                lambda: risk_reduction_integrand(fam, dims, 2.0),
                 lambda: b_of_w(fam, dims, 2.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any scan warns

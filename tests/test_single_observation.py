@@ -3,9 +3,9 @@
 Every estimate of one observation and family clamps the unbiased kernel at
 the same W, (a(W), 1/n - g1(W), g3(W)), and every matrix estimate and set
 sits on the same axis u = x/||x||. These tests pin that each estimate is
-bit for bit its m = 1 array path, that the kernel is evaluated once per
-observation and family, and that nothing of the memo lives on the
-observation.
+bit for bit its row of an array path, that the kernel is evaluated once
+per observation and family, that a value beyond a double is refused by
+name, and that nothing of the memo lives on the observation.
 """
 
 import pickle
@@ -18,7 +18,7 @@ import pytest
 import steinmse as sm
 from steinmse import shrinkage, umvue
 from steinmse.confidence import _set_geometry
-from steinmse.umvue import _kernel_at, _kernel_terms, _matrix_parts_from, _observed_kernel
+from steinmse.umvue import _kernel_at, _kernel_terms, _matrix_parts_from, a_of_w
 
 MK = sm.MatrixEstimatorKind
 TABLE_DIMS = [(5, 5), (10, 5), (5, 10), (10, 10)]
@@ -75,6 +75,60 @@ def test_every_estimate_is_its_m1_array_path_bit_for_bit(p, n, fam_name):
             if spec.matrix_kind is not None:
                 want = sm.estimate_mse_matrix(spec.matrix_kind, obs, fam, dims, mc)
                 assert (got.shape.iso, got.shape.axial) == (want.iso, want.axial), variant
+
+
+@pytest.mark.parametrize("p,n", TABLE_DIMS)
+def test_the_memoised_kernel_is_its_block_row_below_and_above_the_kink(p, n):
+    # Below the positive-part kink g1 and g2 take a power of W. The memo
+    # evaluates it on a one-row block, so each W gets the array loop's
+    # bits, not those of a scalar power.
+    dims = sm.ProblemDims(p, n)
+    fam = sm.ShrinkageFamily.positive_part(dims)
+    w = np.random.default_rng(0).uniform(0.0, 1.2 * dims.shrink_constant, 2000)
+    block = (a_of_w(fam, dims, w), *_matrix_parts_from(*_kernel_terms(fam, dims, w), w, dims))
+    differ = [i for i, wi in enumerate(w)
+              if _kernel_at(fam, dims, float(wi)) != tuple(float(v[i]) for v in block)]
+    assert differ == []
+
+
+def test_an_overflowing_umvue_mse_is_refused_by_name():
+    # James-Stein at (5, 5) with W = 8.2e-134: pS(1 - a(W))/n is -inf. The
+    # unbiased estimate is refused; the clamps with a finite value keep it.
+    dims = sm.ProblemDims(5, 5)
+    fam = sm.ShrinkageFamily.james_stein(dims)
+    obs = sm.Observation(np.full(5, 7e71), 3e277)
+    sc = sm.shrinkage_constants(fam, dims)
+    for call in (lambda: sm.umvue_mse(obs, fam, dims),
+                 lambda: sm.estimate_mse(sm.MseEstimatorKind.UMVUE, obs, fam, dims)):
+        with pytest.raises(ValueError, match="umvue MSE estimate overflows"):
+            call()
+    assert sm.estimate_mse(sm.MseEstimatorKind.TRUNCATED_ZERO, obs, fam, dims) == 0.0
+    assert sm.estimate_mse(sm.MseEstimatorKind.PSI0, obs, fam, dims) == 0.0
+    for kind in ("psi1", "psi2", "psi1-tr", "psi2-tr"):
+        assert 0.0 < sm.estimate_mse(sm.MseEstimatorKind(kind), obs, fam, dims, sc) < np.inf
+
+
+def test_a_kernel_that_overflows_at_a_subnormal_w_is_refused_by_name():
+    # James-Stein at (40, 2) with W = 4.85e-321: c/W overflows, and every
+    # estimate was nan after a raw overflow warning (an error under pytest).
+    dims = sm.ProblemDims(40, 2)
+    obs = sm.Observation(np.full(40, 4.8e-103), 1.9e117)
+    assert 0.0 < obs.w < 1e-320
+    js, pp = sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)
+    mc = sm.matrix_constants(js, dims)
+    calls = [lambda: sm.umvue_mse(obs, js, dims), lambda: sm.umvue_mse_matrix(obs, js, dims)]
+    calls += [lambda k=k: sm.estimate_mse(k, obs, js, dims) for k in
+              (sm.MseEstimatorKind.UMVUE, sm.MseEstimatorKind.PSI0)]
+    calls += [lambda k=k: sm.estimate_mse_matrix(k, obs, js, dims, mc) for k in MK]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"kernel at W = 4\.85e-321 is not finite"):
+            call()
+    # The positive-part rule is W itself below the kink: finite, not refused.
+    sc, mc = sm.shrinkage_constants(pp, dims), sm.matrix_constants(pp, dims)
+    values = [sm.estimate_mse(k, obs, pp, dims, sc) for k in sm.MseEstimatorKind]
+    matrices = [sm.estimate_mse_matrix(k, obs, pp, dims, mc) for k in MK]
+    assert np.isfinite(values).all()
+    assert all(np.isfinite([m.iso, m.axial]).all() for m in matrices)
 
 
 def _count_calls(names, fn):
@@ -229,13 +283,10 @@ def _on_c0_boundary(obs, fam, dims, level):
 @pytest.mark.parametrize("fam_name", FAMILIES)
 @pytest.mark.parametrize("p,n", TABLE_DIMS)
 def test_each_set_is_its_row_of_a_block_and_covers_as_it_contains(p, n, fam_name):
-    # build_confidence_set is the m = 1 case of _set_geometry: from the same
-    # unbiased factors its threshold and shape factors are, bit for bit, those
-    # of its row inside a 64-row block, and contains_truth is
-    # ConfidenceResult.contains of the set. The block is handed the memoised
-    # single-observation kernel: below the positive-part kink that kernel's
-    # power is a scalar one and can differ from the array kernel's in the
-    # last bit.
+    # build_confidence_set is the m = 1 case of _set_geometry: its threshold
+    # and shape factors are, bit for bit, those of its row inside a 64-row
+    # block, which computes its own unbiased factors, and contains_truth is
+    # ConfidenceResult.contains of the set.
     dims = sm.ProblemDims(p, n)
     fam = sm.family_from_name(fam_name, dims)
     mc = sm.matrix_constants(fam, dims)
@@ -246,12 +297,12 @@ def test_each_set_is_its_row_of_a_block_and_covers_as_it_contains(p, n, fam_name
         observations.append(sm.Observation(x, rng.chisquare(n)))
     s = np.array([obs.s for obs in observations])
     w = np.array([obs.w for obs in observations])
-    iso, g3 = np.array([_observed_kernel(obs, fam, dims)[1:] for obs in observations]).T
+    iso, g3 = _matrix_parts_from(*_kernel_terms(fam, dims, w), w, dims)
     for level in (0.90, 0.95):
         boundary = [_on_c0_boundary(obs, fam, dims, level) for obs in observations[:8]]
         for variant in sm.ConfidenceVariant:
             spec = sm.ConfidenceSpec(variant, level)
-            geo, = _set_geometry(s, w, (spec,), fam, dims, mc, unbiased=(iso, iso + g3))
+            geo, = _set_geometry(s, w, (spec,), fam, dims, mc)
             radius = np.broadcast_to(geo.radius, w.shape)
             for i, obs in enumerate(observations):
                 thetas = [rng.standard_normal(p) + obs.x] + boundary[i:i + 1]

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steinmse as sm
-from steinmse.umvue import a_of_w, g_functions
+from steinmse.umvue import a_of_w, g_functions, g_transform
 from _oracles import dense_quad_form, g_kernels_mpmath, js_plus_alpha_quad
 
 
@@ -98,28 +98,28 @@ class TestAxialMatrix:
 
 class TestGTransform:
     def test_zero_integrand(self):
-        assert sm.g_transform(lambda t: 0.0, DIMS, 2.0) == 0.0
+        assert g_transform(lambda t: 0.0, DIMS, 2.0) == 0.0
 
     def test_power_integrand_analytic(self):
         # h(t) = c/t has antiderivative -2c t^{-n/2-1}/(n+2) against the
         # kernel, giving g(w) = 2c/((n+2) w).
         c = (DIMS.p - 2.0) ** 2 / (DIMS.n + 2.0)
         for w in (0.3, 1.0, 4.0):
-            got = sm.g_transform(lambda t: c / t, DIMS, w)
+            got = g_transform(lambda t: c / t, DIMS, w)
             want = 2.0 * c / ((DIMS.n + 2.0) * w)
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_js_g1_closed_form(self):
         k = DIMS.shrink_constant
         for w in (0.5, 1.0, 3.0):
-            got = sm.g_transform(lambda t: k / t, DIMS, w)
+            got = g_transform(lambda t: k / t, DIMS, w)
             assert got == pytest.approx(2.0 * (DIMS.p - 2.0) / ((DIMS.n + 2.0) ** 2 * w),
                                         rel=1e-8)
 
     @pytest.mark.parametrize("w", [[1.0, 0.0], [-2.0], [math.nan]])
     def test_rejects_nonpositive_w(self, w):
         with pytest.raises(ValueError, match="w must be positive"):
-            sm.g_transform(lambda t: 1.0 / t, DIMS, np.array(w))
+            g_transform(lambda t: 1.0 / t, DIMS, np.array(w))
 
 
 class TestGFunctions:
@@ -179,7 +179,7 @@ class TestGFunctions:
     def test_g_transform_takes_arrays(self):
         c = (DIMS.p - 2.0) ** 2 / (DIMS.n + 2.0)
         w = np.array([[0.3, 1.0], [4.0, 9.0]])
-        got = sm.g_transform(lambda t: c / t, DIMS, w)
+        got = g_transform(lambda t: c / t, DIMS, w)
         assert got.shape == w.shape
         np.testing.assert_allclose(got, 2.0 * c / ((DIMS.n + 2.0) * w), rtol=1e-10)
 
