@@ -195,10 +195,10 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
         dd_x, dd_delta, t = _row_distances(shrink_factors(fam, w), *rows)
         tt, ps = t * t, p * s
         perp = dd_delta - tt
-    out, c0_log_volumes = [], {}
+    out, shapes, c0_log_volumes = [], {}, {}
     for spec in specs:
         kind = spec.matrix_kind
-        twin = next((g for prev, g in zip(specs, out) if prev.matrix_kind is kind), None)
+        twin = shapes.get(kind)
         if twin is not None:
             l_perp, l_axis, logdet = twin.l_perp, twin.l_axis, twin.logdet
         elif kind is None:
@@ -211,7 +211,7 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
                     raise ValueError(f"variant {spec.variant.value}: W must be positive")
                 unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, fam, dims)
             l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, dims, consts)
-            if not ((l_perp > 0) & (l_axis > 0)).all():
+            if not (l_perp.min() > 0 and l_axis.min() > 0):  # NaN fails too
                 raise ValueError(f"variant {spec.variant.value}: matrix estimate lost positive "
                                  "definiteness; check the certificates for these dimensions")
             logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)
@@ -228,7 +228,8 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
         elif rows is not None:
             q = twin.q if twin is not None else _inv_quad(perp, tt, l_perp, l_axis, s) / p
             covered = q <= radius
-        out.append(_SetGeometry(l_perp, l_axis, logdet, c, radius, log_volume, q, covered))
+        shapes[kind] = _SetGeometry(l_perp, l_axis, logdet, c, radius, log_volume, q, covered)
+        out.append(shapes[kind])
     return out
 
 

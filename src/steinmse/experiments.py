@@ -431,10 +431,14 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
                                  f"{name} family")
 
         def score(lam, s, w, xx, x_theta):
-            geos = _set_geometry(s, w, variants, fam, dims, consts, (xx, x_theta, lam))
-            sums = {id(g.log_volume): g.log_volume for g in geos}  # C0, C3, C1*, C2*: one per level
-            sums = {key: np.exp(v).sum() for key, v in sums.items()}
-            return np.array([(np.count_nonzero(g.covered), sums[id(g.log_volume)]) for g in geos])
+            out, sums = np.empty((len(variants), 2)), {}  # C0, C3, C1*, C2*: one sum per level
+            for vi, g in enumerate(_set_geometry(s, w, variants, fam, dims, consts,
+                                                 (xx, x_theta, lam))):
+                key = id(g.log_volume)
+                if key not in sums:
+                    sums[key] = np.exp(g.log_volume).sum()
+                out[vi] = np.count_nonzero(g.covered), sums[key]
+            return out
         return consts, lambda li: partial(score, cfg.lambda_grid[li])
 
     rows, (totals, used) = [], _grid(cfg, _DOMAIN_COVERAGE, setup)
