@@ -11,10 +11,13 @@ central ones; ``poisson_weights`` gives the mixture weights. Every kernel is
 the module's own, on numpy alone: the incomplete beta and log-beta
 (``_betainc_pair``, ``_log_beta``) from ``math.lgamma`` and a continued
 fraction, and the package's one quadrature, adaptive tanh-sinh
-(``_integrate``). All random draws come from counter-based Philox streams
-keyed by (seed, stream_id): the same key always reproduces the same draws,
-no matter which thread or process asks for them, so experiments can be
-sharded arbitrarily without changing a single number.
+(``_integrate``). All random draws come from SFC64 streams named by
+(seed, stream_id), seeded by ``SeedSequence(seed, spawn_key=(stream_id,))``:
+the same key always reproduces the same draws, no matter which thread or
+process asks for them, so experiments can be sharded arbitrarily without
+changing a single number. Two keys' states are not distinct by
+construction, as an injective Philox key would make them; they differ
+through ``SeedSequence``'s 128-bit hash of the key.
 """
 
 from __future__ import annotations
@@ -38,14 +41,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngStream:
-    """Immutable key (seed, stream_id) naming a counter-based random stream.
+    """Immutable key (seed, stream_id) naming a replayable random stream.
 
     ``generator()`` always starts from the beginning of the stream, so a
-    given key is a pure name for a fixed draw sequence. Distinct stream ids
-    under one seed give statistically independent sequences (Philox keyed
-    by the 128-bit concatenation), which makes results independent of
-    thread scheduling: shard work by stream id, not by shared state.
-    Both fields must be integers in [0, 2**64), so no two keys alias.
+    given key is a pure name for a fixed draw sequence: SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(stream_id,))``. Distinct stream ids
+    under one seed give statistically independent sequences, which makes
+    results independent of thread scheduling: shard work by stream id, not
+    by shared state. Both fields must be integers in [0, 2**64). Two keys'
+    states are not distinct by construction, as an injective Philox key
+    would make them; they differ through ``SeedSequence``'s 128-bit hash.
     """
 
     seed: int
@@ -59,8 +64,8 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = (int(self.seed) << 64) | int(self.stream_id)
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream_id),))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def _check_df(k, name: str = "k") -> int:

@@ -1,8 +1,8 @@
 """Monte Carlo drivers for risk and coverage curves, and the constants tables.
 
 All three curves walk one grid, ``_grid``: dims x family x noncentrality,
-with replications in fixed-size blocks, each block from its own
-counter-based stream. A curve hands the grid one set-up per (family,
+with replications in fixed-size blocks, each block from its own named
+stream (``RngStream``). A curve hands the grid one set-up per (family,
 dims), which makes the constants and the exact truth that point needs and
 refuses a point it cannot score (coverage refuses a matrix shape without
 its positive-definiteness certificate); every set-up runs before the

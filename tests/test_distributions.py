@@ -190,7 +190,7 @@ def test_f_quantile_domain_errors():
 
 
 def test_normal_sampler_batch_scale_moments():
-    # The op draws from a Philox stream; at the 1e6 scale the stream's
+    # The op draws from an SFC64 stream; at the 1e6 scale the stream's
     # batched output must satisfy the tight law-of-large-numbers bounds.
     g = sm.RngStream(11).generator()
     coords = 2.0 + g.standard_normal(10 ** 6)
@@ -213,6 +213,26 @@ def test_rng_stream_rejects_keys_outside_64_bits(field):
             sm.RngStream(**{"seed": 0, field: bad})
     top = sm.RngStream(**{"seed": 0, field: 2 ** 64 - 1}).generator().random(4)
     assert not np.array_equal(top, sm.RngStream(0, 0).generator().random(4))
+
+
+@pytest.mark.parametrize("seed,stream_id,first", [
+    (0, 0, [10116541783505607535, 7467812998635031247, 16408170688587494076]),
+    (2 ** 64 - 1, 2 ** 64 - 1, [12407624477594292324, 17109237369850854294,
+                                15228183536729499450]),
+])
+def test_rng_stream_first_outputs_are_pinned(seed, stream_id, first):
+    # SFC64 from SeedSequence(seed, spawn_key=(stream_id,)): a change of bit
+    # generator or of seeding changes these words, and every Monte Carlo CSV.
+    raw = sm.RngStream(seed, stream_id).generator().bit_generator.random_raw(3)
+    assert [int(v) for v in raw] == first
+
+
+def test_rng_stream_ids_under_one_seed_start_apart():
+    # Keys differ through SeedSequence's hash, not by construction: check
+    # the 1,024 ids a grid's low stream fields span.
+    firsts = {int(sm.RngStream(0, i).generator().bit_generator.random_raw())
+              for i in range(1024)}
+    assert len(firsts) == 1024
 
 
 _KERNEL_ARGS = dict(a=st.floats(0.5, 300.0), b=st.floats(0.5, 50.0), x=st.floats(0.01, 0.99))
