@@ -11,13 +11,10 @@ central ones; ``poisson_weights`` gives the mixture weights. Every kernel is
 the module's own, on numpy alone: the incomplete beta and log-beta
 (``_betainc_pair``, ``_log_beta``) from ``math.lgamma`` and a continued
 fraction, and the package's one quadrature, adaptive tanh-sinh
-(``_integrate``). All random draws come from SFC64 streams named by
-(seed, stream_id), seeded by ``SeedSequence(seed, spawn_key=(stream_id,))``:
-the same key always reproduces the same draws, no matter which thread or
-process asks for them, so experiments can be sharded arbitrarily without
-changing a single number. Two keys' states are not distinct by
-construction, as an injective Philox key would make them; they differ
-through ``SeedSequence``'s 128-bit hash of the key.
+(``_integrate``). All random draws come from SFC64 streams seeded by
+``SeedSequence`` spawn keys (``RngStream``): the same key always reproduces
+the same draws in any thread or process, so experiments shard freely
+without changing a single number.
 """
 
 from __future__ import annotations
@@ -41,16 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngStream:
-    """Immutable key (seed, stream_id) naming a replayable random stream.
-
-    ``generator()`` always starts from the beginning of the stream, so a
-    given key is a pure name for a fixed draw sequence: SFC64 seeded by
-    ``SeedSequence(seed, spawn_key=(stream_id,))``. Distinct stream ids
-    under one seed give statistically independent sequences, which makes
-    results independent of thread scheduling: shard work by stream id, not
-    by shared state. Both fields must be integers in [0, 2**64). Two keys'
-    states are not distinct by construction, as an injective Philox key
-    would make them; they differ through ``SeedSequence``'s 128-bit hash.
+    """Immutable key (seed, stream_id), both integers in [0, 2**64), naming
+    the SFC64 stream seeded by ``SeedSequence(seed, spawn_key=(stream_id,))``;
+    ``generator()`` starts it afresh, so a key names a fixed draw sequence.
+    Two keys differ not by construction, as an injective Philox key made
+    them, but through ``SeedSequence``'s 128-bit hash of the key.
     """
 
     seed: int

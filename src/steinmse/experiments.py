@@ -431,13 +431,12 @@ def run_coverage_curve(cfg: ExperimentConfig, variants: tuple | None = None,
                                  f"{name} family")
 
         def score(lam, s, w, xx, x_theta):
-            out, sums = np.empty((len(variants), 2)), {}  # C0, C3, C1*, C2*: one sum per level
-            for vi, g in enumerate(_set_geometry(s, w, variants, fam, dims, consts,
-                                                 (xx, x_theta, lam))):
-                key = id(g.log_volume)
-                if key not in sums:
-                    sums[key] = np.exp(g.log_volume).sum()
-                out[vi] = np.count_nonzero(g.covered), sums[key]
+            geos = _set_geometry(s, w, variants, fam, dims, consts, (xx, x_theta, lam))
+            out, sums = np.empty((len(geos), 2)), {}  # C0, C3, C1*, C2*: one sum per level
+            for vi, g in enumerate(geos):
+                if id(g.log_volume) not in sums:
+                    sums[id(g.log_volume)] = np.exp(g.log_volume).sum()
+                out[vi] = np.count_nonzero(g.covered), sums[id(g.log_volume)]
             return out
         return consts, lambda li: partial(score, cfg.lambda_grid[li])
 

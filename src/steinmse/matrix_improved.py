@@ -33,8 +33,8 @@ from ._rootfind import bracketed_root
 from .distributions import ratio_expectation, ratio_partial_moments
 from .shrinkage import (FamilyKind, Observation, ProblemDims, ShrinkageFamily,
                         _require_continuous_phi, _require_dims_match)
-from .umvue import (AxialMatrix, _axial_estimate, _kernel_terms, _matrix_parts_from,
-                    _observed_kernel, g_functions)
+from .umvue import (AxialMatrix, _axial_estimate, _finite_matrix, _kernel_terms,
+                    _matrix_parts_from, _observed_kernel, g_functions)
 
 __all__ = [
     "MatrixEstimatorKind",
@@ -329,10 +329,10 @@ def matrix_eigen_parts(kind: MatrixEstimatorKind, w, fam: ShrinkageFamily, dims:
 
 def estimate_mse_matrix(kind: MatrixEstimatorKind, obs: Observation, fam: ShrinkageFamily,
                         dims: ProblemDims, consts: MatrixConstants | None = None) -> AxialMatrix:
-    """MSE-matrix estimate of the requested kind as an AxialMatrix."""
+    """MSE-matrix estimate of the requested kind as an AxialMatrix, refused if it overflows."""
     _, iso, g3 = _observed_kernel(obs, fam, dims)
-    return _axial_estimate(obs, iso, g3,
-                           *_clamp_eigen_parts(kind, iso, iso + g3, obs.w, dims, consts))
+    parts = _clamp_eigen_parts(kind, iso, iso + g3, obs.w, dims, consts)
+    return _finite_matrix(_axial_estimate(obs, iso, g3, *parts), kind.value)
 
 
 def positive_definite_certified(kind: MatrixEstimatorKind, fam: ShrinkageFamily,

@@ -208,7 +208,7 @@ def apply_estimator(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -
     origin; the estimate is then pinned at the zero vector and a
     ShrunkToOriginWarning is emitted (the event has probability zero under
     the model). The positive-part rule reaches the same zero vector
-    continuously, without a warning.
+    continuously, without a warning. A factor beyond a double raises ValueError.
     """
     if obs.x.shape != (dims.p,):
         raise ValueError(f"observation has length {obs.x.shape[0]}, expected p={dims.p}")
@@ -217,7 +217,9 @@ def apply_estimator(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) -
         if fam.kind is not FamilyKind.POSITIVE_PART:
             warnings.warn("W = 0: estimate shrunk to the origin", ShrunkToOriginWarning)
         return np.zeros(dims.p)
-    return float(shrink_factors(fam, w)) * obs.x
+    if not math.isfinite(factor := 1.0 - float(fam.phi(w)) / w):
+        raise ValueError(f"the shrinkage factor 1 - phi(W)/W at W = {w:.6g} is not finite")
+    return factor * obs.x
 
 
 def canonicalize_regression(design, response):

@@ -264,6 +264,13 @@ def _finite_mse(value: float, kind: str) -> float:
     return value
 
 
+def _finite_matrix(m: AxialMatrix, kind: str) -> AxialMatrix:
+    """One observation's MSE matrix of ``kind``, refused if an eigenvalue overflows."""
+    if not (math.isfinite(m.iso_eigenvalue) and math.isfinite(m.axis_eigenvalue)):
+        raise ValueError(f"the {kind} MSE matrix overflows ({m.eigenvalues()[:2].tolist()})")
+    return m
+
+
 def _axial_estimate(obs: Observation, iso: float, g3: float, l_perp, l_axis) -> AxialMatrix:
     """S (l_perp I + axial u u') on the observation's axis, for factors
     (l_perp, l_axis) clamped from the unbiased (iso, iso + g3). Unclamped,
@@ -289,7 +296,7 @@ def umvue_mse_matrix(obs: Observation, fam: ShrinkageFamily, dims: ProblemDims) 
     """Unbiased estimate of the MSE matrix as an AxialMatrix.
 
     Components: scale S, isotropic part 1/n - g1(W), axial part g3(W) on
-    u = x/||x||. Its trace equals ``umvue_mse`` up to rounding.
+    u = x/||x||. Its trace equals ``umvue_mse`` up to rounding; an overflow raises ValueError.
     """
     _, iso, g3 = _observed_kernel(obs, fam, dims)
-    return _axial_estimate(obs, iso, g3, iso, iso + g3)
+    return _finite_matrix(_axial_estimate(obs, iso, g3, iso, iso + g3), "umvue")

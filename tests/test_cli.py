@@ -415,6 +415,34 @@ def test_an_overflowing_umvue_mse_is_one_numerical_failure_line(tmp_path, capsys
     assert captured.out == ""
 
 
+def test_an_overflowing_umvue_mse_matrix_is_one_numerical_failure_line(tmp_path, capsys):
+    # The same input with a finite MSE: the unbiased matrix's eigenvalues
+    # are inf and -inf, refused by name before the JSON encoder meets them.
+    path = tmp_path / "x.csv"
+    path.write_text("7e71\n" * 5)
+    code = main(["estimate", "--p", "5", "--n", "5", "--x", str(path), "--s", "3e277",
+                 "--family", "james-stein", "--mse", "tr0", "--matrix", "umvue"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: the umvue MSE matrix overflows ([inf, -inf])\n"
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_james_stein_factor_overflow_is_one_numerical_failure_line(tmp_path, capsys):
+    # James-Stein at (40, 2) with W = 4.85e-321: the point estimate's factor
+    # 1 - c/W overflows; one line names W, with no raw overflow warning.
+    path = tmp_path / "x.csv"
+    path.write_text("4.8e-103\n" * 40)
+    code = main(["estimate", "--p", "40", "--n", "2", "--x", str(path), "--s", "1.9e117",
+                 "--family", "james-stein", "--mse", "tr0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: the shrinkage factor 1 - phi(W)/W at "
+                            "W = 4.85172e-321 is not finite\n")
+    assert captured.out == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_positive_part_at_large_n_is_estimated(x_csv, tmp_path, capsys):
     # Residual degrees of freedom in the hundreds: k^(-n/2) overflows a

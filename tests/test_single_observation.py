@@ -131,6 +131,47 @@ def test_a_kernel_that_overflows_at_a_subnormal_w_is_refused_by_name():
     assert all(np.isfinite([m.iso, m.axial]).all() for m in matrices)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_james_stein_factor_that_overflows_at_a_subnormal_w_is_refused_by_name():
+    # James-Stein at (40, 2) with W = 4.85e-321: c/W overflows, and the point
+    # estimate was -inf after a raw "overflow encountered in divide" warning.
+    dims = sm.ProblemDims(40, 2)
+    obs = sm.Observation(np.full(40, 4.8e-103), 1.9e117)
+    with pytest.raises(ValueError, match=r"factor 1 - phi\(W\)/W at W = 4\.85172e-321 is not"):
+        sm.apply_estimator(obs, sm.ShrinkageFamily.james_stein(dims), dims)
+    # The positive-part factor is 0 below the kink: a finite estimate.
+    pp = sm.ShrinkageFamily.positive_part(dims)
+    assert not sm.apply_estimator(obs, pp, dims).any()
+
+
+def test_a_james_stein_point_estimate_is_its_block_factor_times_x():
+    # The scalar factor keeps the bits of the block shrink_factors row.
+    rng = np.random.default_rng(3)
+    for p, n in ((5, 5), (10, 5), (5, 10), (10, 10)):
+        dims = sm.ProblemDims(p, n)
+        for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
+            for _ in range(50):
+                obs = sm.Observation(rng.normal(size=p) * rng.uniform(0.1, 3.0), rng.uniform(0.5, 4.0))
+                block = float(sm.shrink_factors(fam, np.array([obs.w]))[0]) * obs.x
+                assert np.array_equal(sm.apply_estimator(obs, fam, dims), block)
+
+
+def test_an_overflowing_umvue_mse_matrix_is_refused_by_name():
+    # James-Stein at (5, 5) with W = 8.2e-134: S(1/n - g1) is -inf and
+    # S(1/n - g1 + g3) is +inf. The unbiased matrix is refused by name, and
+    # so is a clamp whose axis eigenvalue still overflows.
+    dims = sm.ProblemDims(5, 5)
+    fam = sm.ShrinkageFamily.james_stein(dims)
+    obs = sm.Observation(np.full(5, 7e71), 3e277)
+    for call in (lambda: sm.umvue_mse_matrix(obs, fam, dims),
+                 lambda: sm.estimate_mse_matrix(MK.UMVUE, obs, fam, dims)):
+        with pytest.raises(ValueError, match=r"umvue MSE matrix overflows"):
+            call()
+    mc = sm.matrix_constants(fam, dims)
+    with pytest.raises(ValueError, match=r"xi2-tr MSE matrix overflows"):
+        sm.estimate_mse_matrix(MK.XI2_TR_ETA2, obs, fam, dims, mc)
+
+
 def _count_calls(names, fn):
     """Run fn() and count, by name, the calls of the ``umvue`` and
     ``shrinkage`` functions in ``names`` (closures included), however they
