@@ -211,7 +211,7 @@ def _set_geometry(s, w, specs: tuple, fam: ShrinkageFamily, dims: ProblemDims,
                     raise ValueError(f"variant {spec.variant.value}: W must be positive")
                 unbiased = matrix_eigen_parts(MatrixEstimatorKind.UMVUE, w, fam, dims)
             l_perp, l_axis = _clamp_eigen_parts(kind, *unbiased, w, dims, consts)
-            if not (l_perp.min() > 0 and l_axis.min() > 0):  # NaN fails too
+            if not ((l_perp > 0) & (l_axis > 0)).all():
                 raise ValueError(f"variant {spec.variant.value}: matrix estimate lost positive "
                                  "definiteness; check the certificates for these dimensions")
             logdet = (p - 1.0) * np.log(s * l_perp) + np.log(s * l_axis)

@@ -229,7 +229,7 @@ def test_rng_stream_first_outputs_are_pinned(seed, stream_id, first):
 
 def test_rng_stream_ids_under_one_seed_start_apart():
     # Keys differ through SeedSequence's hash, not by construction: check
-    # the 1,024 ids a grid's low stream fields span.
+    # the ids of one grid point's first 1,024 blocks (the low 32-bit field).
     firsts = {int(sm.RngStream(0, i).generator().bit_generator.random_raw())
               for i in range(1024)}
     assert len(firsts) == 1024

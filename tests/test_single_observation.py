@@ -53,6 +53,8 @@ def test_every_estimate_is_its_m1_array_path_bit_for_bit(p, n, fam_name):
     sc, mc = sm.shrinkage_constants(fam, dims), sm.matrix_constants(fam, dims)
     for obs in _observations(np.random.default_rng(p * 100 + n), dims):
         w, s = np.array([obs.w]), np.array([obs.s])
+        point = sm.shrink_factors(fam, w)[0] * obs.x
+        assert np.array_equal(sm.apply_estimator(obs, fam, dims), point), obs.w
         for kind in sm.MseEstimatorKind:
             want = sm.estimate_mse_at(kind, w, s, fam, dims, sc)[0]
             assert sm.estimate_mse(kind, obs, fam, dims, sc) == want, (kind, obs.w)
@@ -142,18 +144,6 @@ def test_a_james_stein_factor_that_overflows_at_a_subnormal_w_is_refused_by_name
     # The positive-part factor is 0 below the kink: a finite estimate.
     pp = sm.ShrinkageFamily.positive_part(dims)
     assert not sm.apply_estimator(obs, pp, dims).any()
-
-
-def test_a_james_stein_point_estimate_is_its_block_factor_times_x():
-    # The scalar factor keeps the bits of the block shrink_factors row.
-    rng = np.random.default_rng(3)
-    for p, n in ((5, 5), (10, 5), (5, 10), (10, 10)):
-        dims = sm.ProblemDims(p, n)
-        for fam in (sm.ShrinkageFamily.james_stein(dims), sm.ShrinkageFamily.positive_part(dims)):
-            for _ in range(50):
-                obs = sm.Observation(rng.normal(size=p) * rng.uniform(0.1, 3.0), rng.uniform(0.5, 4.0))
-                block = float(sm.shrink_factors(fam, np.array([obs.w]))[0]) * obs.x
-                assert np.array_equal(sm.apply_estimator(obs, fam, dims), block)
 
 
 def test_an_overflowing_umvue_mse_matrix_is_refused_by_name():
